@@ -11,6 +11,8 @@ Each call launches one fresh interpreter running perfbench/workload.py, which
 sets up (imports shelyap.cli and writes the seeded inputs) and runs the closed
 loop: a single client calling shelyap.cli.main(argv) in-process, each op after
 the previous one returns. It gets src/ as PYTHONPATH and no LYAP_THREADS.
+Reported times are scaled to reference speed, as workload.py explains; the
+report prints the as-run figures beside them.
 
 --trace 0 reports the end-to-end metrics, --trace 1 the per-layer ones. The
 last stdout line is a JSON object with the keys correct, attempted, failed
@@ -25,12 +27,14 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import layertrace
+from workload import REF_MS
 from workloads import WORKLOADS
 
 BENCH = Path(__file__).resolve().parent
@@ -110,10 +114,14 @@ def report(rec: dict) -> list[str]:
     lines += [f"  ! {f}" for f in rec["failures"]]
     if not rec["trace"]:
         notes = {
-            "setup_s": f"median of {len(rec['setup_samples'])} fresh interpreters",
+            "setup_s": f"median of {len(rec['setup_samples'])} fresh interpreters "
+                       f"({statistics.median(rec['setup_raw']):.4g} s as run)",
+            "ops_per_s": f"({rec['ops_per_s_as_run']:.4g} as run)",
             "op_ms_tail": f"p{rec['tail_percentile']:.1f}, {rec['tail_beyond']} of "
                           f"{rec['samples']} ops beyond",
         }
+        lines.append(f"  times at reference speed: reference_work median "
+                     f"{statistics.median(rec['ref_ms']):.3f} ms as run, {REF_MS} ms scaled")
         for name, unit in END_TO_END:
             lines.append(f"  {name:<22} {rec[name]:<12.6g} {unit:<4} {notes.get(name, '')}")
         return lines
@@ -133,7 +141,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--tiny", action="store_true", help="tiny inputs (the harness self-check)")
     args = ap.parse_args(argv)

@@ -17,8 +17,8 @@ ROOT = BENCH.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import layertrace  # noqa: E402
-from workload import latency_metrics  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workload import REF_MS, latency_metrics, scaled_by_op  # noqa: E402
+from workloads import WORKLOADS, Op, check_output  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -68,13 +68,37 @@ def test_per_layer_metrics_emitted_and_self_times_add_up():
         assert values[f"{w}.cli.dumps_json.calls"] <= 1.0  # recursion folds into one span
 
 
-def test_latency_is_fastest_repetition_and_tail_has_ten_beyond():
-    by_op = {i: [i / 1000, 2 * i / 1000] for i in range(1, 21)}  # op i: i ms, then 2i ms
+def test_each_op_counts_once_and_tail_has_ten_beyond():
+    by_op = {i: [i / 1000, 2 * i / 1000] for i in range(1, 41)}  # op i: i ms, then 2i ms
+    by_op[41] = [0.0615]  # an op the last, partial pass reached once
     m = latency_metrics(by_op)
-    assert m["samples"] == 40 and m["ops_per_s"] == pytest.approx(40 / 0.42)
-    assert m["op_ms_tail"] == pytest.approx(15.0)
-    assert m["tail_beyond"] == 10 and m["tail_percentile"] == 75.0
-    assert m["op_ms_p50"] == pytest.approx(10.5)
+    assert m["samples"] == 41 and m["ops_per_s"] == pytest.approx(41 / 1.2915)
+    assert m["tail_beyond"] == 10 and m["tail_percentile"] == pytest.approx(100 * 31 / 41)
+    # Harrell-Davis estimates over 1.5, 3, ..., 61.5 ms: p50 at the middle value,
+    # the tail between the values ranked 31 and 32 of 41
+    assert m["op_ms_p50"] == pytest.approx(31.5, rel=1e-4)
+    assert 46.5 < m["op_ms_tail"] < 48.0
+
+
+def test_a_slower_machine_reads_the_same():
+    # the same run on a machine 1.7x slower throughout, references included
+    def run(slowdown):
+        latencies = [slowdown * 0.1 * (1 + k % 3) for k in range(12)]
+        refs = [slowdown * REF_MS / 1e3] * 13
+        return scaled_by_op(latencies, refs, pool=3)
+
+    assert sorted(run(1.0)) == [0, 1, 2]
+    for op, lat in run(1.7).items():
+        assert lat == pytest.approx(run(1.0)[op])
+        assert lat == pytest.approx([0.1 * (1 + op)] * 4)
+
+
+def test_gamma_check_takes_any_finite_number():
+    op = Op(("gamma", "--input", "inst.json"), 7)
+    assert check_output(op, 0, '{"gamma3": 98274000125093}') is None  # integral, no point
+    assert check_output(op, 0, '{"gamma3": -0.0625}') is None
+    for bad in ('{"gamma3": null}', '{"gamma3": true}', '{"gamma1": 1.5}', '{"gamma3": NaN}'):
+        assert check_output(op, 0, bad) is not None
 
 
 def test_missing_trace_target_fails_loudly(monkeypatch):

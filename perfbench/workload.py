@@ -9,20 +9,27 @@ time, then replays the same ops with every layer wrapped.
 
 setup_s is the median over this process's own set-up and fresh --setup-only
 interpreters launched between ops, one every SETUP_EVERY_S of the run, so the
-samples spread over the run and over both vCPUs rather than catching one
-moment of the machine. The loop waits for each launch; it is not timed as an
-op.
+samples spread over the run rather than catching one moment of the machine.
+The loop waits for each launch; it is not timed as an op.
 
-The loop cycles the workload's short pool of distinct ops, and each op's
-latency is its fastest repetition in the run: the shared 2-vCPU machines this
-was built on run the same op up to ~70% slower in phases lasting from a
-fraction of a second to tens of seconds (NOTES.md has the measurements).
-Slow phases hit the two vCPUs roughly independently, so successive passes
-over the pool alternate between the CPUs the process may use. op_ms_p50 and
-op_ms_tail are taken over every op run, each at its op's fastest latency,
-and ops_per_s is ops run over the sum of those latencies. Only time inside
-cli.main counts, not the harness's output checks. The plain rate and every
-raw latency stay in the record as ops_per_s_as_run and latencies_by_op.
+The shared 2-vCPU machines this was built on run the same code up to ~70%
+slower in phases lasting from seconds to minutes, with no stolen time: the
+process keeps its vCPU but the vCPU runs slower. So the loop runs a fixed
+reference kernel (reference_work, part of this file and never of the
+program) after every op, and reports each op's time scaled to reference
+speed: raw time x REF_MS / (mean time of the reference runs just before and
+after it). A slow phase slows the op and its reference runs together, and
+the ratio stays. The process stays on one CPU, so an op and its reference
+runs share it.
+
+The loop cycles the workload's pool of distinct ops; each op's latency is
+the median of its scaled repetitions. op_ms_p50 and op_ms_tail are taken
+over the distinct ops run, each counted once, as Harrell-Davis estimates (a
+weighted mean of neighbouring order statistics), and ops_per_s is the
+distinct ops run over the sum of their latencies. Only time inside cli.main
+counts, not the harness's output checks. The plain wall-clock rate, the raw
+latencies and the reference times stay in the record as ops_per_s_as_run,
+latencies and ref_ms.
 
 The last stdout line is one JSON object for run.py.
 """
@@ -45,6 +52,37 @@ from pathlib import Path
 
 HASHED_OPS = 8  # outputs of the first ops form the run's sha256 diagnostic
 SETUP_EVERY_S = 2.5
+REF_MS = 6.0  # reported times are scaled so that reference_work takes this long
+
+
+def reference_work() -> int:
+    """Fixed pure-Python work: a float and dict loop, then merging on a list
+    stack as the solvers' pooling does. It is not the program and never changes."""
+    acc, table = 0.0, {}
+    for i in range(16000):
+        v = (i * 0.37) ** 0.5 - acc * 1e-9
+        acc += v
+        table[i & 511] = v
+    vals, wts = [], []
+    for i in range(8000):
+        v, w = ((i * 7919) % 2003) / 2003.0, 1.0
+        while vals and vals[-1] < v:
+            pv, pw = vals.pop(), wts.pop()
+            v, w = (v * w + pv * pw) / (w + pw), w + pw
+        vals.append(v)
+        wts.append(w)
+    return len(table) + len(vals)
+
+
+def time_reference() -> float:
+    start = time.perf_counter()
+    reference_work()
+    return time.perf_counter() - start
+
+
+def to_reference_speed(seconds: float, ref_seconds: float) -> float:
+    """A time measured while reference_work took `ref_seconds`, at reference speed."""
+    return seconds * REF_MS / (1e3 * ref_seconds)
 
 
 def _run_op(cli, op) -> tuple[float, int, str, str | None]:
@@ -73,26 +111,31 @@ def sample_setup(setup_argv: list[str], workdir: Path) -> float:
 
 
 class Loop:
-    """Closed loop over a cyclic op schedule with per-op output checks."""
+    """Closed loop over a cyclic op schedule with per-op output checks.
+
+    The process is pinned to one CPU, and reference_work runs once before
+    the first op and once after every op; refs[k + 1] follows op k. Set-up
+    samples are scaled by the reference runs just before and after them.
+    """
 
     def __init__(self, cli, ops, check):
         self.cli, self.ops, self.check = cli, ops, check
-        self.cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[-1]})
+        self.setup_raw: list[float] = []
         self.setup_samples: list[float] = []
         self.latencies: list[float] = []
-        self.by_op: dict[int, list[float]] = {}
+        self.refs: list[float] = []
         self.failures: list[str] = []
         self.digests: dict[tuple, str] = {}
         self.hash = hashlib.sha256()
         self.output_bytes = 0
+        self.refs.append(time_reference())
 
     def run_one(self, k: int) -> None:
         op = self.ops[k % len(self.ops)]
-        passes = k // len(self.ops)
-        os.sched_setaffinity(0, {self.cpus[passes % len(self.cpus)]})
         elapsed, rc, out, error = _run_op(self.cli, op)
+        self.refs.append(time_reference())
         self.latencies.append(elapsed)
-        self.by_op.setdefault(k % len(self.ops), []).append(elapsed)
         raw = out.encode()
         self.output_bytes += len(raw)
         if error is None:
@@ -112,8 +155,11 @@ class Loop:
         while k == 0 or time.perf_counter() - start < seconds:
             self.run_one(k)
             k += 1
-            if setup and time.perf_counter() - start >= SETUP_EVERY_S * (len(self.setup_samples) + 1):
-                self.setup_samples.append(setup(len(self.setup_samples)))
+            if setup and time.perf_counter() - start >= SETUP_EVERY_S * (len(self.setup_raw) + 1):
+                raw = setup(len(self.setup_raw))
+                ref = (self.refs[-1] + time_reference()) / 2
+                self.setup_raw.append(raw)
+                self.setup_samples.append(to_reference_speed(raw, ref))
         return k
 
 
@@ -136,17 +182,60 @@ def _env_info() -> dict:
     return info
 
 
-def latency_metrics(by_op: dict[int, list[float]]) -> dict:
-    """Rate, median and tail over all ops run, each at its op's fastest latency.
+def scaled_latencies(latencies: list[float], refs: list[float]) -> list[float]:
+    """Each op's latency at reference speed.
 
-    The tail is the highest percentile with at least 10 samples beyond it.
+    refs[k] and refs[k + 1] are the reference runs just before and just after
+    op k, and it is scaled by their mean; wider windows tracked ops less well.
     """
-    vals = sorted(min(lat) for lat in by_op.values() for _ in lat)
+    return [to_reference_speed(raw, (refs[k] + refs[k + 1]) / 2)
+            for k, raw in enumerate(latencies)]
+
+
+def scaled_by_op(latencies: list[float], refs: list[float], pool: int) -> dict[int, list[float]]:
+    """scaled_latencies grouped by pool index."""
+    by_op: dict[int, list[float]] = {}
+    for k, lat in enumerate(scaled_latencies(latencies, refs)):
+        by_op.setdefault(k % pool, []).append(lat)
+    return by_op
+
+
+def hd_quantile(vals: list[float], p: float, grid: int = 20000) -> float:
+    """Harrell-Davis estimate of the p-quantile of sorted `vals`.
+
+    It is the mean of the order statistics weighted by a Beta(p(n+1),
+    (1-p)(n+1)) law, so neighbouring values share the weight one order
+    statistic would carry alone, and one op's noise moves it less.
+    """
+    import numpy as np
+
     n = len(vals)
-    k = n - 11 if n > 10 else n - 1  # 10 samples lie above index n - 11
-    return {"ops_per_s": n / sum(vals), "op_ms_p50": 1e3 * statistics.median(vals),
-            "op_ms_tail": 1e3 * vals[k], "tail_percentile": 100.0 * (k + 1) / n,
-            "tail_beyond": n - 1 - k, "samples": n}
+    if n == 1 or p >= 1.0:
+        return vals[-1]
+    a, b = p * (n + 1), (1.0 - p) * (n + 1)
+    u = (np.arange(grid) + 0.5) / grid
+    logw = (a - 1.0) * np.log(u) + (b - 1.0) * np.log1p(-u)
+    cdf = np.concatenate(([0.0], np.cumsum(np.exp(logw - logw.max()))))
+    edges = np.interp(np.arange(n + 1) / n, np.arange(grid + 1) / grid, cdf / cdf[-1])
+    return float(np.dot(np.diff(edges), vals))
+
+
+def latency_metrics(by_op: dict[int, list[float]]) -> dict:
+    """Rate, median and tail over the distinct ops run, each at its median
+    repetition.
+
+    Every op counts once, as if each had run the same number of times, so the
+    part of the last pass a run reaches does not weight the ops it covers, and
+    the count of samples does not depend on how fast the machine ran. The
+    tail is at the highest percentile with at least 10 ops beyond it. Both
+    percentiles are Harrell-Davis estimates.
+    """
+    vals = sorted(statistics.median(lat) for lat in by_op.values())
+    m = len(vals)
+    beyond = 10 if m > 10 else 0
+    return {"ops_per_s": m / sum(vals), "op_ms_p50": 1e3 * hd_quantile(vals, 0.5),
+            "op_ms_tail": 1e3 * hd_quantile(vals, (m - beyond) / m),
+            "tail_percentile": 100.0 * (m - beyond) / m, "tail_beyond": beyond, "samples": m}
 
 
 def main(argv=None) -> int:
@@ -173,13 +262,12 @@ def main(argv=None) -> int:
         print(json.dumps({"setup_s": setup_s}))
         return 0
 
+    result = {"setup_s": setup_s, "env": _env_info()}  # before Loop pins the process
     loop = Loop(cli, ops, check_output)
-    result = {"setup_s": setup_s, "env": _env_info()}
     if args.trace:
         import layertrace
 
         done = loop.run_for(args.seconds / 3.0)
-        untraced_s = sum(loop.latencies)
         tracer = layertrace.Tracer()
         tracer.install()
         bytes_before = loop.output_bytes
@@ -188,18 +276,22 @@ def main(argv=None) -> int:
             loop.run_one(k)
         tracer.uninstall()
         traced_s = sum(loop.latencies[done:])
+        scaled = scaled_latencies(loop.latencies, loop.refs)
         result["layers"] = layertrace.summarize(
             tracer.spans, done, round(traced_s * 1e9), loop.output_bytes - bytes_before,
-            overhead=untraced_s / traced_s)
+            overhead=sum(scaled[:done]) / sum(scaled[done:]))
         tracer.write(workdir / "spans.jsonl")
     else:
         setup_argv = ["--workload", args.workload, "--seed", str(args.seed),
                       "--seconds", "0", *(["--tiny"] if args.tiny else [])]
         loop.run_for(args.seconds,
                      lambda i: sample_setup(setup_argv, workdir / f"setup{i}"))
-        samples = [setup_s, *loop.setup_samples]
-        result.update(setup_s=statistics.median(samples), setup_samples=samples)
-        result.update(latency_metrics(loop.by_op), latencies_by_op=loop.by_op,
+        samples = [to_reference_speed(setup_s, loop.refs[0]), *loop.setup_samples]
+        result.update(setup_s=statistics.median(samples), setup_samples=samples,
+                      setup_raw=[setup_s, *loop.setup_raw])
+        by_op = scaled_by_op(loop.latencies, loop.refs, len(ops))
+        result.update(latency_metrics(by_op), latencies=loop.latencies,
+                      ref_ms=[1e3 * r for r in loop.refs],
                       ops_per_s_as_run=len(loop.latencies) / sum(loop.latencies))
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     result.update(attempted=len(loop.latencies), failed=len(loop.failures),
