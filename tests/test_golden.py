@@ -1,0 +1,69 @@
+"""Golden corpus: exit code and sha256 of stdout for fixed invocations.
+
+The table was recorded from the command line before the duplicate-work
+removal and pins every subcommand byte for byte: gamma (including one
+instance with multiplicities near 10^3), clusters in both formats, verify,
+moments at nu = 1, 2, 3 with default and given offsets and both rules, and
+sweep over t and over a location in both formats. A changed hash means
+changed output, not a test to re-record.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from shelyap.cli import main
+
+FIVE = ["--t", "1", "--x", "0,0.3,0.6,3.0,3.3", "--m", "1,1,1,1,1"]
+GOLDEN = [
+    (["gamma", *FIVE],
+     0, "c1b7d2600f2439e2f0414f76e0a1f62c5ddedd1353e4edbf56f7dce7b2ced625"),
+    (["gamma", "--t", "2", "--x=-1.5,-0.2,0.4,2.5", "--m", "2,1,3,1"],
+     0, "cd508d7d3f0fca23107f65ea96c493559f6e5e19eda3dc7016793ad90963fc72"),
+    (["gamma", "--t", "1.5", "--x=-2000,0.1,1.7,3000", "--m", "900,1200,450,3"],
+     0, "08b4ff62ebb9869aa1ba2a4a60d803b2166768cf0efbb5bf328c4ba7904cd505"),
+    (["clusters", *FIVE],
+     0, "5331c17e75884cc4463005d7055b14e4fd66b480b506be69b97b79a139ddbf2c"),
+    (["clusters", *FIVE, "--format", "csv"],
+     0, "47b7df7f1a4b01fb2a78ac31d04649ecaeb447d0a8b1832491e194c094454f55"),
+    (["verify", "--seed", "0", "--count", "20"],
+     0, "dd63776300d611998cefdcb4a097d03464e95a9578cc40510bea1ede9626986c"),
+    (["moments", "--t", "1", "--x", "0.5", "--m", "1", "--T", "4"],
+     0, "b6500f768e6c08898ea748a5704277437858e975e03af13626f9985bc792fc17"),
+    (["moments", "--t", "1", "--x", "0,0.5", "--m", "1,1", "--T", "3"],
+     0, "24030653c66509d14169d5a056b8170044e3f0d6b9961c2a478f67b15f66d07b"),
+    (["moments", "--t", "0.8", "--x=-0.5,0.5", "--m", "2,1", "--T", "2"],
+     0, "4af297c11c62c974ebecabb13bf0831115d8e039b126bee033e1dc5b7afd3d82"),
+    (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2", "--offsets",
+     "1.0,-1.0"],
+     0, "d67a247c30b20c0a55ad15355c2d4c17c16aebaee89e0b04dd44f954e7083842"),
+    (["moments", "--t", "1", "--x", "0", "--m", "3", "--T", "2", "--offsets",
+     "1.5,0,-1.5", "--truncation-sigmas", "7"],
+     0, "9576da638e32d75d1b5e8b3950471c3563cbe6d74dab39f78aa2484cb1431324"),
+    (["moments", "--t", "1", "--x", "0,0.5", "--m", "1,1", "--T", "3", "--rule",
+     "trapezoid", "--points", "300"],
+     0, "df509020ebf24b3f6edd2cc1499567f9142a19b58b29c593fa0e84ba2ed1b2f0"),
+    (["sweep", "--t", "1", "--x", "0,1,1.6", "--m", "1,2,1", "--param", "t",
+     "--grid", "0.2:2:7"],
+     0, "aac94590f36297206d2ef28d35ec54c922fe418d6b5d9e498932c852c5871bf8"),
+    (["sweep", "--t", "1", "--x", "0,1,1.6", "--m", "1,2,1", "--param", "t",
+     "--grid", "0.2:2:7", "--format", "json"],
+     0, "333c03468eb4e4b70e16ce2ae617a8fdae927f3f9854ef812a420bc0e3e3eafd"),
+    (["sweep", "--t", "1", "--x", "0,1,1.6", "--m", "1,2,1", "--param", "x2",
+     "--grid", "0.2:1.5:6"],
+     0, "27c6e4648f2a81aa36928da59c94cf26f8bba6751e36d55a496c6d78c51fcbdb"),
+    (["sweep", "--t", "1", "--x", "0,1,1.6", "--m", "1,2,1", "--param", "x2",
+     "--grid", "0.2:1.5:6", "--format", "json"],
+     0, "cb0968aeee68412868fe6d7a682096adb70dbf56f24ad879656fb108bf3e1bf3"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN)
+def test_golden_output(argv, code, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main(argv)
+    assert got == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
