@@ -4,13 +4,11 @@ cross-checked numerically.
 """
 
 from .clusters import (
-    Cluster,
     ClusterResult,
     FirstMerge,
     MergeEvent,
     PiecewiseLinearPath,
     block_com_speed,
-    event_tolerance,
     first_optimal_merge,
     initial_speeds,
     separation_margins,
@@ -59,14 +57,11 @@ from .quadrature import (
 from .sampling import random_instance, sample_matching
 from .solvers import (
     GapRecord,
-    IsotonicProblem,
     StructureReport,
     VariationalSolution,
     bruteforce_chain_qp,
     build_b_from_clusters,
     check_minimizer_structure,
-    gamma1_isotonic,
-    gamma2_isotonic,
     isotonic_nonincreasing,
     lift_b_to_a,
     oracle_gamma1,

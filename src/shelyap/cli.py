@@ -10,39 +10,44 @@ Subcommands:
 Exit codes: 0 success, 1 invalid input (machine-readable error object on
 stderr), 2 tolerance or suite failure. Floats are printed with 17 significant
 digits so every value round-trips exactly. Identical invocations produce
-byte-identical output; LYAP_THREADS caps worker threads for verify and sweep
-without changing the output.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import math
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .clusters import block_com_speed, separation_margins, simulate_inertia
-from .closedform import gamma_report, verify_recursion_identity
-from .errors import ShelyapError
+from .closedform import gamma3, gamma_report, verify_recursion_identity
+from .errors import HypothesisNotMet, ShelyapError
 from .instance import MomentInstance, flatten, validate_instance
 from .quadrature import (
+    DEFAULT_SIGMAS,
     ContourConfig,
+    _log_rate,
     contour_moment,
     contour_moment_complex,
     default_contour_config,
     heat_kernel,
-    lyapunov_rate_estimate,
     upper_bound_value,
 )
 from .sampling import random_instance, sample_matching
-from .solvers import oracle_gamma1, oracle_gamma2, solve_gamma1, solve_gamma2
+from .solvers import (
+    check_minimizer_structure,
+    oracle_gamma1,
+    oracle_gamma2,
+    solve_gamma1,
+    solve_gamma2,
+)
 
 TRIPLE_TOL = 1e-8
 ORACLE_OBJ_TOL = 1e-10
@@ -107,22 +112,6 @@ def _fail(exc: BaseException) -> int:
         dumps_json({"error": type(exc).__name__, "message": str(exc)}) + "\n"
     )
     return 1
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LYAP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    items = list(items)
-    k = _thread_count()
-    if k == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -227,15 +216,28 @@ def _check_oracle(inst: MomentInstance) -> bool:
 
 def _check_structure(inst: MomentInstance) -> bool | None:
     """None means boundary-flagged, excluded from the count."""
-    rep = gamma_report(inst)
+    sol = solve_gamma1(flatten(inst), inst.t)
+    rep = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     if rep.boundary:
         return None
-    return rep.structure_ok
+    return rep.ok
 
 
-def _check_recursion(inst: MomentInstance) -> bool:
-    chk = verify_recursion_identity(inst)
-    return chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
+def _recursion_checks(rng: np.random.Generator, count: int) -> list[bool]:
+    checks = []
+
+    def accept(inst: MomentInstance) -> bool:
+        # the check rejects q_hat > 1 itself, so each draw is simulated once
+        if inst.n < 2:
+            return False
+        try:
+            checks.append(verify_recursion_identity(inst))
+        except HypothesisNotMet:
+            return False
+        return True
+
+    sample_matching(rng, accept, count)
+    return [c.abs_diff <= RECURSION_TOL * (1.0 + abs(c.rhs)) for c in checks]
 
 
 def _check_physics(inst: MomentInstance) -> bool:
@@ -316,24 +318,18 @@ def _run_suite(name: str, seed: int, count: int) -> dict:
     rng = np.random.default_rng([seed, idx])
     skipped = 0
     if name == "triple":
-        insts = [random_instance(rng) for _ in range(count)]
-        results = _map_ordered(_check_triple, insts)
+        results = [_check_triple(random_instance(rng)) for _ in range(count)]
     elif name == "oracle":
         insts = sample_matching(rng, lambda i: i.nu <= 10, count)
-        results = _map_ordered(_check_oracle, insts)
+        results = [_check_oracle(inst) for inst in insts]
     elif name == "structure":
-        insts = [random_instance(rng) for _ in range(count)]
-        raw = _map_ordered(_check_structure, insts)
+        raw = [_check_structure(random_instance(rng)) for _ in range(count)]
         skipped = sum(1 for r in raw if r is None)
         results = [r for r in raw if r is not None]
     elif name == "recursion":
-        insts = sample_matching(
-            rng, lambda i: i.n >= 2 and simulate_inertia(i).q_hat == 1, count
-        )
-        results = _map_ordered(_check_recursion, insts)
+        results = _recursion_checks(rng, count)
     elif name == "physics":
-        insts = [random_instance(rng) for _ in range(count)]
-        results = _map_ordered(_check_physics, insts)
+        results = [_check_physics(random_instance(rng)) for _ in range(count)]
     elif name == "quadrature":
         results = _quadrature_checks(rng, count)
     else:
@@ -380,22 +376,14 @@ def cmd_verify(args) -> int:
 def cmd_moments(args) -> int:
     inst = _load_instance(args)
     T = float(args.T)
+    cfg = default_contour_config(
+        T, inst, points=args.points,
+        truncation_sigmas=args.truncation_sigmas, rule=args.rule,
+    )
     if args.offsets is not None:
-        nu = inst.nu
-        points = args.points if args.points else (200 if nu <= 2 else 96)
-        cfg = ContourConfig(
-            offsets=tuple(_parse_floats(args.offsets)),
-            truncation=args.truncation_sigmas / math.sqrt(T * inst.t),
-            points=points,
-            rule=args.rule,
-        )
-    else:
-        cfg = default_contour_config(
-            T, inst, points=args.points,
-            truncation_sigmas=args.truncation_sigmas, rule=args.rule,
-        )
+        cfg = dataclasses.replace(cfg, offsets=tuple(_parse_floats(args.offsets)))
     val = contour_moment_complex(T, inst, cfg)
-    rate = lyapunov_rate_estimate(T, inst, cfg)
+    rate = _log_rate(T, val.real)
     gamma = solve_gamma1(flatten(inst), inst.t).objective
     doc = {
         "moment": val.real,
@@ -427,10 +415,9 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _sweep_row(inst: MomentInstance, value: float) -> tuple:
-    rep = gamma_report(inst)
     res = simulate_inertia(inst)
     s0 = res.events[0].time if res.events else None
-    return value, rep.gamma3, res.q_hat, s0
+    return value, gamma3(inst, res), res.q_hat, s0
 
 
 def cmd_sweep(args) -> int:
@@ -452,8 +439,7 @@ def cmd_sweep(args) -> int:
         return validate_instance(base.t, xs, base.m)
 
     insts = [make(float(v)) for v in grid]
-    rows = _map_ordered(lambda iv: _sweep_row(iv[0], iv[1]),
-                        list(zip(insts, [float(v) for v in grid])))
+    rows = [_sweep_row(inst, float(v)) for inst, v in zip(insts, grid)]
     if args.format == "json":
         doc = [
             {"parameter": v, "gamma": g, "q_hat": q, "s0": s0}
@@ -476,6 +462,12 @@ def cmd_sweep(args) -> int:
 # --- wiring -------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No flag starts with a digit, so a token like -1,0, -2:0.5:3 or -.4 is
+        # a value; argparse's default only accepts plain negative numbers.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         sys.stderr.write(
             dumps_json({"error": "UsageError", "message": message}) + "\n"
@@ -510,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(q)
     q.add_argument("--T", required=True, type=float, help="moment scale T > 0")
     q.add_argument("--points", type=int, help="grid points per axis")
-    q.add_argument("--truncation-sigmas", type=float, default=8.0,
+    q.add_argument("--truncation-sigmas", type=float, default=DEFAULT_SIGMAS,
                    help="half-width Y = sigmas/sqrt(T t)")
     q.add_argument("--offsets", help="comma-separated contour offsets")
     q.add_argument("--rule", choices=("gauss", "trapezoid"), default="gauss")

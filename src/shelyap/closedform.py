@@ -44,7 +44,7 @@ def gamma3(inst: MomentInstance, res: ClusterResult) -> float:
                 pair += mb[a] * mb[b] * abs(xb[a] - xb[b]) / 2.0
         com = float(np.sum(mb * xb))
         total += (big_m**3 - big_m) * t / 24.0 - pair - com * com / (2.0 * t * big_m)
-    return total
+    return float(total)
 
 
 def one_point_gamma(t: float, x1: float, m1: int) -> float:
@@ -149,7 +149,7 @@ def gamma_report(inst: MomentInstance) -> GammaReport:
     g3 = gamma3(inst, res)
     vals = (sol1.objective, sol2.objective, g3)
     max_dev = max(abs(p - q) for p in vals for q in vals)
-    structure = check_minimizer_structure(sol1, flat, res)
+    structure = check_minimizer_structure(sol1, inst, res)
     return GammaReport(
         gamma1=sol1.objective,
         gamma2=sol2.objective,

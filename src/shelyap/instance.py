@@ -71,7 +71,7 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
     m_out = []
     for v in m:
         iv = int(v)
-        if iv != v:
+        if iv != v or isinstance(v, (bool, np.bool_)):
             raise NonPositiveMultiplicity(f"multiplicity {v!r} is not an integer")
         m_out.append(iv)
     m = tuple(m_out)

@@ -153,7 +153,10 @@ def lyapunov_rate_estimate(
     """log(moment)/T; the gap to the exponent shrinks as T grows."""
     if cfg is None:
         cfg = default_contour_config(T, inst)
-    moment = contour_moment(T, inst, cfg)
+    return _log_rate(T, contour_moment(T, inst, cfg))
+
+
+def _log_rate(T: float, moment: float) -> float:
     if not moment > 0.0:
         raise NonPositiveMoment(f"moment {moment} has no log-rate")
     return math.log(moment) / T

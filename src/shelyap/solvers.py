@@ -57,21 +57,6 @@ def structure_tolerance(margin: float) -> float:
 
 
 @dataclass(frozen=True)
-class IsotonicProblem:
-    """Weighted least squares under a non-increasing chain."""
-
-    targets: tuple[float, ...]
-    weights: tuple[float, ...]
-    direction: str = "non-increasing"
-
-    def __post_init__(self):
-        if len(self.targets) != len(self.weights):
-            raise LengthMismatch("targets and weights differ in length")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-
-
-@dataclass(frozen=True)
 class VariationalSolution:
     """Minimizer, objective value, and the set of tight chain constraints.
 
@@ -90,9 +75,12 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
     Returns the unique minimizer of sum w_i (c_i - z_i)^2 over non-increasing
     c. Pooled values are recomputed per final block as exact weighted means.
     """
-    prob = IsotonicProblem(tuple(float(v) for v in z), tuple(float(v) for v in w))
-    z = np.asarray(prob.targets)
-    w = np.asarray(prob.weights)
+    z = np.asarray(z, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if len(z) != len(w):
+        raise LengthMismatch("targets and weights differ in length")
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive")
     # blocks as (start, weight sum, weighted target sum)
     starts: list[int] = []
     wsum: list[float] = []
@@ -122,28 +110,11 @@ def _active_from_gaps(values: np.ndarray, margins: np.ndarray) -> frozenset[int]
     )
 
 
-def gamma1_isotonic(flat: FlatInstance, t: float) -> tuple[IsotonicProblem, np.ndarray]:
-    """Canonical form of route 1; second return is the shift c = a + shift."""
-    k = np.arange(1, flat.nu + 1, dtype=float)
-    z = k - np.asarray(flat.u) / t
-    w = np.full(flat.nu, float(t))
-    return IsotonicProblem(tuple(z), tuple(w)), k
-
-
-def gamma2_isotonic(inst: MomentInstance) -> tuple[IsotonicProblem, np.ndarray]:
-    """Canonical form of route 2; second return is the shift c = b + shift."""
-    m = np.asarray(inst.m, dtype=float)
-    margins = (m[:-1] + m[1:]) / 2.0
-    shift = np.concatenate([[0.0], np.cumsum(margins)])
-    z = shift - np.asarray(inst.x) / inst.t
-    w = m * inst.t
-    return IsotonicProblem(tuple(z), tuple(w)), shift
-
-
 def solve_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
     """Minimize route 1 exactly via the pooled non-increasing fit."""
-    prob, shift = gamma1_isotonic(flat, t)
-    c = isotonic_nonincreasing(prob.targets, prob.weights)
+    shift = np.arange(1, flat.nu + 1, dtype=float)
+    w = np.full(flat.nu, float(t))
+    c = isotonic_nonincreasing(shift - np.asarray(flat.u) / t, w)
     a = c - shift
     margins = np.ones(flat.nu - 1)
     return VariationalSolution(
@@ -155,11 +126,11 @@ def solve_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
 
 def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
     """Minimize route 2 exactly via the pooled non-increasing fit."""
-    prob, shift = gamma2_isotonic(inst)
-    c = isotonic_nonincreasing(prob.targets, prob.weights)
-    b = c - shift
     m = np.asarray(inst.m, dtype=float)
     margins = (m[:-1] + m[1:]) / 2.0
+    shift = np.concatenate([[0.0], np.cumsum(margins)])
+    c = isotonic_nonincreasing(shift - np.asarray(inst.x) / inst.t, m * inst.t)
+    b = c - shift
     return VariationalSolution(
         values=tuple(b),
         objective=gamma2_objective(inst, b),
@@ -305,7 +276,7 @@ class StructureReport:
 
 
 def check_minimizer_structure(
-    sol: VariationalSolution, flat: FlatInstance, res: ClusterResult
+    sol: VariationalSolution, inst: MomentInstance, res: ClusterResult
 ) -> StructureReport:
     """Compare route-1 gap structure against the terminal partition.
 
@@ -317,28 +288,21 @@ def check_minimizer_structure(
     """
     a = np.asarray(sol.values)
     gaps = a[:-1] - a[1:]
-    block_of = {}
-    for bi, block in enumerate(res.partition):
-        for j in block:
-            block_of[j] = bi
-    t = res.inertia_paths[0].breakpoints[-1]
-    # recover per-location data from the flat coordinates
-    x_of: dict[int, float] = {}
-    m_of: dict[int, int] = {}
-    for u, j in zip(flat.u, flat.f):
-        x_of[j] = u
-        m_of[j] = m_of.get(j, 0) + 1
+    x, m, t = inst.x, inst.m, inst.t
+    # 0-based location of each flat coordinate; terminal block of each location
+    loc = [j for j, mj in enumerate(m) for _ in range(mj)]
+    block_of = {j - 1: bi for bi, block in enumerate(res.partition) for j in block}
 
     records = []
-    for i in range(flat.nu - 1):
-        ji, jn = flat.f[i], flat.f[i + 1]
+    for i in range(len(loc) - 1):
+        ji, jn = loc[i], loc[i + 1]
         gap = float(gaps[i])
         tight = abs(gap - 1.0) <= structure_tolerance(1.0)
         same = block_of[ji] == block_of[jn]
         boundary = False
         if ji != jn:
-            margin = (m_of[ji] + m_of[jn]) / 2.0
-            boundary = abs((x_of[jn] - x_of[ji]) / t - margin) <= BOUNDARY_TOL
+            margin = (m[ji] + m[jn]) / 2.0
+            boundary = abs((x[jn] - x[ji]) / t - margin) <= BOUNDARY_TOL
         if not same and abs(gap - 1.0) <= BOUNDARY_TOL:
             boundary = True
         records.append(GapRecord(index=i + 1, gap=gap, tight=tight,

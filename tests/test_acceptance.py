@@ -134,7 +134,7 @@ def test_criterion_4_minimizer_structure(thousand_instances):
     for inst in thousand_instances:
         flat = flatten(inst)
         sol = solve_gamma1(flat, inst.t)
-        report = check_minimizer_structure(sol, flat, simulate_inertia(inst))
+        report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
         if report.boundary:
             excluded += 1
             continue

@@ -295,18 +295,30 @@ def test_repeat_invocations_are_byte_identical(capsys):
     assert a == b
 
 
-def test_thread_cap_does_not_change_output(capsys, monkeypatch):
-    argv = ["verify", "--seed", "3", "--count", "6"]
-    _, serial, _ = run(capsys, argv)
-    monkeypatch.setenv("LYAP_THREADS", "3")
-    _, threaded, _ = run(capsys, argv)
-    assert serial == threaded
-    argv = ["sweep", "--t", "1", "--x", "0,0.4,2.5", "--m", "1,2,1",
-            "--param", "x3", "--grid", "1:3:9"]
-    _, tout, _ = run(capsys, argv)
-    monkeypatch.delenv("LYAP_THREADS")
-    _, sout, _ = run(capsys, argv)
-    assert tout == sout
+@pytest.mark.parametrize("argv,flag,value", [
+    (["gamma", "--t", "1", "--m", "1,1"], "--x", "-1,0"),
+    (["sweep", "--t", "1", "--x", "0,1", "--m", "1,1", "--param", "x1"],
+     "--grid", "-2:0.5:3"),
+    (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2"],
+     "--offsets", "-0.4,-1.6"),
+])
+def test_inline_value_may_start_with_minus(capsys, argv, flag, value):
+    cmd, *rest = argv
+    code, out, err = run(capsys, [cmd, flag, value, *rest])
+    assert (code, err) == (0, "")
+    assert run(capsys, [cmd, f"{flag}={value}", *rest]) == (code, out, err)
+
+
+@pytest.mark.parametrize("offsets", [[], ["--offsets", "1.0,-1.0"]])
+def test_moments_zero_points_exits_one(capsys, offsets):
+    code, out, err = run(
+        capsys,
+        ["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2",
+         "--points", "0", *offsets],
+    )
+    assert code == 1
+    assert out == ""
+    assert "points 0" in json.loads(err)["message"]
 
 
 def test_float_formatting_round_trips():

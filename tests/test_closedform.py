@@ -34,6 +34,7 @@ def test_gamma3_separated_pair():
 def test_gamma3_two_block_instance():
     inst = validate_instance(1.0, [0.0, 0.3, 0.6, 3.0, 3.3], [1] * 5)
     g3 = gamma3(inst, simulate_inertia(inst))
+    assert type(g3) is float
     # block {1,2,3}: 1 - 0.6 - 0.135; block {4,5}: 0.25 - 0.15 - 9.9225
     assert g3 == pytest.approx(0.265 - 9.8225)
     assert g3 == pytest.approx(solve_gamma2(inst).objective, abs=1e-10)

@@ -36,6 +36,8 @@ def test_validate_rejections():
         validate_instance(1.0, [0.0], [0])
     with pytest.raises(NonPositiveMultiplicity):
         validate_instance(1.0, [0.0], [1.5])
+    with pytest.raises(NonPositiveMultiplicity):
+        validate_instance(1.0, [0.0], [True])
     with pytest.raises(LengthMismatch):
         validate_instance(1.0, [0.0, 1.0], [1])
     with pytest.raises(LengthMismatch):

@@ -273,7 +273,7 @@ def test_structure_check_on_interior_instance():
     inst = validate_instance(1.0, [0.0, 0.5], [1, 1])
     flat = flatten(inst)
     sol = solve_gamma1(flat, inst.t)
-    report = check_minimizer_structure(sol, flat, simulate_inertia(inst))
+    report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     assert report.ok
     assert not report.boundary
     assert len(report.records) == 1
@@ -285,7 +285,7 @@ def test_structure_check_two_blocks():
     inst = validate_instance(1.0, [0.0, 0.3, 0.6, 3.0, 3.3], [1] * 5)
     flat = flatten(inst)
     sol = solve_gamma1(flat, inst.t)
-    report = check_minimizer_structure(sol, flat, simulate_inertia(inst))
+    report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     assert report.ok
     assert [r.tight for r in report.records] == [True, True, False, True]
     assert [r.same_block for r in report.records] == [True, True, False, True]
@@ -298,7 +298,7 @@ def test_structure_check_random_agreement():
         inst = random_interior_instance(rng)
         flat = flatten(inst)
         sol = solve_gamma1(flat, inst.t)
-        report = check_minimizer_structure(sol, flat, simulate_inertia(inst))
+        report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
         if report.boundary:
             boundary += 1
         else:
