@@ -29,6 +29,7 @@ from .errors import (
     InvalidContour,
     LengthMismatch,
     NoMerge,
+    NonFiniteResult,
     NonPositiveMoment,
     NonPositiveMultiplicity,
     NonPositiveTime,
@@ -56,7 +57,6 @@ from .quadrature import (
 )
 from .sampling import random_instance, sample_matching
 from .solvers import (
-    GapRecord,
     StructureReport,
     VariationalSolution,
     bruteforce_chain_qp,

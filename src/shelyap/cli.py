@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 from typing import Sequence
@@ -28,11 +29,10 @@ import numpy as np
 
 from .clusters import block_com_speed, separation_margins, simulate_inertia
 from .closedform import gamma3, gamma_report, verify_recursion_identity
-from .errors import HypothesisNotMet, ShelyapError
+from .errors import HypothesisNotMet, NonFiniteResult, ShelyapError
 from .instance import MomentInstance, flatten, validate_instance
 from .quadrature import (
     DEFAULT_SIGMAS,
-    ContourConfig,
     _log_rate,
     contour_moment,
     contour_moment_complex,
@@ -60,6 +60,9 @@ QUAD_REL_TOL = 1e-8
 
 
 def format_float(v: float) -> str:
+    """%.17g; every printed float passes here, so NaN and inf never print."""
+    if not math.isfinite(v):
+        raise NonFiniteResult(f"computed value {v} is not finite")
     return f"{v:.17g}"
 
 
@@ -294,21 +297,16 @@ def _quadrature_checks(rng: np.random.Generator, count: int) -> list[bool]:
     base = contour_moment(4.0, inst, base_cfg)
     ok_shift = True
     for delta in (-0.5, 0.25, 0.5):
-        cfg = ContourConfig(
-            offsets=tuple(a + delta for a in base_cfg.offsets),
-            truncation=base_cfg.truncation,
-            points=base_cfg.points,
+        cfg = dataclasses.replace(
+            base_cfg, offsets=tuple(a + delta for a in base_cfg.offsets)
         )
         if abs(contour_moment(4.0, inst, cfg) - base) > QUAD_REL_TOL * abs(base):
             ok_shift = False
     out.append(ok_shift)
-    wide = tuple(a + 0.4 for a in base_cfg.offsets)
-    ub = upper_bound_value(
-        4.0, flatten(inst), 1.0,
-        wide,
+    cfg = dataclasses.replace(
+        base_cfg, offsets=tuple(a + 0.4 for a in base_cfg.offsets)
     )
-    cfg = ContourConfig(offsets=wide, truncation=base_cfg.truncation,
-                        points=base_cfg.points)
+    ub = upper_bound_value(4.0, flatten(inst), 1.0, cfg.offsets)
     out.append(contour_moment(4.0, inst, cfg) <= ub)
     return out
 

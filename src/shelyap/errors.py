@@ -50,3 +50,7 @@ class InvalidContour(ShelyapError):
 
 class NonPositiveMoment(ShelyapError):
     """Quadrature returned a non-positive moment; no log-rate exists."""
+
+
+class NonFiniteResult(ShelyapError):
+    """A result to be printed is NaN or infinite; the input is degenerate."""

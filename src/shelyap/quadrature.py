@@ -83,6 +83,8 @@ def default_contour_config(
     rule: str = "gauss",
 ) -> ContourConfig:
     """Offsets centred on the route-1 minimizer with uniform gap 1 + 1/nu."""
+    if not T > 0.0:
+        raise NonPositiveTime(f"T={T} must be > 0")
     flat = flatten(inst)
     nu = flat.nu
     if nu > MAX_NU:

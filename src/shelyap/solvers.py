@@ -52,10 +52,6 @@ STRUCTURE_TOL_SCALE = 1e-9
 BOUNDARY_TOL = 1e-6
 
 
-def structure_tolerance(margin: float) -> float:
-    return STRUCTURE_TOL_SCALE * (1.0 + abs(margin))
-
-
 @dataclass(frozen=True)
 class VariationalSolution:
     """Minimizer, objective value, and the set of tight chain constraints.
@@ -103,11 +99,8 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
 
 def _active_from_gaps(values: np.ndarray, margins: np.ndarray) -> frozenset[int]:
     gaps = values[:-1] - values[1:]
-    return frozenset(
-        i + 1
-        for i in range(len(margins))
-        if gaps[i] <= margins[i] + structure_tolerance(margins[i])
-    )
+    tight = gaps <= margins + STRUCTURE_TOL_SCALE * (1.0 + np.abs(margins))
+    return frozenset((np.flatnonzero(tight) + 1).tolist())
 
 
 def solve_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
@@ -246,33 +239,28 @@ def build_b_from_clusters(res: ClusterResult, inst: MomentInstance) -> np.ndarra
     return b
 
 
-@dataclass(frozen=True)
-class GapRecord:
-    """Classification of one route-1 chain constraint."""
-
-    index: int
-    gap: float
-    tight: bool
-    same_block: bool
-    boundary: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.tight == self.same_block
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureReport:
-    records: tuple[GapRecord, ...]
+    """Per-gap classification of the route-1 chain constraints.
+
+    Entry i of each array describes gap a_{i+1} - a_{i+2} (constraint i + 1):
+    tight within tolerance of 1, same terminal block on both sides, and too
+    close to a merge threshold to classify.
+    """
+
+    tight: np.ndarray
+    same_block: np.ndarray
+    near_threshold: np.ndarray
     near_terminal_merge: bool
 
     @property
     def boundary(self) -> bool:
-        return self.near_terminal_merge or any(r.boundary for r in self.records)
+        return self.near_terminal_merge or bool(self.near_threshold.any())
 
     @property
     def ok(self) -> bool:
-        return all(r.agree or r.boundary for r in self.records)
+        agree = self.tight == self.same_block
+        return bool(np.all(agree | self.near_threshold))
 
 
 def check_minimizer_structure(
@@ -287,25 +275,25 @@ def check_minimizer_structure(
     a cross-block gap within 1e-6 of 1, or any merge within 1e-6*(1+t) of t.
     """
     a = np.asarray(sol.values)
-    gaps = a[:-1] - a[1:]
-    x, m, t = inst.x, inst.m, inst.t
+    dev = np.abs((a[:-1] - a[1:]) - 1.0)
+    x, m, t = np.asarray(inst.x), np.asarray(inst.m), inst.t
     # 0-based location of each flat coordinate; terminal block of each location
-    loc = [j for j, mj in enumerate(m) for _ in range(mj)]
-    block_of = {j - 1: bi for bi, block in enumerate(res.partition) for j in block}
-
-    records = []
-    for i in range(len(loc) - 1):
-        ji, jn = loc[i], loc[i + 1]
-        gap = float(gaps[i])
-        tight = abs(gap - 1.0) <= structure_tolerance(1.0)
-        same = block_of[ji] == block_of[jn]
-        boundary = False
-        if ji != jn:
-            margin = (m[ji] + m[jn]) / 2.0
-            boundary = abs((x[jn] - x[ji]) / t - margin) <= BOUNDARY_TOL
-        if not same and abs(gap - 1.0) <= BOUNDARY_TOL:
-            boundary = True
-        records.append(GapRecord(index=i + 1, gap=gap, tight=tight,
-                                 same_block=same, boundary=boundary))
+    loc = np.repeat(np.arange(inst.n), m)
+    block_of = np.empty(inst.n, dtype=int)
+    for bi, block in enumerate(res.partition):
+        block_of[np.asarray(block) - 1] = bi
+    blk = block_of[loc]
+    same = blk[:-1] == blk[1:]
+    # location pairs on the merge threshold; gap i crosses pair loc[i]
+    pair_near = np.abs((x[1:] - x[:-1]) / t - (m[:-1] + m[1:]) / 2.0) <= BOUNDARY_TOL
+    cross = loc[:-1] != loc[1:]
+    near = np.zeros(len(dev), dtype=bool)
+    near[cross] = pair_near[loc[:-1][cross]]
+    near |= ~same & (dev <= BOUNDARY_TOL)
     near_t = any(abs(e.time - t) <= BOUNDARY_TOL * (1.0 + t) for e in res.events)
-    return StructureReport(records=tuple(records), near_terminal_merge=near_t)
+    return StructureReport(
+        tight=dev <= 2.0 * STRUCTURE_TOL_SCALE,  # scale * (1 + margin 1)
+        same_block=same,
+        near_threshold=near,
+        near_terminal_merge=near_t,
+    )

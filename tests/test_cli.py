@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from shelyap.cli import dumps_json, format_float, main
@@ -324,3 +325,30 @@ def test_moments_zero_points_exits_one(capsys, offsets):
 def test_float_formatting_round_trips():
     for v in (0.1, -0.0625, 1.0, 1e-300, 2**-52, math.pi, 1e17 + 1):
         assert float(format_float(v)) == v
+
+
+@pytest.mark.parametrize("T", ["0", "-1"])
+@pytest.mark.parametrize("offsets", [[], ["--offsets", "0.5"]])
+def test_moments_nonpositive_scale_exits_one(capsys, T, offsets):
+    code, out, err = run(
+        capsys, ["moments", "--t", "1", "--x", "0", "--m", "1", "--T", T, *offsets]
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NonPositiveTime"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
+    ["gamma", "--t", "1e308", "--x", "0,1", "--m", "1000,1000"],
+    ["clusters", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
+    ["clusters", "--t", "5e-324", "--x", "0,1", "--m", "1,1", "--format", "csv"],
+    ["sweep", "--t", "1", "--x", "0,1", "--m", "1,1", "--param", "t",
+     "--grid", "5e-324:1e-323:2"],
+])
+def test_non_finite_result_exits_one(capsys, argv):
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteResult"

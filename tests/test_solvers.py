@@ -276,9 +276,8 @@ def test_structure_check_on_interior_instance():
     report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     assert report.ok
     assert not report.boundary
-    assert len(report.records) == 1
-    rec = report.records[0]
-    assert rec.tight and rec.same_block and rec.agree
+    assert report.tight.tolist() == [True]
+    assert report.same_block.tolist() == [True]
 
 
 def test_structure_check_two_blocks():
@@ -287,8 +286,8 @@ def test_structure_check_two_blocks():
     sol = solve_gamma1(flat, inst.t)
     report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     assert report.ok
-    assert [r.tight for r in report.records] == [True, True, False, True]
-    assert [r.same_block for r in report.records] == [True, True, False, True]
+    assert report.tight.tolist() == [True, True, False, True]
+    assert report.same_block.tolist() == [True, True, False, True]
 
 
 def test_structure_check_random_agreement():
