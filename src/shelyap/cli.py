@@ -79,6 +79,10 @@ def dumps_json(obj, indent: int = 0) -> str:
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        # a path row formats like its list; converting here, one row at a
+        # time, never holds a whole path matrix as Python floats
+        return dumps_json(obj.tolist(), indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -171,8 +175,8 @@ def cmd_clusters(args) -> int:
         w.writerow(["index", "s", "zeta", "xi"])
         grid = res.inertia_paths[0].breakpoints
         for i in range(inst.n):
-            zeta = res.inertia_paths[i].values
-            xi = res.optimal_paths[i].values
+            zeta = res.inertia_paths[i].values.tolist()
+            xi = res.optimal_paths[i].values.tolist()
             for s, zv, xv in zip(grid, zeta, xi):
                 w.writerow([i + 1, format_float(s), format_float(zv), format_float(xv)])
         _emit(buf.getvalue(), args.output)
@@ -189,8 +193,8 @@ def cmd_clusters(args) -> int:
             for e in res.events
         ],
         "breakpoints": list(res.inertia_paths[0].breakpoints),
-        "zeta": [list(p.values) for p in res.inertia_paths],
-        "xi": [list(p.values) for p in res.optimal_paths],
+        "zeta": [p.values for p in res.inertia_paths],
+        "xi": [p.values for p in res.optimal_paths],
     }
     _emit(dumps_json(doc) + "\n", args.output)
     return 0
@@ -351,6 +355,8 @@ SUITE_INDEX = {
 
 
 def cmd_verify(args) -> int:
+    if args.count < 0:
+        raise ShelyapError(f"count {args.count} must be >= 0")
     names = list(SUITE_INDEX) if args.suites is None else [
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
@@ -522,7 +528,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # degenerate input may overflow inside numpy; format_float turns any
+        # NaN or inf that reaches the output into NonFiniteResult, so stderr
+        # carries only the error object
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ShelyapError as e:
         return _fail(e)
     except (OSError, json.JSONDecodeError, ValueError) as e:

@@ -12,17 +12,23 @@ B_1, ..., B_qhat into contiguous index blocks, each with terminal position
 zeta_B(t) and drift v_j = zeta_B(t)/t.
 
 Two path families are recorded per original index i on a shared breakpoint
-grid {0, merge times, t}:
+grid {0, merge times, t} of K points:
 
     inertia path   zeta_i(s): the simulated trajectory;
     optimal path   xi_i(s) = zeta_i(s) - v_j s, the drift-removed trajectory,
                    which returns to zero at s = t.
 
-The simulation is event-driven. Candidate collision times are exact ratios
-gap / closing-speed; two candidates within 1e-12 * (1 + t) of each other count
-as simultaneous, and merging cascades within one event batch until no adjacent
+Each family is one read-only (n, K) float array; path i's `values` is row i
+of it, a NumPy view.
+
+The simulation is event-driven and keeps the live clusters as parallel arrays
+(first index, mass, momentum, position). Candidate collision times are exact
+ratios gap / closing-speed, computed for all adjacent pairs in one array
+expression; two candidates within 1e-12 * (1 + t) of each other count as
+simultaneous, and merging cascades within one event batch until no adjacent
 pair is in contact. Multi-way collisions therefore resolve into one or more
-merge groups recorded at the same timestamp.
+merge groups recorded at the same timestamp, left to right. The scan that
+ends a cascade also gives the next event.
 """
 
 from __future__ import annotations
@@ -59,25 +65,6 @@ def block_com_speed(m: Sequence[int], block: Sequence[int]) -> float:
     return 0.5 * (after - before)
 
 
-@dataclass
-class Cluster:
-    """Live cluster: contiguous member interval, mass, momentum, position."""
-
-    lo: int
-    hi: int
-    mass: float
-    momentum: float
-    position: float
-
-    @property
-    def speed(self) -> float:
-        return self.momentum / self.mass
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi + 1))
-
-
 @dataclass(frozen=True)
 class MergeEvent:
     """One merge group: the pre-merge member intervals it combined."""
@@ -87,10 +74,10 @@ class MergeEvent:
     position: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearPath:
     breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def at(self, s: float) -> float:
         """Evaluate at s; exact stored value when s is a breakpoint."""
@@ -104,7 +91,7 @@ class PiecewiseLinearPath:
         return self.values[k - 1] + w * (self.values[k] - self.values[k - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterResult:
     """Terminal partition, per-block data, merge log and recorded paths.
 
@@ -137,133 +124,97 @@ class FirstMerge:
     xi_at_s0: tuple[float, ...]
 
 
-def _collision_times(clusters: list[Cluster], s: float) -> list[float]:
-    out = []
-    for a, b in zip(clusters, clusters[1:]):
-        closing = a.speed - b.speed
-        if closing > 0.0:
-            out.append(s + (b.position - a.position) / closing)
-        else:
-            out.append(np.inf)
-    return out
-
-
-def _snapshot(clusters: list[Cluster], n: int) -> list[float]:
-    # members of one cluster share the exact same stored float
-    snap = [0.0] * n
-    for c in clusters:
-        for i in range(c.lo, c.hi + 1):
-            snap[i - 1] = c.position
-    return snap
-
-
-def _merge_contacts(clusters: list[Cluster], s: float, tol: float,
-                    events: list[MergeEvent]) -> bool:
-    """Merge every run of adjacent clusters in contact at time s.
-
-    Cascades until no candidate collision time lies within tol of s.
-    Returns True if anything merged.
-    """
-    merged_any = False
-    while len(clusters) > 1:
-        cand = _collision_times(clusters, s)
-        touching = [j for j, c in enumerate(cand) if c <= s + tol]
-        if not touching:
-            break
-        merged_any = True
-        runs: list[list[int]] = [[touching[0]]]
-        for j in touching[1:]:
-            if j == runs[-1][-1] + 1:
-                runs[-1].append(j)
-            else:
-                runs.append([j])
-        pass_events: list[MergeEvent] = []
-        for run in reversed(runs):  # splice right to left so indices stay valid
-            j0, j1 = run[0], run[-1] + 1
-            group = clusters[j0 : j1 + 1]
-            mass = sum(c.mass for c in group)
-            momentum = sum(c.momentum for c in group)
-            com = sum(c.mass * c.position for c in group) / mass
-            pass_events.append(MergeEvent(
-                time=s,
-                merged=tuple((c.lo, c.hi) for c in group),
-                position=com,
-            ))
-            clusters[j0 : j1 + 1] = [Cluster(
-                lo=group[0].lo, hi=group[-1].hi,
-                mass=mass, momentum=momentum, position=com,
-            )]
-        events.extend(reversed(pass_events))
-    return merged_any
-
-
 def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     """Run the sticky dynamics to time t and record paths and merge events."""
     t, n = inst.t, inst.n
     tol = event_tolerance(t)
-    phi = initial_speeds(inst.m)
-    clusters = [
-        Cluster(lo=i + 1, hi=i + 1, mass=float(mi), momentum=float(mi) * float(v),
-                position=float(xi))
-        for i, (xi, mi, v) in enumerate(zip(inst.x, inst.m, phi))
-    ]
+    # live clusters as parallel arrays; first[j] is the first index of cluster
+    # j and first[-1] = n + 1, so first[1:] - first[:-1] gives the sizes
+    first = np.arange(1, n + 2)
+    mass = np.array(inst.m, dtype=float)
+    mom = mass * initial_speeds(inst.m)
+    pos = np.array(inst.x, dtype=float)
+    speed = mom / mass
     events: list[MergeEvent] = []
-    times = [0.0]
-    snaps = [_snapshot(clusters, n)]
-    momenta = [sum(c.mass * c.speed for c in clusters)]
+    times: list[float] = []
+    snaps: list[np.ndarray] = []
+    momenta: list[float] = []
+
+    def record(s: float) -> None:
+        times.append(s)
+        snaps.append(np.repeat(pos, first[1:] - first[:-1]))
+        momenta.append(sum((mass * speed).tolist()))
+
+    record(0.0)
     s = 0.0
-    while len(clusters) > 1:
-        cand = _collision_times(clusters, s)
-        s_next = min(cand)
+    arrived = merged = False  # contacts count only at a time reached by a move
+    while len(pos) > 1:
+        closing = speed[:-1] - speed[1:]
+        cand = s + np.divide(pos[1:] - pos[:-1], closing,
+                             out=np.full(len(closing), np.inf), where=closing > 0.0)
+        touching = (cand <= s + tol).nonzero()[0].tolist() if arrived else []
+        if touching:
+            # one cascade pass: merge every run of adjacent pairs in contact;
+            # group sums stay Python sums, left to right
+            runs: list[list[int]] = []
+            for j in touching:
+                if runs and runs[-1][1] == j:
+                    runs[-1][1] = j + 1
+                else:
+                    runs.append([j, j + 1])
+            keep = np.ones(len(first), dtype=bool)
+            for j0, j1 in runs:
+                ms = mass[j0 : j1 + 1].tolist()
+                xs = pos[j0 : j1 + 1].tolist()
+                bounds = first[j0 : j1 + 2].tolist()
+                total = sum(ms)
+                com = sum(a * b for a, b in zip(ms, xs)) / total
+                mom[j0] = sum(mom[j0 : j1 + 1].tolist())
+                mass[j0], pos[j0] = total, com
+                keep[j0 + 1 : j1 + 1] = False
+                events.append(MergeEvent(
+                    time=s,
+                    merged=tuple((lo, nxt - 1) for lo, nxt in zip(bounds, bounds[1:])),
+                    position=com,
+                ))
+            first = first[keep]
+            keep = keep[:-1]
+            mass, mom, pos = mass[keep], mom[keep], pos[keep]
+            speed = mom / mass
+            merged = True
+            continue
+        # no pair in contact: this scan also gives the next event
+        if merged:
+            record(s)
+            merged = False
+        s_next = float(cand.min())
         if not s_next <= t + tol:
             break
         s_evt = min(s_next, t)
-        dt = s_evt - s
-        for c in clusters:
-            c.position += c.speed * dt
-        s = s_evt
-        if _merge_contacts(clusters, s, tol, events):
-            times.append(s)
-            snaps.append(_snapshot(clusters, n))
-            momenta.append(sum(c.mass * c.speed for c in clusters))
-        # else: rounding put the contact just beyond s; next iteration gets it
+        pos += speed * (s_evt - s)
+        s, arrived = s_evt, True
+    if merged:
+        record(s)
     if s < t:
-        for c in clusters:
-            c.position += c.speed * (t - s)
+        pos += speed * (t - s)
     if times[-1] < t:
-        times.append(t)
-        snaps.append(_snapshot(clusters, n))
-        momenta.append(sum(c.mass * c.speed for c in clusters))
+        record(t)
 
-    partition = tuple(c.members for c in clusters)
-    masses = tuple(c.mass for c in clusters)
-    terminal = tuple(c.position for c in clusters)
-    drifts = tuple(p / t for p in terminal)
+    bounds = first.tolist()
+    drift = pos / t
     grid = tuple(times)
-    inertia_paths = tuple(
-        PiecewiseLinearPath(grid, tuple(snap[i] for snap in snaps))
-        for i in range(n)
-    )
-    drift_of_index = {}
-    for c, v in zip(clusters, drifts):
-        for i in range(c.lo, c.hi + 1):
-            drift_of_index[i] = v
-    optimal_paths = tuple(
-        PiecewiseLinearPath(
-            grid,
-            tuple(snap[i] - drift_of_index[i + 1] * sk
-                  for snap, sk in zip(snaps, grid)),
-        )
-        for i in range(n)
-    )
+    zeta = np.stack(snaps, axis=1)
+    xi = zeta - np.repeat(drift, first[1:] - first[:-1])[:, None] * np.array(grid)
+    # rows are shared views, so keep them immutable like the frozen result
+    zeta.flags.writeable = xi.flags.writeable = False
     return ClusterResult(
-        partition=partition,
-        cluster_masses=masses,
-        terminal_positions=terminal,
-        drifts=drifts,
+        partition=tuple(tuple(range(lo, nxt)) for lo, nxt in zip(bounds, bounds[1:])),
+        cluster_masses=tuple(mass.tolist()),
+        terminal_positions=tuple(pos.tolist()),
+        drifts=tuple(drift.tolist()),
         events=tuple(events),
-        inertia_paths=inertia_paths,
-        optimal_paths=optimal_paths,
+        inertia_paths=tuple(PiecewiseLinearPath(grid, row) for row in zeta),
+        optimal_paths=tuple(PiecewiseLinearPath(grid, row) for row in xi),
         momentum_at_breakpoints=tuple(momenta),
     )
 
@@ -279,8 +230,8 @@ def first_optimal_merge(res: ClusterResult, inst: MomentInstance) -> FirstMerge:
         raise NoMerge("no merge event in [0, t]")
     s0 = res.events[0].time
     k = res.inertia_paths[0].breakpoints.index(s0)
-    zeta0 = [p.values[k] for p in res.inertia_paths]
-    xi0 = [p.values[k] for p in res.optimal_paths]
+    zeta0 = [float(p.values[k]) for p in res.inertia_paths]
+    xi0 = [float(p.values[k]) for p in res.optimal_paths]
     x_prime: list[float] = []
     m_prime: list[int] = []
     for i in range(inst.n):

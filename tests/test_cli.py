@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shelyap
 from shelyap.cli import dumps_json, format_float, main
 from shelyap.quadrature import heat_kernel
 
@@ -146,6 +151,14 @@ def test_verify_zero_count_is_vacuous(capsys):
     code, out, _ = run(capsys, ["verify", "--count", "0", "--suites", "triple"])
     assert code == 0
     assert out == "triple: 0/0 pass\nVERIFY PASS\n"
+
+
+@pytest.mark.parametrize("suite", ["triple", "oracle"])
+def test_verify_negative_count_exits_one(capsys, suite):
+    code, out, err = run(capsys, ["verify", "--count", "-1", "--suites", suite])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ShelyapError"
 
 
 def test_verify_suite_subset(capsys):
@@ -352,3 +365,19 @@ def test_non_finite_result_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "NonFiniteResult"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
+    ["clusters", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
+    ["sweep", "--t", "1", "--x", "0,1", "--m", "1,1", "--param", "t",
+     "--grid", "5e-324:1e-323:2"],
+])
+def test_degenerate_input_stderr_is_one_error_object(argv):
+    # a fresh interpreter, so numpy's warnings would reach stderr unfiltered
+    env = dict(os.environ, PYTHONPATH=str(Path(shelyap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "shelyap.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "NonFiniteResult"

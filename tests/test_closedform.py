@@ -14,6 +14,7 @@ from shelyap import (
     validate_instance,
     verify_recursion_identity,
 )
+from shelyap.cli import ANCHOR_TOL, MOMENTUM_TOL, TRIPLE_TOL
 
 
 def test_gamma3_single_location():
@@ -189,3 +190,18 @@ def test_gamma_report_json_keys():
     ]
     assert doc["partition"] == [[1, 2]]
     assert doc["structure_ok"] is True
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_three_routes_agree_far_beyond_generator(n, t):
+    # the benchmark's shape, far past the verify generator's n <= 6
+    rng = np.random.default_rng([n, int(10 * t)])
+    x = np.sort(rng.uniform(-n, n, size=n))
+    inst = validate_instance(t, x, rng.integers(1, 6, size=n).tolist())
+    rep = gamma_report(inst)
+    assert rep.max_pairwise_dev <= TRIPLE_TOL * (1.0 + abs(rep.gamma3))
+    assert rep.structure_ok
+    res = simulate_inertia(inst)
+    assert max(abs(p) for p in res.momentum_at_breakpoints) <= MOMENTUM_TOL
+    assert max(abs(p.values[-1]) for p in res.optimal_paths) <= ANCHOR_TOL

@@ -48,8 +48,8 @@ def test_pair_merges_at_known_time():
     assert res.terminal_positions == (0.25,)
     assert res.drifts == (0.25,)
     assert res.inertia_paths[0].breakpoints == (0.0, 0.5, 1.0)
-    assert res.inertia_paths[0].values == (0.0, 0.25, 0.25)
-    assert res.inertia_paths[1].values == (0.5, 0.25, 0.25)
+    assert res.inertia_paths[0].values.tolist() == [0.0, 0.25, 0.25]
+    assert res.inertia_paths[1].values.tolist() == [0.5, 0.25, 0.25]
 
 
 def test_pair_never_merges():

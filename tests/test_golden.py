@@ -6,6 +6,10 @@ instance with multiplicities near 10^3), clusters in both formats, verify,
 moments at nu = 1, 2, 3 with default and given offsets and both rules, and
 sweep over t and over a location in both formats. A changed hash means
 changed output, not a test to re-record.
+
+The CASCADE cases were recorded before the sticky core moved to arrays. The
+instance has a 2-way merge at s = 0.75, a 3-way merge at s = 0.9 and two
+merge groups at s = t.
 """
 
 import contextlib
@@ -17,6 +21,7 @@ import pytest
 from shelyap.cli import main
 
 FIVE = ["--t", "1", "--x", "0,0.3,0.6,3.0,3.3", "--m", "1,1,1,1,1"]
+CASCADE = ["--t", "1", "--x", "0,1.5,3,4.5,6,7.5,9,10.5", "--m", "2,1,1,2,2,1,1,2"]
 GOLDEN = [
     (["gamma", *FIVE],
      0, "c1b7d2600f2439e2f0414f76e0a1f62c5ddedd1353e4edbf56f7dce7b2ced625"),
@@ -57,6 +62,12 @@ GOLDEN = [
     (["sweep", "--t", "1", "--x", "0,1,1.6", "--m", "1,2,1", "--param", "x2",
      "--grid", "0.2:1.5:6", "--format", "json"],
      0, "cb0968aeee68412868fe6d7a682096adb70dbf56f24ad879656fb108bf3e1bf3"),
+    (["gamma", *CASCADE],
+     0, "2ddbddae5768863decc52dc1e38ef4400eb62e8d524e96829d1308c63d1948c5"),
+    (["clusters", *CASCADE],
+     0, "9a6d158437ddd07960e6b022e9e53e3dd1a96d3f53a1b1b85d7d153db6c71353"),
+    (["clusters", *CASCADE, "--format", "csv"],
+     0, "ed8f5ea5c97215c59a1e470ab5f5c186b6cc9343caf6fa4f924d63b246d7a5c7"),
 ]
 
 
