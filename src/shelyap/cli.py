@@ -138,9 +138,7 @@ def _load_instance(args) -> MomentInstance:
         return validate_instance(doc["t"], doc["x"], doc["m"])
     if args.t is None or args.x is None or args.m is None:
         raise ShelyapError("need --input FILE or all of --t/--x/--m")
-    return validate_instance(
-        float(args.t), _parse_floats(args.x), [int(v) for v in _parse_floats(args.m)]
-    )
+    return validate_instance(float(args.t), _parse_floats(args.x), _parse_floats(args.m))
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -154,6 +152,9 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 # --- gamma ------------------------------------------------------------------
 
 def cmd_gamma(args) -> int:
+    # NaN fails this too; exit 2 is kept for routes that really disagree
+    if not args.tolerance >= 0.0:
+        raise ShelyapError(f"tolerance {args.tolerance} must be >= 0")
     inst = _load_instance(args)
     rep = gamma_report(inst)
     _emit(dumps_json(rep.to_json_dict()) + "\n", args.output)

@@ -35,13 +35,19 @@ def gamma3(inst: MomentInstance, res: ClusterResult) -> float:
     t = inst.t
     total = 0.0
     for block in res.partition:
-        idx = [i - 1 for i in block]
-        mb, xb = m[idx], x[idx]
+        lo, hi = block[0] - 1, block[-1]
+        mb, xb = m[lo:hi], x[lo:hi]
         big_m = float(mb.sum())
+        # Blocks are contiguous and x increases, so xb[b] - xb[a] is
+        # |xb[a] - xb[b]|. Seeding each row with the running total and
+        # accumulating adds the terms strictly left to right, in the order of
+        # the pair loop this replaces; np.sum would add them pairwise and
+        # change the last digits.
         pair = 0.0
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                pair += mb[a] * mb[b] * abs(xb[a] - xb[b]) / 2.0
+        for a in range(len(mb) - 1):
+            row = mb[a] * mb[a + 1 :] * (xb[a + 1 :] - xb[a]) / 2.0
+            row[0] += pair
+            pair = np.add.accumulate(row)[-1]
         com = float(np.sum(mb * xb))
         total += (big_m**3 - big_m) * t / 24.0 - pair - com * com / (2.0 * t * big_m)
     return float(total)

@@ -65,15 +65,19 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
 
     Raises NonPositiveTime, UnsortedLocations, NonPositiveMultiplicity or
     LengthMismatch. Locations must be strictly increasing; ties are rejected
-    rather than merged.
+    rather than merged. A multiplicity must be an int or an integral finite
+    float; anything else (1.5, NaN, inf, a string) is NonPositiveMultiplicity.
     """
     x = tuple(float(v) for v in x)
     m_out = []
     for v in m:
-        iv = int(v)
-        if iv != v or isinstance(v, (bool, np.bool_)):
+        # is_integer is False for NaN and inf, which int() would not survive
+        integral = isinstance(v, (int, np.integer)) or (
+            isinstance(v, (float, np.floating)) and float(v).is_integer()
+        )
+        if not integral or isinstance(v, (bool, np.bool_)):
             raise NonPositiveMultiplicity(f"multiplicity {v!r} is not an integer")
-        m_out.append(iv)
+        m_out.append(int(v))
     m = tuple(m_out)
     if len(x) != len(m):
         raise LengthMismatch(f"len(x)={len(x)} but len(m)={len(m)}")

@@ -47,9 +47,38 @@ def test_gamma_json_reserializes_byte_identically(capsys):
 
 
 def test_gamma_impossible_tolerance_exits_two(capsys):
-    code, out, err = run(capsys, ["gamma", *PAIR, "--tolerance", "-1"])
+    # the routes differ here by a few ulps, so no tolerance but 0 is missed
+    argv = ["gamma", "--t", "2", "--x=-1.5,-0.2,0.4,2.5", "--m", "2,1,3,1"]
+    code, out, err = run(capsys, [*argv, "--tolerance", "0"])
     assert code == 2
-    assert json.loads(out)["gamma1"] == pytest.approx(-0.0625)
+    assert json.loads(out)["max_dev"] > 0.0
+    assert run(capsys, [*argv, "--tolerance", "inf"])[0] == 0
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "-inf"])
+def test_gamma_invalid_tolerance_exits_one(capsys, tolerance):
+    code, out, err = run(capsys, ["gamma", *PAIR, f"--tolerance={tolerance}"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ShelyapError"
+
+
+@pytest.mark.parametrize("m", ["1.5,2.9", "1,inf", "1,nan", "1,1e400"])
+def test_gamma_non_integer_multiplicity_exits_one(capsys, m):
+    code, out, err = run(capsys, ["gamma", "--t", "1", "--x", "0,1", "--m", m])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NonPositiveMultiplicity"
+
+
+@pytest.mark.parametrize("m", ["[1, 1e400]", "[1, NaN]"])
+def test_gamma_file_non_integer_multiplicity_exits_one(tmp_path, capsys, m):
+    path = tmp_path / "inst.json"
+    path.write_text('{"t": 1.0, "x": [0.0, 1.0], "m": %s}' % m)
+    code, out, err = run(capsys, ["gamma", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NonPositiveMultiplicity"
 
 
 def test_gamma_invalid_instance_exits_one(capsys):

@@ -10,6 +10,10 @@ changed output, not a test to re-record.
 The CASCADE cases were recorded before the sticky core moved to arrays. The
 instance has a 2-way merge at s = 0.75, a 3-way merge at s = 0.9 and two
 merge groups at s = t.
+
+The BIG cases were recorded before gamma3's pair sum moved to NumPy. All 200
+locations end in one block at every t of the sweep; every other case has
+blocks of at most 8 members.
 """
 
 import contextlib
@@ -22,6 +26,11 @@ from shelyap.cli import main
 
 FIVE = ["--t", "1", "--x", "0,0.3,0.6,3.0,3.3", "--m", "1,1,1,1,1"]
 CASCADE = ["--t", "1", "--x", "0,1.5,3,4.5,6,7.5,9,10.5", "--m", "2,1,1,2,2,1,1,2"]
+BIG = [
+    "--t", "2",
+    "--x", ",".join(repr(0.37 * i + 0.011 * (i % 7)) for i in range(1, 201)),
+    "--m", ",".join(str(1 + i % 5) for i in range(1, 201)),
+]
 GOLDEN = [
     (["gamma", *FIVE],
      0, "c1b7d2600f2439e2f0414f76e0a1f62c5ddedd1353e4edbf56f7dce7b2ced625"),
@@ -68,6 +77,10 @@ GOLDEN = [
      0, "9a6d158437ddd07960e6b022e9e53e3dd1a96d3f53a1b1b85d7d153db6c71353"),
     (["clusters", *CASCADE, "--format", "csv"],
      0, "ed8f5ea5c97215c59a1e470ab5f5c186b6cc9343caf6fa4f924d63b246d7a5c7"),
+    (["gamma", *BIG],
+     0, "3aed2b9652db7499b30742f63bd035589f26d0d9a73079bac66d0ee133ab6d88"),
+    (["sweep", *BIG, "--param", "t", "--grid", "2:6:5", "--format", "json"],
+     0, "de6b2d29eb8c08dbe10496eb13db9b9b00efd1bc1d1f03b3599a5749eb372eeb"),
 ]
 
 

@@ -38,6 +38,9 @@ def test_validate_rejections():
         validate_instance(1.0, [0.0], [1.5])
     with pytest.raises(NonPositiveMultiplicity):
         validate_instance(1.0, [0.0], [True])
+    for bad in (float("inf"), float("nan"), np.float64(2.5), "2"):
+        with pytest.raises(NonPositiveMultiplicity):
+            validate_instance(1.0, [0.0], [bad])
     with pytest.raises(LengthMismatch):
         validate_instance(1.0, [0.0, 1.0], [1])
     with pytest.raises(LengthMismatch):
