@@ -60,10 +60,8 @@ from .solvers import (
     StructureReport,
     VariationalSolution,
     bruteforce_chain_qp,
-    build_b_from_clusters,
     check_minimizer_structure,
     isotonic_nonincreasing,
-    lift_b_to_a,
     oracle_gamma1,
     oracle_gamma2,
     solve_gamma1,

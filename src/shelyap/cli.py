@@ -16,24 +16,31 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .clusters import block_com_speed, separation_margins, simulate_inertia
 from .closedform import gamma3, gamma_report, verify_recursion_identity
-from .errors import HypothesisNotMet, NonFiniteResult, ShelyapError
+from .errors import (
+    HypothesisNotMet,
+    InvalidContour,
+    NonFiniteResult,
+    NonPositiveMultiplicity,
+    NonPositiveTime,
+    ShelyapError,
+    UnsortedLocations,
+)
 from .instance import MomentInstance, flatten, validate_instance
 from .quadrature import (
     DEFAULT_SIGMAS,
     _log_rate,
+    _route1_contour,
     contour_moment,
     contour_moment_complex,
     default_contour_config,
@@ -66,6 +73,22 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Raise NonFiniteResult naming the first non-finite entry, if any."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(float(values[finite.argmin()]))
+
+
+def _format_row(values: np.ndarray) -> str:
+    """format_float of every entry of a 1-D float array, joined by ", ".
+
+    One finiteness check and one %-formatting call for the whole row.
+    """
+    _check_finite(values)
+    return ", ".join(["%.17g"] * len(values)) % tuple(values.tolist())
+
+
 def dumps_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with %.17g floats (json module can't control that)."""
     sp = "  " * indent
@@ -80,8 +103,8 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        # a path row formats like its list; converting here, one row at a
-        # time, never holds a whole path matrix as Python floats
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            return "[" + _format_row(obj) + "]"
         return dumps_json(obj.tolist(), indent)
     if isinstance(obj, dict):
         if not obj:
@@ -106,12 +129,12 @@ def dumps_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(lines: Iterable[str], output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _fail(exc: BaseException) -> int:
@@ -121,8 +144,15 @@ def _fail(exc: BaseException) -> int:
     return 1
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s.strip()]
+def _parse_float(text: str, error: type[ShelyapError]) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise error(f"{text!r} is not a number") from None
+
+
+def _parse_floats(text: str, error: type[ShelyapError]) -> list[float]:
+    return [_parse_float(s, error) for s in text.split(",") if s.strip()]
 
 
 def _load_instance(args) -> MomentInstance:
@@ -132,13 +162,21 @@ def _load_instance(args) -> MomentInstance:
     if args.input:
         with open(args.input) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ShelyapError("instance file must hold a JSON object")
         for key in ("t", "x", "m"):
             if key not in doc:
                 raise ShelyapError(f"instance file missing key {key!r}")
+        if not isinstance(doc["x"], list) or not isinstance(doc["m"], list):
+            raise ShelyapError("instance file keys 'x' and 'm' must be lists")
         return validate_instance(doc["t"], doc["x"], doc["m"])
     if args.t is None or args.x is None or args.m is None:
         raise ShelyapError("need --input FILE or all of --t/--x/--m")
-    return validate_instance(float(args.t), _parse_floats(args.x), _parse_floats(args.m))
+    return validate_instance(
+        _parse_float(args.t, NonPositiveTime),
+        _parse_floats(args.x, UnsortedLocations),
+        _parse_floats(args.m, NonPositiveMultiplicity),
+    )
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -157,7 +195,7 @@ def cmd_gamma(args) -> int:
         raise ShelyapError(f"tolerance {args.tolerance} must be >= 0")
     inst = _load_instance(args)
     rep = gamma_report(inst)
-    _emit(dumps_json(rep.to_json_dict()) + "\n", args.output)
+    _emit([dumps_json(rep.to_json_dict()), "\n"], args.output)
     ok = (
         rep.max_pairwise_dev <= args.tolerance * (1.0 + abs(rep.gamma3))
         and rep.structure_ok
@@ -170,17 +208,24 @@ def cmd_gamma(args) -> int:
 def cmd_clusters(args) -> int:
     inst = _load_instance(args)
     res = simulate_inertia(inst)
+    grid = np.asarray(res.inertia_paths[0].breakpoints)
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["index", "s", "zeta", "xi"])
-        grid = res.inertia_paths[0].breakpoints
-        for i in range(inst.n):
-            zeta = res.inertia_paths[i].values.tolist()
-            xi = res.optimal_paths[i].values.tolist()
-            for s, zv, xv in zip(grid, zeta, xi):
-                w.writerow([i + 1, format_float(s), format_float(zv), format_float(xv)])
-        _emit(buf.getvalue(), args.output)
+        s_text = _format_row(grid).split(", ")
+        # each path's zeta and xi interleaved, the order its lines print them
+        rows = [np.column_stack((z.values, x.values)).ravel()
+                for z, x in zip(res.inertia_paths, res.optimal_paths)]
+        for pairs in rows:  # nothing is written before every row has passed
+            _check_finite(pairs)
+
+        # %.17g never needs CSV quoting. Lines go out a path at a time: holding
+        # all n * K line strings made peak RSS vary by up to 9 MB between runs
+        def lines():
+            yield "index,s,zeta,xi\n"
+            for i, pairs in enumerate(rows, 1):
+                row = iter(_format_row(pairs).split(", "))
+                yield from [f"{i},{s},{zv},{xv}\n" for s, zv, xv in zip(s_text, row, row)]
+
+        _emit(lines(), args.output)
         return 0
     doc = {
         "partition": [list(b) for b in res.partition],
@@ -193,11 +238,11 @@ def cmd_clusters(args) -> int:
              "position": e.position}
             for e in res.events
         ],
-        "breakpoints": list(res.inertia_paths[0].breakpoints),
+        "breakpoints": grid,
         "zeta": [p.values for p in res.inertia_paths],
         "xi": [p.values for p in res.optimal_paths],
     }
-    _emit(dumps_json(doc) + "\n", args.output)
+    _emit([dumps_json(doc), "\n"], args.output)
     return 0
 
 
@@ -381,15 +426,15 @@ def cmd_verify(args) -> int:
 def cmd_moments(args) -> int:
     inst = _load_instance(args)
     T = float(args.T)
-    cfg = default_contour_config(
-        T, inst, points=args.points,
-        truncation_sigmas=args.truncation_sigmas, rule=args.rule,
+    cfg, route1 = _route1_contour(
+        T, inst, args.points, args.truncation_sigmas, args.rule
     )
     if args.offsets is not None:
-        cfg = dataclasses.replace(cfg, offsets=tuple(_parse_floats(args.offsets)))
+        offsets = _parse_floats(args.offsets, InvalidContour)
+        cfg = dataclasses.replace(cfg, offsets=tuple(offsets))
     val = contour_moment_complex(T, inst, cfg)
     rate = _log_rate(T, val.real)
-    gamma = solve_gamma1(flatten(inst), inst.t).objective
+    gamma = route1.objective
     doc = {
         "moment": val.real,
         "rate": rate,
@@ -400,7 +445,7 @@ def cmd_moments(args) -> int:
         "points": cfg.points,
         "truncation": cfg.truncation,
     }
-    _emit(dumps_json(doc) + "\n", args.output)
+    _emit([dumps_json(doc), "\n"], args.output)
     return 0
 
 
@@ -450,17 +495,14 @@ def cmd_sweep(args) -> int:
             {"parameter": v, "gamma": g, "q_hat": q, "s0": s0}
             for v, g, q, s0 in rows
         ]
-        _emit(dumps_json(doc) + "\n", args.output)
+        _emit([dumps_json(doc), "\n"], args.output)
         return 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["parameter", "gamma", "q_hat", "s0"])
+    lines = ["parameter,gamma,q_hat,s0\n"]
     for v, g, q, s0 in rows:
-        w.writerow([
-            format_float(v), format_float(g), q,
-            "" if s0 is None else format_float(s0),
-        ])
-    _emit(buf.getvalue(), args.output)
+        fields = [format_float(v), format_float(g), str(q),
+                  "" if s0 is None else format_float(s0)]
+        lines.append(",".join(fields) + "\n")
+    _emit(lines, args.output)
     return 0
 
 
@@ -469,9 +511,10 @@ def cmd_sweep(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # No flag starts with a digit, so a token like -1,0, -2:0.5:3 or -.4 is
-        # a value; argparse's default only accepts plain negative numbers.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # No flag starts with a digit, i or n, so a token like -1,0, -2:0.5:3,
+        # -.4, -inf or -nan,0 is a value; argparse's default only accepts
+        # plain negative numbers.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         sys.stderr.write(

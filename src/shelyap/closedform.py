@@ -119,17 +119,20 @@ def verify_recursion_identity(inst: MomentInstance) -> RecursionCheck:
                           x_prime=fm.x_prime, m_prime=fm.m_prime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaReport:
-    """All three routes plus the structural cross-check for one instance."""
+    """All three routes plus the structural cross-check for one instance.
+
+    The minimizers are the routes' read-only float64 arrays.
+    """
 
     gamma1: float
     gamma2: float
     gamma3: float
     max_pairwise_dev: float
     partition: tuple[tuple[int, ...], ...]
-    minimizer_a: tuple[float, ...]
-    minimizer_b: tuple[float, ...]
+    minimizer_a: np.ndarray
+    minimizer_b: np.ndarray
     structure_ok: bool
     boundary: bool
 
@@ -140,8 +143,8 @@ class GammaReport:
             "gamma3": self.gamma3,
             "max_dev": self.max_pairwise_dev,
             "partition": [list(b) for b in self.partition],
-            "a": list(self.minimizer_a),
-            "b": list(self.minimizer_b),
+            "a": self.minimizer_a,
+            "b": self.minimizer_b,
             "structure_ok": self.structure_ok,
         }
 

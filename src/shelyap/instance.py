@@ -17,6 +17,7 @@ module minimizes them:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,15 +61,26 @@ class FlatInstance:
     f: tuple[int, ...]
 
 
+def _reals(values: Sequence, error: type[Exception], what: str) -> tuple[float, ...]:
+    for v in values:
+        # float() would also take "1" and True; the type test on float
+        # first keeps the common case fast
+        if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise error(f"{what} {v!r} is not a real number")
+    return tuple(map(float, values))
+
+
 def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentInstance:
     """Check (t, x, m) and return the frozen instance.
 
     Raises NonPositiveTime, UnsortedLocations, NonPositiveMultiplicity or
     LengthMismatch. Locations must be strictly increasing; ties are rejected
-    rather than merged. A multiplicity must be an int or an integral finite
-    float; anything else (1.5, NaN, inf, a string) is NonPositiveMultiplicity.
+    rather than merged. t and the locations must be real numbers: a string or
+    a bool is NonPositiveTime or UnsortedLocations, although float() would
+    take it. A multiplicity must be an int or an integral finite float;
+    anything else (1.5, NaN, inf, a string) is NonPositiveMultiplicity.
     """
-    x = tuple(float(v) for v in x)
+    x = _reals(x, UnsortedLocations, "location")
     m_out = []
     for v in m:
         # is_integer is False for NaN and inf, which int() would not survive
@@ -83,7 +95,7 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
         raise LengthMismatch(f"len(x)={len(x)} but len(m)={len(m)}")
     if len(x) == 0:
         raise LengthMismatch("instance needs at least one location")
-    t = float(t)
+    (t,) = _reals((t,), NonPositiveTime, "t")
     if not t > 0.0:
         raise NonPositiveTime(f"t={t} must be > 0")
     if any(not np.isfinite(v) for v in x) or not np.isfinite(t):

@@ -34,7 +34,7 @@ from .errors import (
     NuTooLarge,
 )
 from .instance import FlatInstance, MomentInstance, flatten
-from .solvers import solve_gamma1
+from .solvers import VariationalSolution, solve_gamma1
 
 MAX_NU = 3
 DEFAULT_SIGMAS = 8.0
@@ -83,24 +83,36 @@ def default_contour_config(
     rule: str = "gauss",
 ) -> ContourConfig:
     """Offsets centred on the route-1 minimizer with uniform gap 1 + 1/nu."""
+    return _route1_contour(T, inst, points, truncation_sigmas, rule)[0]
+
+
+def _route1_contour(
+    T: float,
+    inst: MomentInstance,
+    points: int | None,
+    truncation_sigmas: float,
+    rule: str,
+) -> tuple[ContourConfig, VariationalSolution]:
+    """default_contour_config and the route-1 solution it is centred on."""
     if not T > 0.0:
         raise NonPositiveTime(f"T={T} must be > 0")
     flat = flatten(inst)
     nu = flat.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
-    a_star = solve_gamma1(flat, inst.t).values
-    center = sum(a_star) / nu
+    route1 = solve_gamma1(flat, inst.t)
+    center = sum(route1.values) / nu
     gap = 1.0 + 1.0 / nu
     offsets = tuple(center + gap * ((nu + 1) / 2.0 - k) for k in range(1, nu + 1))
     if points is None:
         points = 200 if nu <= 2 else 96
-    return ContourConfig(
+    cfg = ContourConfig(
         offsets=offsets,
         truncation=truncation_sigmas / math.sqrt(T * inst.t),
         points=points,
         rule=rule,
     )
+    return cfg, route1
 
 
 def _grid(cfg: ContourConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -52,15 +52,16 @@ STRUCTURE_TOL_SCALE = 1e-9
 BOUNDARY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationalSolution:
     """Minimizer, objective value, and the set of tight chain constraints.
 
-    active holds 1-based constraint indices i whose gap values_i - values_{i+1}
-    sits within structure tolerance of its margin.
+    values is a read-only float64 array. active holds 1-based constraint
+    indices i whose gap values_i - values_{i+1} sits within structure
+    tolerance of its margin.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     objective: float
     active: frozenset[int]
 
@@ -97,6 +98,13 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
     return out
 
 
+def _solution(
+    values: np.ndarray, objective: float, margins: np.ndarray
+) -> VariationalSolution:
+    values.flags.writeable = False
+    return VariationalSolution(values, objective, _active_from_gaps(values, margins))
+
+
 def _active_from_gaps(values: np.ndarray, margins: np.ndarray) -> frozenset[int]:
     gaps = values[:-1] - values[1:]
     tight = gaps <= margins + STRUCTURE_TOL_SCALE * (1.0 + np.abs(margins))
@@ -109,12 +117,7 @@ def solve_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
     w = np.full(flat.nu, float(t))
     c = isotonic_nonincreasing(shift - np.asarray(flat.u) / t, w)
     a = c - shift
-    margins = np.ones(flat.nu - 1)
-    return VariationalSolution(
-        values=tuple(a),
-        objective=gamma1_objective(flat, t, a),
-        active=_active_from_gaps(a, margins),
-    )
+    return _solution(a, gamma1_objective(flat, t, a), np.ones(flat.nu - 1))
 
 
 def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
@@ -124,11 +127,7 @@ def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
     shift = np.concatenate([[0.0], np.cumsum(margins)])
     c = isotonic_nonincreasing(shift - np.asarray(inst.x) / inst.t, m * inst.t)
     b = c - shift
-    return VariationalSolution(
-        values=tuple(b),
-        objective=gamma2_objective(inst, b),
-        active=_active_from_gaps(b, margins),
-    )
+    return _solution(b, gamma2_objective(inst, b), margins)
 
 
 def bruteforce_chain_qp(
@@ -177,11 +176,7 @@ def bruteforce_chain_qp(
             best = (obj, key, v)
     assert best is not None  # mask 2^(d-1)-1 is always feasible
     obj, _, v = best
-    return VariationalSolution(
-        values=tuple(v),
-        objective=obj,
-        active=_active_from_gaps(v, g),
-    )
+    return _solution(v, obj, g)
 
 
 def oracle_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
@@ -199,44 +194,6 @@ def oracle_gamma2(inst: MomentInstance) -> VariationalSolution:
     g = (m[:-1] + m[1:]) / 2.0
     constant = float(np.sum((m**3 - m) * inst.t / 24.0))
     return bruteforce_chain_qp(w, q, g, constant=constant)
-
-
-def lift_b_to_a(b: Sequence[float], inst: MomentInstance) -> np.ndarray:
-    """Expand per-location drifts to per-coordinate drifts.
-
-    Coordinate k in the block of location j gets
-    a_k = b_j + (m_j + 1)/2 - k + sum_{i<j} m_i; a feasible b maps to a
-    feasible a with the same route-1 objective.
-    """
-    if len(b) != inst.n:
-        raise LengthMismatch(f"expected {inst.n} drifts, got {len(b)}")
-    a: list[float] = []
-    for bj, mj in zip(b, inst.m):
-        # global k = S_{j-1} + r cancels the block offset, leaving local r
-        a.extend(bj + (mj + 1) / 2.0 - r for r in range(1, mj + 1))
-    return np.asarray(a)
-
-
-def build_b_from_clusters(res: ClusterResult, inst: MomentInstance) -> np.ndarray:
-    """Assemble the route-2 minimizer from the terminal partition.
-
-    Within block B with members N_{k-1}+1..N_k, location i gets the block's
-    centre-of-mass drift plus a mass-staircase offset:
-
-        b_i = -(sum_{j in B} m_j x_j)/(mass(B) t)
-              + (sum_{j=i+1}^{N_k} m_j - sum_{j=N_{k-1}+1}^{i-1} m_j)/2.
-    """
-    x, m, t = inst.x, inst.m, inst.t
-    b = np.empty(inst.n)
-    for block in res.partition:
-        idx = [i - 1 for i in block]
-        mass = float(sum(m[i] for i in idx))
-        com = sum(m[i] * x[i] for i in idx) / (mass * t)
-        for i in idx:
-            after = sum(m[j] for j in idx if j > i)
-            before = sum(m[j] for j in idx if j < i)
-            b[i] = -com + (after - before) / 2.0
-    return b
 
 
 @dataclass(frozen=True, eq=False)

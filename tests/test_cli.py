@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import shelyap
-from shelyap.cli import dumps_json, format_float, main
+from shelyap.cli import _format_row, dumps_json, format_float, main
+from shelyap.errors import NonFiniteResult
 from shelyap.quadrature import heat_kernel
 
 PAIR = ["--t", "1", "--x", "0,0.5", "--m", "1,1"]
@@ -126,6 +127,16 @@ def test_gamma_writes_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["gamma3"] == pytest.approx(-0.0625)
+
+
+def test_clusters_csv_output_file_matches_stdout(tmp_path, capsys):
+    argv = ["clusters", "--t", "1", "--x", "0,1.5,3,4.5,6", "--m", "2,1,1,2,2",
+            "--format", "csv"]
+    _, out, _ = run(capsys, argv)
+    dest = tmp_path / "paths.csv"
+    code, to_stdout, err = run(capsys, [*argv, "--output", str(dest)])
+    assert (code, to_stdout, err) == (0, "", "")
+    assert dest.read_bytes() == out.encode()
 
 
 def test_clusters_csv_layout(capsys):
@@ -362,6 +373,124 @@ def test_moments_zero_points_exits_one(capsys, offsets):
     assert code == 1
     assert out == ""
     assert "points 0" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["gamma", "--t", "1", "--m", "1,1", "--x", "-inf,0"], "UnsortedLocations"),
+    (["gamma", "--t", "1", "--m", "1,1", "--x", "-nan,0"], "UnsortedLocations"),
+    (["gamma", *PAIR, "--tolerance", "-inf"], "ShelyapError"),
+    (["gamma", *PAIR, "--tolerance", "-nan"], "ShelyapError"),
+    (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2", "--offsets",
+      "-Infinity,1"], "InvalidContour"),
+])
+def test_inline_minus_inf_and_nan_reach_validation(capsys, argv, error):
+    # the value is the last token; its --flag=value form must agree
+    *rest, flag, value = argv
+    for form in ([*rest, flag, value], [*rest, f"{flag}={value}"]):
+        code, out, err = run(capsys, form)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({"t": "1", "x": [0, 1], "m": [1, 1]}, "NonPositiveTime"),
+    ({"t": True, "x": [0, 1], "m": [1, 1]}, "NonPositiveTime"),
+    ({"t": None, "x": [0, 1], "m": [1, 1]}, "NonPositiveTime"),
+    ({"t": 1, "x": ["0", "1"], "m": [1, 1]}, "UnsortedLocations"),
+    ({"t": 1, "x": [False, True], "m": [1, 1]}, "UnsortedLocations"),
+    ({"t": "1", "x": ["0", "1"], "m": [1, 1]}, "UnsortedLocations"),
+])
+def test_file_instance_rejects_non_numbers(tmp_path, capsys, doc, error):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["gamma", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("doc", [
+    5, "t", [1.0, [0.0], [1]],
+    {"t": 1, "x": 0.5, "m": [1]},
+    {"t": 1, "x": [0.5], "m": 1},
+])
+def test_file_instance_of_wrong_shape_exits_one(tmp_path, capsys, doc):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["gamma", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "ShelyapError"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["gamma", "--t", "1", "--x", "0,abc", "--m", "1,1"], "UnsortedLocations"),
+    (["gamma", "--t", "abc", "--x", "0,1", "--m", "1,1"], "NonPositiveTime"),
+    (["gamma", "--t", "1", "--x", "0,1", "--m", "1,x"], "NonPositiveMultiplicity"),
+    (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2", "--offsets",
+      "1,abc"], "InvalidContour"),
+])
+def test_malformed_inline_number_exits_one(capsys, argv, error):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("offsets", [[], ["--offsets", "1.0,-1.0"]])
+def test_moments_solves_route_one_once(monkeypatch, capsys, offsets):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return shelyap.solve_gamma1(*args)
+
+    monkeypatch.setattr("shelyap.quadrature.solve_gamma1", counted)
+    monkeypatch.setattr("shelyap.cli.solve_gamma1", counted)
+    code, _, _ = run(capsys, ["moments", "--t", "1", "--x", "0", "--m", "2",
+                              "--T", "2", *offsets])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def _formatter_corpus(rng):
+    bits = rng.integers(0, 2**64, size=60_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, size=10_000, dtype=np.uint64).view(np.float64)
+    big = sys.float_info.max
+    special = np.array([0.0, -0.0, big, -big, 5e-324, -5e-324, 2.2250738585072014e-308])
+    near_2_53 = (2.0**53 + np.arange(-2000, 2000)).astype(float)
+    # k / 10^d: the doubles nearest short decimals such as 0.1 or -12.345
+    decimals = rng.integers(-10**6, 10**6, size=30_000) / 10.0 ** rng.integers(0, 7, 30_000)
+    corpus = np.concatenate([bits[np.isfinite(bits)], subnormal, -subnormal, special,
+                             near_2_53, -near_2_53, decimals, [0.1, 0.2, 0.3]])
+    return rng.permutation(corpus)
+
+
+def test_format_row_matches_format_float():
+    corpus = _formatter_corpus(np.random.default_rng(5))
+    assert len(corpus) >= 100_000
+    rows = np.split(corpus, np.cumsum([0, 1, 2, 7, 500, 4096])[1:])
+    for row in rows:
+        assert _format_row(row) == ", ".join(format_float(v) for v in row.tolist())
+    # the array branch of dumps_json goes through the same helper
+    assert dumps_json(rows[3]) == "[" + ", ".join(map(format_float, rows[3].tolist())) + "]"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_format_row_names_first_non_finite(bad):
+    row = np.array([0.5, -2.0, bad, 1.0, math.nan, -math.inf])
+    with pytest.raises(NonFiniteResult, match=f"computed value {bad} is not finite"):
+        _format_row(row)
+    with pytest.raises(NonFiniteResult):
+        _format_row(np.array([bad]))
+
+
+def test_clusters_csv_names_first_non_finite_in_line_order(capsys):
+    # zeta overflows to inf after s = 0, while xi at s = 0 is already nan
+    # (x - inf * 0); the row-by-row order reaches the nan first
+    argv = ["clusters", "--t", "1e308", "--x=-1.7e308,1.7e308", "--m", "1000,1000",
+            "--format", "csv"]
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "computed value nan is not finite"
 
 
 def test_float_formatting_round_trips():

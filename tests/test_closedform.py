@@ -182,6 +182,19 @@ def test_gamma_report_merged_pair():
     assert not report.boundary
 
 
+def test_minimizers_are_read_only_arrays():
+    inst = validate_instance(1.5, [-1.0, 0.2, 2.0], [3, 1, 2])
+    report = gamma_report(inst)
+    for arr, size in ((report.minimizer_a, inst.nu), (report.minimizer_b, inst.n)):
+        assert isinstance(arr, np.ndarray)
+        assert (arr.dtype, arr.shape) == (np.float64, (size,))
+        assert not arr.flags.writeable
+        assert all(type(v) is float for v in arr.tolist())
+    # arrays have no single truth value, so reports compare by identity
+    assert report == report
+    assert report != gamma_report(inst)
+
+
 def test_gamma_report_json_keys():
     doc = gamma_report(validate_instance(1.0, [0.0, 0.5], [1, 1])).to_json_dict()
     assert sorted(doc) == [

@@ -14,6 +14,10 @@ merge groups at s = t.
 The BIG cases were recorded before gamma3's pair sum moved to NumPy. All 200
 locations end in one block at every t of the sweep; every other case has
 blocks of at most 8 members.
+
+The last three cases were recorded before the CLI writers formatted float
+rows in bulk: `clusters` on BIG in both formats (200 paths, one block) and a
+`gamma` whose route-1 minimizer has nu = 95000 entries.
 """
 
 import contextlib
@@ -81,6 +85,12 @@ GOLDEN = [
      0, "3aed2b9652db7499b30742f63bd035589f26d0d9a73079bac66d0ee133ab6d88"),
     (["sweep", *BIG, "--param", "t", "--grid", "2:6:5", "--format", "json"],
      0, "de6b2d29eb8c08dbe10496eb13db9b9b00efd1bc1d1f03b3599a5749eb372eeb"),
+    (["clusters", *BIG],
+     0, "43149924b572578e0f07406df78e6bc82136c43e3d576068d21c8af24eafbb9e"),
+    (["clusters", *BIG, "--format", "csv"],
+     0, "8fb5931eac4eaf62f48bb75a5dc9a149d44cdbb051c6fe4748eb239a9b50c804"),
+    (["gamma", "--t", "1", "--x=-1,0.5,2", "--m", "40000,30000,25000"],
+     0, "d8c3dd1599a673940e9a87b3100589ee9070772672bf86b683c50750b084df45"),
 ]
 
 

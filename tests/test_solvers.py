@@ -7,13 +7,11 @@ from shelyap import (
     DimensionTooLarge,
     LengthMismatch,
     bruteforce_chain_qp,
-    build_b_from_clusters,
     check_minimizer_structure,
     flatten,
     gamma1_objective,
     gamma2_objective,
     isotonic_nonincreasing,
-    lift_b_to_a,
     oracle_gamma1,
     oracle_gamma2,
     simulate_inertia,
@@ -21,6 +19,46 @@ from shelyap import (
     solve_gamma2,
     validate_instance,
 )
+
+
+# Test-only constructions of one route's minimizer from another's data.
+
+def lift_b_to_a(b, inst):
+    """Expand per-location drifts to per-coordinate drifts.
+
+    Coordinate k in the block of location j gets
+    a_k = b_j + (m_j + 1)/2 - k + sum_{i<j} m_i; a feasible b maps to a
+    feasible a with the same route-1 objective.
+    """
+    if len(b) != inst.n:
+        raise LengthMismatch(f"expected {inst.n} drifts, got {len(b)}")
+    a = []
+    for bj, mj in zip(b, inst.m):
+        # global k = S_{j-1} + r cancels the block offset, leaving local r
+        a.extend(bj + (mj + 1) / 2.0 - r for r in range(1, mj + 1))
+    return np.asarray(a)
+
+
+def build_b_from_clusters(res, inst):
+    """Assemble the route-2 minimizer from the terminal partition.
+
+    Within block B with members N_{k-1}+1..N_k, location i gets the block's
+    centre-of-mass drift plus a mass-staircase offset:
+
+        b_i = -(sum_{j in B} m_j x_j)/(mass(B) t)
+              + (sum_{j=i+1}^{N_k} m_j - sum_{j=N_{k-1}+1}^{i-1} m_j)/2.
+    """
+    x, m, t = inst.x, inst.m, inst.t
+    b = np.empty(inst.n)
+    for block in res.partition:
+        idx = [i - 1 for i in block]
+        mass = float(sum(m[i] for i in idx))
+        com = sum(m[i] * x[i] for i in idx) / (mass * t)
+        for i in idx:
+            after = sum(m[j] for j in idx if j > i)
+            before = sum(m[j] for j in idx if j < i)
+            b[i] = -com + (after - before) / 2.0
+    return b
 
 
 def random_interior_instance(rng, max_n=6, max_m=6):
@@ -56,6 +94,17 @@ def test_isotonic_rejects_bad_shapes():
         isotonic_nonincreasing([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         isotonic_nonincreasing([1.0], [0.0])
+
+
+def test_solutions_hold_read_only_arrays():
+    inst = validate_instance(1.0, [0.0, 0.5, 2.0], [2, 1, 1])
+    flat = flatten(inst)
+    for sol in (solve_gamma1(flat, inst.t), solve_gamma2(inst),
+                oracle_gamma1(flat, inst.t), oracle_gamma2(inst)):
+        assert isinstance(sol.values, np.ndarray)
+        assert sol.values.dtype == np.float64
+        assert not sol.values.flags.writeable
+        assert sol != solve_gamma1(flat, inst.t)  # identity, not values
 
 
 def test_isotonic_kkt_certificate():
