@@ -27,6 +27,7 @@ from .errors import (
     DimensionTooLarge,
     HypothesisNotMet,
     InvalidContour,
+    InvalidFitInput,
     LengthMismatch,
     NoMerge,
     NonFiniteResult,

@@ -52,5 +52,9 @@ class NonPositiveMoment(ShelyapError):
     """Quadrature returned a non-positive moment; no log-rate exists."""
 
 
+class InvalidFitInput(ShelyapError, ValueError):
+    """An isotonic fit got a NaN target or a weight that is not > 0."""
+
+
 class NonFiniteResult(ShelyapError):
     """A result to be printed is NaN or infinite; the input is degenerate."""

@@ -48,17 +48,18 @@ class MomentInstance:
         return sum(self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatInstance:
     """Multiplicity-flattened coordinates.
 
-    u has length nu, non-decreasing; f[k-1] is the 1-based location index of
-    flat coordinate k.
+    u is a read-only float64 array of length nu, non-decreasing; f is a
+    read-only integer array with f[k-1] the 1-based location index of flat
+    coordinate k.
     """
 
     nu: int
-    u: tuple[float, ...]
-    f: tuple[int, ...]
+    u: np.ndarray
+    f: np.ndarray
 
 
 def _reals(values: Sequence, error: type[Exception], what: str) -> tuple[float, ...]:
@@ -111,20 +112,17 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
 
 def flatten(inst: MomentInstance) -> FlatInstance:
     """Repeat each location by its multiplicity."""
-    u: list[float] = []
-    f: list[int] = []
-    for j, (xj, mj) in enumerate(zip(inst.x, inst.m), start=1):
-        u.extend([xj] * mj)
-        f.extend([j] * mj)
-    return FlatInstance(nu=len(u), u=tuple(u), f=tuple(f))
+    u = np.repeat(np.asarray(inst.x, dtype=float), inst.m)
+    f = np.repeat(np.arange(1, inst.n + 1), inst.m)
+    u.flags.writeable = f.flags.writeable = False
+    return FlatInstance(nu=len(u), u=u, f=f)
 
 
 def gamma1_objective(flat: FlatInstance, t: float, a: Sequence[float]) -> float:
     a = np.asarray(a, dtype=float)
     if a.shape != (flat.nu,):
         raise LengthMismatch(f"expected {flat.nu} coordinates, got {a.shape}")
-    u = np.asarray(flat.u)
-    return float(np.sum(0.5 * t * a * a + u * a))
+    return float(np.sum(0.5 * t * a * a + flat.u * a))
 
 
 def gamma2_objective(inst: MomentInstance, b: Sequence[float]) -> float:

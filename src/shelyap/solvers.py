@@ -5,8 +5,26 @@ canonical problem,
 
     minimize sum_i w_i (c_i - z_i)^2   subject to   c_1 >= c_2 >= ... >= c_d,
 
-solved exactly (up to rounding) by weighted pool-adjacent-violators. The
-reductions absorb each chain margin into a running shift:
+solved exactly (up to rounding) by weighted pool-adjacent-violators.
+
+PAVA walks runs, not coordinates. In a non-increasing weighted fit, two
+adjacent targets with z_i < z_{i+1} always end in the same block (Barlow,
+Bartholomew, Bremner & Brunk, Statistical Inference under Order Restrictions,
+1972; Best & Chakravarti, Math. Programming 47, 1990). So once the first
+target of a maximal strictly increasing run (an equal pair starts a new run)
+is placed, the rest of the run joins the last block target after target, and
+a long tail does so in one cumsum pass. The pass stops at the first target
+that would not pool into the block or that would make the block pool into its
+left neighbour; the per-target step takes that one and the pass resumes.
+Sums stay left to right one target at a time, so every comparison and every
+block is the one a plain per-target loop makes, rounding included. Pooling a
+whole run at once with pairwise sums (np.add.reduceat) rounds differently and
+splits exact ties, such as (x_{j+1} - x_j)/t = (m_j + m_{j+1})/2, the other
+way. The rule reads only the targets, so route 1 still shares nothing with
+route 2 or the cluster route. Route-1 targets rise by 1 within a location, so
+no location is split between runs, and the Python work grows with n, not nu.
+
+The reductions absorb each chain margin into a running shift:
 
 route 1: constraints a_k - a_{k+1} >= 1. Put c_k = a_k + k, so the chain
 becomes c_k >= c_{k+1}, and
@@ -35,12 +53,13 @@ smallest active set. Exponential, capped at d <= 20.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .clusters import ClusterResult
-from .errors import DimensionTooLarge, LengthMismatch
+from .errors import DimensionTooLarge, InvalidFitInput, LengthMismatch
 from .instance import (
     FlatInstance,
     MomentInstance,
@@ -50,20 +69,27 @@ from .instance import (
 
 STRUCTURE_TOL_SCALE = 1e-9
 BOUNDARY_TOL = 1e-6
+# a run tail this long joins its block in one NumPy pass; a shorter one goes
+# target by target, where the pass would cost more than it saves
+_TAIL_PASS_MIN = 16
 
 
 @dataclass(frozen=True, eq=False)
 class VariationalSolution:
-    """Minimizer, objective value, and the set of tight chain constraints.
+    """Minimizer, objective value, and the tight chain constraints.
 
-    values is a read-only float64 array. active holds 1-based constraint
-    indices i whose gap values_i - values_{i+1} sits within structure
-    tolerance of its margin.
+    values is a read-only float64 array. tight is a read-only boolean array
+    whose entry i - 1 says that gap values_i - values_{i+1} sits within
+    structure tolerance of its margin; active holds those 1-based i.
     """
 
     values: np.ndarray
     objective: float
-    active: frozenset[int]
+    tight: np.ndarray
+
+    @cached_property
+    def active(self) -> frozenset[int]:
+        return frozenset((np.flatnonzero(self.tight) + 1).tolist())
 
 
 def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray:
@@ -71,53 +97,73 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
 
     Returns the unique minimizer of sum w_i (c_i - z_i)^2 over non-increasing
     c. Pooled values are recomputed per final block as exact weighted means.
+    Targets may be infinite but not NaN, and every weight must be > 0;
+    anything else raises InvalidFitInput.
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     if len(z) != len(w):
         raise LengthMismatch("targets and weights differ in length")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    # blocks as (start, weight sum, weighted target sum)
+    if np.isnan(z).any() or not np.all(w > 0):
+        raise InvalidFitInput("targets must not be NaN and weights must be > 0")
+    wz = w * z
+    lone = wz / w  # mean of each target as a block of its own
+    # ends of the maximal strictly increasing runs
+    ends = (np.flatnonzero(z[1:] <= z[:-1]) + 1).tolist() + [len(z)]
+    # blocks as (start, weight sum, weighted target sum); every sum is taken
+    # left to right one target at a time, so every comparison below is the one
+    # the per-target loop made, rounding included
     starts: list[int] = []
     wsum: list[float] = []
     wzsum: list[float] = []
-    for i in range(len(z)):
-        starts.append(i)
-        wsum.append(w[i])
-        wzsum.append(w[i] * z[i])
-        while len(starts) > 1 and wzsum[-2] / wsum[-2] < wzsum[-1] / wsum[-1]:
-            tz, tw = wzsum.pop(), wsum.pop()
-            starts.pop()
-            wzsum[-1] += tz
-            wsum[-1] += tw
+    for i, hi in zip([0] + ends, ends):
+        while i < hi:
+            starts.append(i)
+            wsum.append(w.item(i))
+            wzsum.append(wz.item(i))
+            while len(starts) > 1 and wzsum[-2] / wsum[-2] < wzsum[-1] / wsum[-1]:
+                tz, tw = wzsum.pop(), wsum.pop()
+                starts.pop()
+                wzsum[-1] += tz
+                wsum[-1] += tw
+            i += 1
+            if hi - i < _TAIL_PASS_MIN:
+                continue
+            # the rest of the run joins the last block in one cumsum pass, up
+            # to the first target that would not pool into it or that would
+            # make it pool into its left neighbour; that target goes round the
+            # loop above
+            ws = np.cumsum(np.concatenate(([wsum[-1]], w[i:hi])))
+            wzs = np.cumsum(np.concatenate(([wzsum[-1]], wz[i:hi])))
+            means = wzs / ws
+            quiet = means[:-1] < lone[i:hi]
+            if len(starts) > 1:
+                quiet &= ~(wzsum[-2] / wsum[-2] < means[1:])
+            k = hi - i if quiet.all() else int(quiet.argmin())
+            wsum[-1], wzsum[-1] = ws.item(k), wzs.item(k)
+            i += k
     out = np.empty_like(z)
     bounds = starts + [len(z)]
     for lo, hi in zip(bounds, bounds[1:]):
-        out[lo:hi] = np.sum(w[lo:hi] * z[lo:hi]) / np.sum(w[lo:hi])
+        out[lo:hi] = np.sum(wz[lo:hi]) / np.sum(w[lo:hi])
     return out
 
 
 def _solution(
-    values: np.ndarray, objective: float, margins: np.ndarray
+    values: np.ndarray, objective: float, margins: np.ndarray | float
 ) -> VariationalSolution:
-    values.flags.writeable = False
-    return VariationalSolution(values, objective, _active_from_gaps(values, margins))
-
-
-def _active_from_gaps(values: np.ndarray, margins: np.ndarray) -> frozenset[int]:
     gaps = values[:-1] - values[1:]
     tight = gaps <= margins + STRUCTURE_TOL_SCALE * (1.0 + np.abs(margins))
-    return frozenset((np.flatnonzero(tight) + 1).tolist())
+    values.flags.writeable = tight.flags.writeable = False
+    return VariationalSolution(values, objective, tight)
 
 
 def solve_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
     """Minimize route 1 exactly via the pooled non-increasing fit."""
     shift = np.arange(1, flat.nu + 1, dtype=float)
-    w = np.full(flat.nu, float(t))
-    c = isotonic_nonincreasing(shift - np.asarray(flat.u) / t, w)
+    c = isotonic_nonincreasing(shift - flat.u / t, np.full(flat.nu, float(t)))
     a = c - shift
-    return _solution(a, gamma1_objective(flat, t, a), np.ones(flat.nu - 1))
+    return _solution(a, gamma1_objective(flat, t, a), 1.0)
 
 
 def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
@@ -181,9 +227,8 @@ def bruteforce_chain_qp(
 
 def oracle_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
     w = [t] * flat.nu
-    q = list(flat.u)
     g = [1.0] * (flat.nu - 1)
-    return bruteforce_chain_qp(w, q, g)
+    return bruteforce_chain_qp(w, flat.u, g)
 
 
 def oracle_gamma2(inst: MomentInstance) -> VariationalSolution:

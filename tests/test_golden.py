@@ -18,6 +18,13 @@ blocks of at most 8 members.
 The last three cases were recorded before the CLI writers formatted float
 rows in bulk: `clusters` on BIG in both formats (200 paths, one block) and a
 `gamma` whose route-1 minimizer has nu = 95000 entries.
+
+The two ROUTE1 cases were recorded before route-1 PAVA started from
+increasing runs. The first has nu = 57000 at t = 0.001, and route 1 pools
+pairs of locations into three blocks. The second is an integer lattice with
+(x_{j+1} - x_j)/t = 1 at three location boundaries, so the route-1 targets
+on either side are equal: two of those ties stay split between blocks and
+one is pooled inside a block.
 """
 
 import contextlib
@@ -35,6 +42,9 @@ BIG = [
     "--x", ",".join(repr(0.37 * i + 0.011 * (i % 7)) for i in range(1, 201)),
     "--m", ",".join(str(1 + i % 5) for i in range(1, 201)),
 ]
+ROUTE1_POOLED = ["--t", "0.001", "--x", "0,5,30,35,60,65",
+                 "--m", "9000,11000,8000,12000,10000,7000"]
+ROUTE1_TIES = ["--t", "1", "--x", "0,1,3,4,8,9", "--m", "1,1,2,1,1,1"]
 GOLDEN = [
     (["gamma", *FIVE],
      0, "c1b7d2600f2439e2f0414f76e0a1f62c5ddedd1353e4edbf56f7dce7b2ced625"),
@@ -91,6 +101,10 @@ GOLDEN = [
      0, "8fb5931eac4eaf62f48bb75a5dc9a149d44cdbb051c6fe4748eb239a9b50c804"),
     (["gamma", "--t", "1", "--x=-1,0.5,2", "--m", "40000,30000,25000"],
      0, "d8c3dd1599a673940e9a87b3100589ee9070772672bf86b683c50750b084df45"),
+    (["gamma", *ROUTE1_POOLED],
+     0, "b7e463c914b187bdf606681924ef7baa05811fc9e08b6586a8009c9da0cd6976"),
+    (["gamma", *ROUTE1_TIES],
+     0, "7ea8e501579e80dd2e1a80918b9e0e8dfaaf48239ca1f928b4cef4ac172eba1a"),
 ]
 
 

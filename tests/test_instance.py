@@ -50,18 +50,21 @@ def test_validate_rejections():
 def test_flatten_examples():
     flat = flatten(validate_instance(1.0, [0.0, 0.5], [1, 1]))
     assert flat.nu == 2
-    assert flat.u == (0.0, 0.5)
-    assert flat.f == (1, 2)
+    assert flat.u.tolist() == [0.0, 0.5]
+    assert flat.f.tolist() == [1, 2]
 
     flat = flatten(validate_instance(1.0, [0.0, 0.5], [2, 1]))
     assert flat.nu == 3
-    assert flat.u == (0.0, 0.0, 0.5)
-    assert flat.f == (1, 1, 2)
+    assert flat.u.tolist() == [0.0, 0.0, 0.5]
+    assert flat.f.tolist() == [1, 1, 2]
 
     flat = flatten(validate_instance(3.0, [-1.0], [5]))
     assert flat.nu == 5
-    assert flat.u == (-1.0,) * 5
-    assert flat.f == (1,) * 5
+    assert flat.u.tolist() == [-1.0] * 5
+    assert flat.f.tolist() == [1] * 5
+    assert flat.u.dtype == np.float64
+    assert not flat.u.flags.writeable
+    assert not flat.f.flags.writeable
 
 
 def test_flatten_roundtrip_recovers_instance():
@@ -79,7 +82,7 @@ def test_flatten_roundtrip_recovers_instance():
             assert u == inst.x[j - 1]
         assert tuple(xs) == inst.x
         assert tuple(ms) == inst.m
-        assert flat.u == tuple(sorted(flat.u))
+        assert flat.u.tolist() == sorted(flat.u.tolist())
 
 
 def test_objective_values_hand_checked():

@@ -1,0 +1,184 @@
+"""PAVA over increasing runs against the per-target loop it replaced.
+
+The reference below is the earlier isotonic_nonincreasing: one block per
+target, pooled with its left neighbour while the neighbour's mean is smaller.
+The package places the first target of each strictly increasing run the same
+way and lets a long run tail join the last block in one cumsum pass, with
+every sum still taken left to right. It must pick the same blocks, rounding
+included, and each final block mean is computed the same way, so the fits
+are compared as bytes.
+
+The corpus covers empty and one-target fits, equal-mean ties on integer
+lattices, route-1 targets k - u_k/t with nu up to 10^5 at short horizons
+(blocks pool across locations), a quarter of them with one location pair
+exactly on its merge threshold (x_{j+1} - x_j)/t = (m_j + m_{j+1})/2, where
+the two block means tie and only rounding decides, route-2 targets on a
+lattice with spacing exactly t (m_i + m_{i+1})/2, infinite targets, and
+horizons t = 5e-324, 1e-310, 1e307 and 1e308, where x/t or w z overflows.
+A NaN target is rejected instead.
+"""
+
+import numpy as np
+import pytest
+
+from shelyap import InvalidFitInput, flatten, solve_gamma1, validate_instance
+from shelyap.solvers import STRUCTURE_TOL_SCALE, isotonic_nonincreasing
+
+
+def reference_isotonic(z, w):
+    z = np.asarray(z, dtype=float)
+    w = np.asarray(w, dtype=float)
+    starts, wsum, wzsum = [], [], []
+    for i in range(len(z)):
+        starts.append(i)
+        wsum.append(w[i])
+        wzsum.append(w[i] * z[i])
+        while len(starts) > 1 and wzsum[-2] / wsum[-2] < wzsum[-1] / wsum[-1]:
+            tz, tw = wzsum.pop(), wsum.pop()
+            starts.pop()
+            wzsum[-1] += tz
+            wsum[-1] += tw
+    out = np.empty_like(z)
+    bounds = starts + [len(z)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = np.sum(w[lo:hi] * z[lo:hi]) / np.sum(w[lo:hi])
+    return out
+
+
+def random_targets(rng):
+    d = int(rng.integers(0, 40))
+    return rng.normal(size=d) * 3.0, rng.uniform(0.1, 5.0, size=d)
+
+
+def lattice_ties(rng):
+    """Small integers with integer weights: many blocks with equal means."""
+    d = int(rng.integers(1, 30))
+    z = rng.integers(-3, 4, size=d).astype(float)
+    return z, rng.integers(1, 4, size=d).astype(float)
+
+
+def route1_shape(rng, max_m):
+    """Locations around their merge spacing t (m_j + m_{j+1})/2, short t.
+
+    A quarter of the draws put one pair exactly on that spacing.
+    """
+    n = int(rng.integers(1, 9))
+    m = np.exp(rng.uniform(0.0, np.log(max_m), size=n)).astype(int) + 1
+    t = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.5))))
+    spacing = t * (m[:-1] + m[1:]) / 2.0 * rng.uniform(0.3, 1.5, size=n - 1)
+    if n > 1 and rng.random() < 0.25:
+        j = int(rng.integers(0, n - 1))
+        spacing[j] = t * (m[j] + m[j + 1]) / 2.0
+    x = float(rng.uniform(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(spacing)])
+    return validate_instance(t, x, m.tolist())
+
+
+def route1_targets(inst):
+    flat = flatten(inst)
+    return np.arange(1, flat.nu + 1) - flat.u / inst.t, np.full(flat.nu, inst.t)
+
+
+def route2_threshold(rng):
+    """Route-2 targets M_i - x_i/t, spacing exactly on the merge threshold."""
+    n = int(rng.integers(1, 12))
+    m = rng.integers(1, 6, size=n).astype(float)
+    t = float(rng.choice([0.5, 1.0, 2.0]))
+    margins = (m[:-1] + m[1:]) / 2.0
+    spacing = t * margins
+    off = rng.random(n - 1) < 0.3
+    spacing[off] *= rng.choice([0.5, 2.0], size=int(off.sum()))
+    x = float(rng.integers(-4, 5)) + np.concatenate([[0.0], np.cumsum(spacing)])
+    shift = np.concatenate([[0.0], np.cumsum(margins)])
+    return shift - x / t, m * t
+
+
+def with_infinities(rng):
+    z, w = random_targets(rng)
+    if len(z):
+        hit = rng.random(len(z)) < 0.3
+        z[hit] = rng.choice([np.inf, -np.inf], size=int(hit.sum()))
+    return z, w
+
+
+def extreme_horizon(rng):
+    """Route-1 and route-2 targets where x/t or the products w z overflow."""
+    t = float(rng.choice([5e-324, 1e-310, 1e307, 1e308]))
+    n = int(rng.integers(1, 6))
+    x = np.sort(rng.choice(np.arange(-5.0, 6.0), size=n, replace=False))
+    m = np.exp(rng.uniform(0.0, np.log(300), size=n)).astype(int) + 1
+    with np.errstate(over="ignore"):
+        if rng.random() < 0.5:
+            return route1_targets(validate_instance(t, x.tolist(), m.tolist()))
+        shift = np.concatenate([[0.0], np.cumsum((m[:-1] + m[1:]) / 2.0)])
+        return shift - x / t, m * t
+
+
+def test_runs_match_coordinate_loop_bytewise():
+    rng = np.random.default_rng(20261018)
+    cases = [(np.empty(0), np.empty(0)), (np.array([2.5]), np.array([0.7]))]
+    cases += [random_targets(rng) for _ in range(500)]
+    cases += [lattice_ties(rng) for _ in range(500)]
+    cases += [route2_threshold(rng) for _ in range(400)]
+    cases += [with_infinities(rng) for _ in range(150)]
+    cases += [extreme_horizon(rng) for _ in range(80)]
+    route1 = [route1_shape(rng, 300) for _ in range(400)]
+    route1 += [route1_shape(rng, 12000) for _ in range(6)]
+    route1.append(validate_instance(0.01, [0.0, 60.0, 130.0, 400.0],
+                                    [30000, 25000, 20000, 25000]))
+    assert len(cases) + len(route1) >= 2000
+    assert max(inst.nu for inst in route1) == 100000
+    for z, w in cases:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+            got, want = isotonic_nonincreasing(z, w), reference_isotonic(z, w)
+        assert got.tobytes() == want.tobytes(), (z, w)
+    pooled = 0
+    for inst in route1:
+        z, w = route1_targets(inst)
+        got, want = isotonic_nonincreasing(z, w), reference_isotonic(z, w)
+        assert got.tobytes() == want.tobytes(), inst
+        # a location's targets rise by 1, so it never splits; fewer blocks
+        # than locations means some block spans several of them
+        pooled += len(np.unique(got)) < inst.n
+    assert pooled >= 100
+
+
+def reference_active(values):
+    gaps = values[:-1] - values[1:]
+    return frozenset(
+        i + 1 for i in range(len(gaps))
+        if gaps[i] <= 1.0 + STRUCTURE_TOL_SCALE * (1.0 + 1.0)
+    )
+
+
+def test_route1_active_set_at_large_nu():
+    rng = np.random.default_rng(7)
+    seen = 0
+    while seen < 4:
+        inst = route1_shape(rng, 30000)
+        if inst.nu < 10000:
+            continue
+        seen += 1
+        sol = solve_gamma1(flatten(inst), inst.t)
+        want = reference_active(np.asarray(sol.values))
+        assert sol.active == want
+        assert all(type(i) is int for i in sol.active)
+        assert sol.tight.tolist() == [i + 1 in want for i in range(inst.nu - 1)]
+
+
+def test_rejects_nan_targets_and_weights_not_positive():
+    nan = float("nan")
+    for z, w in (([1.0, nan], [1.0, 1.0]), ([1.0, 2.0], [1.0, nan]),
+                 ([1.0], [0.0]), ([1.0, 2.0], [1.0, -2.0])):
+        with pytest.raises(InvalidFitInput):
+            isotonic_nonincreasing(z, w)
+    assert issubclass(InvalidFitInput, ValueError)
+    fit = isotonic_nonincreasing([np.inf, 0.0, -np.inf], [1.0] * 3)
+    assert fit.tolist() == [np.inf, 0.0, -np.inf]
+
+
+def test_tight_mask_is_read_only():
+    inst = validate_instance(1.0, [0.0, 0.3, 0.6, 3.0, 3.3], [1] * 5)
+    sol = solve_gamma1(flatten(inst), inst.t)
+    assert sol.tight.dtype == bool and not sol.tight.flags.writeable
+    assert sol.tight.tolist() == [True, True, False, True]
+    assert sol.active == frozenset({1, 2, 4}) and sol.active is sol.active
