@@ -17,7 +17,7 @@ class UnsortedLocations(ShelyapError):
 
 
 class NonPositiveMultiplicity(ShelyapError):
-    """Multiplicities must be integers >= 1."""
+    """Multiplicities must be integers >= 1 whose total fits an int64 index."""
 
 
 class LengthMismatch(ShelyapError):
@@ -44,8 +44,13 @@ class NuTooLarge(ShelyapError):
     """Total multiplicity exceeds the tensor-grid quadrature cap."""
 
 
-class InvalidContour(ShelyapError):
-    """Contour offsets would place a pole on or across the integration surface."""
+class InvalidContour(ShelyapError, ValueError):
+    """A contour setting is invalid.
+
+    Offsets would place a pole on or across the integration surface, or the
+    truncation is not > 0, the grid has fewer than 8 points or the rule is
+    unknown.
+    """
 
 
 class NonPositiveMoment(ShelyapError):

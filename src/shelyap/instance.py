@@ -30,6 +30,10 @@ from .errors import (
     UnsortedLocations,
 )
 
+# flatten repeats each location by its multiplicity, so nu must be an int64
+# array length
+_MAX_NU = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class MomentInstance:
@@ -79,7 +83,8 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
     rather than merged. t and the locations must be real numbers: a string or
     a bool is NonPositiveTime or UnsortedLocations, although float() would
     take it. A multiplicity must be an int or an integral finite float;
-    anything else (1.5, NaN, inf, a string) is NonPositiveMultiplicity.
+    anything else (1.5, NaN, inf, a string) is NonPositiveMultiplicity, and
+    so is a total nu that no int64 index reaches.
     """
     x = _reals(x, UnsortedLocations, "location")
     m_out = []
@@ -107,6 +112,10 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
     for v in m:
         if v < 1:
             raise NonPositiveMultiplicity(f"multiplicity {v} must be >= 1")
+    if sum(m) > _MAX_NU:
+        raise NonPositiveMultiplicity(
+            f"total multiplicity {sum(m)} exceeds the int64 index range"
+        )
     return MomentInstance(t=t, x=x, m=m)
 
 

@@ -21,6 +21,7 @@ For nu = 1 the moment is exactly the heat kernel p(T t, T u_1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,11 +69,11 @@ class ContourConfig:
         object.__setattr__(self, "offsets", tuple(float(a) for a in self.offsets))
         _check_offsets(self.offsets)
         if not self.truncation > 0.0:
-            raise ValueError(f"truncation {self.truncation} must be > 0")
+            raise InvalidContour(f"truncation {self.truncation} must be > 0")
         if self.points < 8:
-            raise ValueError(f"points {self.points} must be >= 8")
+            raise InvalidContour(f"points {self.points} must be >= 8")
         if self.rule not in ("gauss", "trapezoid"):
-            raise ValueError(f"unknown rule {self.rule!r}")
+            raise InvalidContour(f"unknown rule {self.rule!r}")
 
 
 def default_contour_config(
@@ -115,9 +116,17 @@ def _route1_contour(
     return cfg, route1
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
+    nodes, wts = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
+
+
 def _grid(cfg: ContourConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.rule == "gauss":
-        nodes, wts = np.polynomial.legendre.leggauss(cfg.points)
+        nodes, wts = _leggauss(cfg.points)
         return cfg.truncation * nodes, cfg.truncation * wts
     y = np.linspace(-cfg.truncation, cfg.truncation, cfg.points)
     h = y[1] - y[0]

@@ -43,18 +43,27 @@ i.e. targets z_i = M_i - x_i/t with weights m_i t. The additive constants
 ((m_i^3 - m_i) t/24 - m_i x_i^2/(2t) terms) do not move the minimizer and are
 restored when the objective is reported.
 
-An independent exhaustive oracle cross-checks the solver: it enumerates all
+An independent exhaustive oracle cross-checks the solver: it searches all
 2^(d-1) subsets of active constraints, solves each equality-constrained
 problem in closed form (each maximal active run is a single free variable),
 keeps the feasible minimum, and breaks ties toward the lexicographically
-smallest active set. Exponential, capped at d <= 20.
+smallest active set. Exponential, capped at d <= 20. It shares no code with
+PAVA. One array pass solves every subset of a block of 4096 at once (the
+block bounds memory at the cap) and keeps the few that may win: every subset
+within a margin of the best objective and of the feasibility tolerance, both
+wider than the pass's rounding. Those few are solved again run by run with
+np.sum, and the winner is picked among them by the rule above, so the result
+is a per-subset loop's, bit for bit. The pass alone rounds differently once
+a run has 8 or more members, where np.sum switches to its unrolled pairwise
+order, and at exact merge thresholds, where degenerate constraints make
+several subsets tie up to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,6 +81,12 @@ BOUNDARY_TOL = 1e-6
 # a run tail this long joins its block in one NumPy pass; a shorter one goes
 # target by target, where the pass would cost more than it saves
 _TAIL_PASS_MIN = 16
+# the exhaustive oracle solves this many active sets per array pass, which
+# bounds its memory at the d = 20 cap (2^19 sets)
+_ORACLE_BLOCK = 1 << 12
+# relative objective margin within which the oracle's array pass keeps a mask
+# for the run-by-run solve; the pass's rounding is near 1e-15 relative
+_ORACLE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,30 +191,23 @@ def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
     return _solution(b, gamma2_objective(inst, b), margins)
 
 
-def bruteforce_chain_qp(
-    weights: Sequence[float],
-    linear: Sequence[float],
-    margins: Sequence[float],
-    constant: float = 0.0,
-) -> VariationalSolution:
-    """Exhaustive oracle for min sum (w_i/2) v_i^2 + q_i v_i, v_i - v_{i+1} >= g_i.
+def _solve_masks(
+    w: np.ndarray,
+    q: np.ndarray,
+    g: np.ndarray,
+    constant: float,
+    feas_tol: float,
+    masks: Iterable[int],
+) -> tuple[float, tuple[int, ...], np.ndarray] | None:
+    """Solve each active set in closed form, run by run; keep the best.
 
-    Enumerates every active subset; within a maximal active run the variables
-    differ by fixed margin offsets, so each run solves in closed form. Ties in
-    the objective go to the lexicographically smallest active set.
+    Bit i of a mask makes constraint i + 1 active. The best is feasible with
+    the lowest objective, ties going to the lexicographically smallest active
+    set; None if no mask is feasible.
     """
-    w = np.asarray(weights, dtype=float)
-    q = np.asarray(linear, dtype=float)
-    g = np.asarray(margins, dtype=float)
     d = len(w)
-    if len(q) != d or len(g) != d - 1:
-        raise LengthMismatch("weights, linear terms and margins are inconsistent")
-    if d > 20:
-        raise DimensionTooLarge(f"oracle capped at 20 variables, got {d}")
-    feas_tol = 1e-12 * (1.0 + float(np.abs(g).max(initial=0.0)))
-
     best: tuple[float, tuple[int, ...], np.ndarray] | None = None
-    for mask in range(1 << max(d - 1, 0)):
+    for mask in masks:
         active = tuple(i for i in range(d - 1) if mask >> i & 1)
         v = np.empty(d)
         lo = 0
@@ -220,6 +228,82 @@ def bruteforce_chain_qp(
         key = tuple(i + 1 for i in active)
         if best is None or obj < best[0] or (obj == best[0] and key < best[1]):
             best = (obj, key, v)
+    return best
+
+
+def _candidate_masks(
+    w: np.ndarray, q: np.ndarray, g: np.ndarray, constant: float, feas_tol: float
+) -> list[int]:
+    """Masks that may win, from one array pass over every active set.
+
+    The pass solves all masks of a block at once and rounds unlike the
+    run-by-run solve, so it keeps every mask whose slack is at least
+    -2 feas_tol and whose objective is within _ORACLE_MARGIN (1 + sum of
+    |terms|) of the best among masks with slack at least -feas_tol / 2. The
+    all-active mask, always feasible, is kept too.
+    """
+    d = len(w)
+    count = 1 << max(d - 1, 0)
+    objective = np.empty(count)
+    size = np.empty(count)
+    best = np.inf
+    for start in range(0, count, _ORACLE_BLOCK):
+        masks = np.arange(start, min(start + _ORACLE_BLOCK, count))
+        active = (masks[:, None] >> np.arange(d - 1) & 1).astype(bool)
+        rows = len(masks)
+        # v_i = beta + delta_i on each run; delta chains the margins inside a
+        # run column by column, rounding like the run solve's -cumsum
+        delta = np.zeros((rows, d))
+        for i in range(d - 1):
+            delta[:, i + 1] = np.where(active[:, i], delta[:, i] - g[i], 0.0)
+        run = np.zeros((rows, d), dtype=np.intp)
+        np.cumsum(~active, axis=1, out=run[:, 1:])
+        run += d * np.arange(rows)[:, None]
+        labels = run.ravel()
+
+        def run_sum(x: np.ndarray) -> np.ndarray:
+            x = np.broadcast_to(x, (rows, d)).ravel()
+            return np.bincount(labels, weights=x, minlength=rows * d)[run]
+
+        v = delta - run_sum(w * delta + q) / run_sum(w)
+        slack = (v[:, :-1] - v[:, 1:] - g).min(axis=1, initial=np.inf)
+        quad, lin = 0.5 * w * v * v, q * v
+        obj = np.sum(quad + lin, axis=1) + constant
+        sure = slack >= -0.5 * feas_tol
+        if sure.any():
+            best = min(best, float(obj[sure].min()))
+        objective[start : start + rows] = np.where(
+            slack >= -2.0 * feas_tol, obj, np.inf
+        )
+        size[start : start + rows] = np.sum(np.abs(quad) + np.abs(lin), axis=1)
+    keep = objective <= best + _ORACLE_MARGIN * (1.0 + size)
+    keep[-1] = True
+    return np.flatnonzero(keep).tolist()
+
+
+def bruteforce_chain_qp(
+    weights: Sequence[float],
+    linear: Sequence[float],
+    margins: Sequence[float],
+    constant: float = 0.0,
+) -> VariationalSolution:
+    """Exhaustive oracle for min sum (w_i/2) v_i^2 + q_i v_i, v_i - v_{i+1} >= g_i.
+
+    Searches every active subset; within a maximal active run the variables
+    differ by fixed margin offsets, so each run solves in closed form. Ties in
+    the objective go to the lexicographically smallest active set.
+    """
+    w = np.asarray(weights, dtype=float)
+    q = np.asarray(linear, dtype=float)
+    g = np.asarray(margins, dtype=float)
+    d = len(w)
+    if len(q) != d or len(g) != d - 1:
+        raise LengthMismatch("weights, linear terms and margins are inconsistent")
+    if d > 20:
+        raise DimensionTooLarge(f"oracle capped at 20 variables, got {d}")
+    feas_tol = 1e-12 * (1.0 + float(np.abs(g).max(initial=0.0)))
+    masks = _candidate_masks(w, q, g, constant, feas_tol)
+    best = _solve_masks(w, q, g, constant, feas_tol, masks)
     assert best is not None  # mask 2^(d-1)-1 is always feasible
     obj, _, v = best
     return _solution(v, obj, g)

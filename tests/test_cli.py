@@ -72,6 +72,17 @@ def test_gamma_non_integer_multiplicity_exits_one(capsys, m):
     assert json.loads(err)["error"] == "NonPositiveMultiplicity"
 
 
+@pytest.mark.parametrize("x,m", [
+    ("0", "1000000000000000000000000000000"),
+    ("0,1", "5000000000000000000,5000000000000000000"),
+])
+def test_gamma_multiplicity_beyond_int64_exits_one(capsys, x, m):
+    # nu must be an int64 array length for the flattened coordinates
+    code, out, err = run(capsys, ["gamma", "--t", "1", "--x", x, "--m", m])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "NonPositiveMultiplicity"
+
+
 @pytest.mark.parametrize("m", ["[1, 1e400]", "[1, NaN]"])
 def test_gamma_file_non_integer_multiplicity_exits_one(tmp_path, capsys, m):
     path = tmp_path / "inst.json"
@@ -373,6 +384,17 @@ def test_moments_zero_points_exits_one(capsys, offsets):
     assert code == 1
     assert out == ""
     assert "points 0" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("setting", [
+    ["--points", "3"], ["--truncation-sigmas", "0"], ["--truncation-sigmas", "nan"],
+])
+def test_moments_invalid_contour_setting_is_typed(capsys, setting):
+    code, out, err = run(
+        capsys, ["moments", "--t", "1", "--x", "0", "--m", "1", "--T", "2", *setting]
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "InvalidContour"
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -25,6 +25,10 @@ pairs of locations into three blocks. The second is an integer lattice with
 (x_{j+1} - x_j)/t = 1 at three location boundaries, so the route-1 targets
 on either side are equal: two of those ties stay split between blocks and
 one is pooled inside a block.
+
+The two single-suite verify cases were recorded before the exhaustive oracle
+searched its active sets as arrays and before the Gauss-Legendre nodes were
+cached: the oracle suite alone and the quadrature suite alone.
 """
 
 import contextlib
@@ -105,6 +109,10 @@ GOLDEN = [
      0, "b7e463c914b187bdf606681924ef7baa05811fc9e08b6586a8009c9da0cd6976"),
     (["gamma", *ROUTE1_TIES],
      0, "7ea8e501579e80dd2e1a80918b9e0e8dfaaf48239ca1f928b4cef4ac172eba1a"),
+    (["verify", "--suites", "oracle", "--seed", "3", "--count", "60"],
+     0, "77083f8ee7bc7f262aee8413b92d644a3bda65d799a129047f71dea86cc7e158"),
+    (["verify", "--suites", "quadrature", "--seed", "3", "--count", "30"],
+     0, "058fc1d6b9c467dab40c2b21172ca706d111dd9d4f876eee9cb18c2ff5507861"),
 ]
 
 
