@@ -406,6 +406,8 @@ def cmd_verify(args) -> int:
     names = list(SUITE_INDEX) if args.suites is None else [
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
+    if not names:
+        raise ShelyapError(f"no suite named; pick from {', '.join(SUITE_INDEX)}")
     for s in names:
         if s not in SUITE_INDEX:
             raise ShelyapError(f"unknown suite {s!r}; pick from {', '.join(SUITE_INDEX)}")

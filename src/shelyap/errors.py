@@ -17,7 +17,10 @@ class UnsortedLocations(ShelyapError):
 
 
 class NonPositiveMultiplicity(ShelyapError):
-    """Multiplicities must be integers >= 1 whose total fits an int64 index."""
+    """Multiplicities must be integers >= 1 that can be flattened.
+
+    Their total must fit an int64 index, and the flattened coordinates memory.
+    """
 
 
 class LengthMismatch(ShelyapError):
@@ -58,7 +61,11 @@ class NonPositiveMoment(ShelyapError):
 
 
 class InvalidFitInput(ShelyapError, ValueError):
-    """An isotonic fit got a NaN target or a weight that is not > 0."""
+    """A fit got a weight that is not > 0 or data it cannot use.
+
+    That is a NaN isotonic target or a non-finite datum of the exhaustive
+    oracle.
+    """
 
 
 class NonFiniteResult(ShelyapError):

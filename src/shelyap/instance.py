@@ -120,9 +120,17 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
 
 
 def flatten(inst: MomentInstance) -> FlatInstance:
-    """Repeat each location by its multiplicity."""
-    u = np.repeat(np.asarray(inst.x, dtype=float), inst.m)
-    f = np.repeat(np.arange(1, inst.n + 1), inst.m)
+    """Repeat each location by its multiplicity.
+
+    Raises NonPositiveMultiplicity if the nu coordinates cannot be allocated.
+    """
+    try:
+        u = np.repeat(np.asarray(inst.x, dtype=float), inst.m)
+        f = np.repeat(np.arange(1, inst.n + 1), inst.m)
+    except MemoryError:
+        raise NonPositiveMultiplicity(
+            f"total multiplicity {inst.nu} is too large to flatten in memory"
+        ) from None
     u.flags.writeable = f.flags.writeable = False
     return FlatInstance(nu=len(u), u=u, f=f)
 

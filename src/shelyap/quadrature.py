@@ -97,11 +97,10 @@ def _route1_contour(
     """default_contour_config and the route-1 solution it is centred on."""
     if not T > 0.0:
         raise NonPositiveTime(f"T={T} must be > 0")
-    flat = flatten(inst)
-    nu = flat.nu
+    nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
-    route1 = solve_gamma1(flat, inst.t)
+    route1 = solve_gamma1(flatten(inst), inst.t)
     center = sum(route1.values) / nu
     gap = 1.0 + 1.0 / nu
     offsets = tuple(center + gap * ((nu + 1) / 2.0 - k) for k in range(1, nu + 1))
@@ -139,10 +138,10 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
     """Tensor-grid value of the contour integral, imaginary residual included."""
     if not T > 0.0:
         raise NonPositiveTime(f"T={T} must be > 0")
-    flat = flatten(inst)
-    nu = flat.nu
+    nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
+    flat = flatten(inst)
     if len(cfg.offsets) != nu:
         raise LengthMismatch(f"{len(cfg.offsets)} offsets for nu={nu}")
     y, w = _grid(cfg)

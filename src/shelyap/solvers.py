@@ -48,22 +48,17 @@ An independent exhaustive oracle cross-checks the solver: it searches all
 problem in closed form (each maximal active run is a single free variable),
 keeps the feasible minimum, and breaks ties toward the lexicographically
 smallest active set. Exponential, capped at d <= 20. It shares no code with
-PAVA. One array pass solves every subset of a block of 4096 at once (the
-block bounds memory at the cap) and keeps the few that may win: every subset
-within a margin of the best objective and of the feasibility tolerance, both
-wider than the pass's rounding. Those few are solved again run by run with
-np.sum, and the winner is picked among them by the rule above, so the result
-is a per-subset loop's, bit for bit. The pass alone rounds differently once
-a run has 8 or more members, where np.sum switches to its unrolled pairwise
-order, and at exact merge thresholds, where degenerate constraints make
-several subsets tie up to rounding.
+PAVA. A run's values depend only on its ends, so each run is solved once,
+into a table of d^3 values; blocks of 4096 subsets (which bound memory at
+the cap) read their values from it and are scored with a per-subset loop's
+expressions, so the result is that loop's, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,9 +79,6 @@ _TAIL_PASS_MIN = 16
 # the exhaustive oracle solves this many active sets per array pass, which
 # bounds its memory at the d = 20 cap (2^19 sets)
 _ORACLE_BLOCK = 1 << 12
-# relative objective margin within which the oracle's array pass keeps a mask
-# for the run-by-run solve; the pass's rounding is near 1e-15 relative
-_ORACLE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,96 +183,6 @@ def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
     return _solution(b, gamma2_objective(inst, b), margins)
 
 
-def _solve_masks(
-    w: np.ndarray,
-    q: np.ndarray,
-    g: np.ndarray,
-    constant: float,
-    feas_tol: float,
-    masks: Iterable[int],
-) -> tuple[float, tuple[int, ...], np.ndarray] | None:
-    """Solve each active set in closed form, run by run; keep the best.
-
-    Bit i of a mask makes constraint i + 1 active. The best is feasible with
-    the lowest objective, ties going to the lexicographically smallest active
-    set; None if no mask is feasible.
-    """
-    d = len(w)
-    best: tuple[float, tuple[int, ...], np.ndarray] | None = None
-    for mask in masks:
-        active = tuple(i for i in range(d - 1) if mask >> i & 1)
-        v = np.empty(d)
-        lo = 0
-        while lo < d:
-            hi = lo
-            while hi < d - 1 and (mask >> hi & 1):
-                hi += 1
-            # run lo..hi with v_i = beta + delta_i, delta from chained margins
-            delta = np.concatenate([[0.0], -np.cumsum(g[lo:hi])])
-            wr, qr = w[lo : hi + 1], q[lo : hi + 1]
-            beta = -(np.sum(wr * delta) + np.sum(qr)) / np.sum(wr)
-            v[lo : hi + 1] = beta + delta
-            lo = hi + 1
-        slack = v[:-1] - v[1:] - g
-        if np.any(slack < -feas_tol):
-            continue
-        obj = float(np.sum(0.5 * w * v * v + q * v)) + constant
-        key = tuple(i + 1 for i in active)
-        if best is None or obj < best[0] or (obj == best[0] and key < best[1]):
-            best = (obj, key, v)
-    return best
-
-
-def _candidate_masks(
-    w: np.ndarray, q: np.ndarray, g: np.ndarray, constant: float, feas_tol: float
-) -> list[int]:
-    """Masks that may win, from one array pass over every active set.
-
-    The pass solves all masks of a block at once and rounds unlike the
-    run-by-run solve, so it keeps every mask whose slack is at least
-    -2 feas_tol and whose objective is within _ORACLE_MARGIN (1 + sum of
-    |terms|) of the best among masks with slack at least -feas_tol / 2. The
-    all-active mask, always feasible, is kept too.
-    """
-    d = len(w)
-    count = 1 << max(d - 1, 0)
-    objective = np.empty(count)
-    size = np.empty(count)
-    best = np.inf
-    for start in range(0, count, _ORACLE_BLOCK):
-        masks = np.arange(start, min(start + _ORACLE_BLOCK, count))
-        active = (masks[:, None] >> np.arange(d - 1) & 1).astype(bool)
-        rows = len(masks)
-        # v_i = beta + delta_i on each run; delta chains the margins inside a
-        # run column by column, rounding like the run solve's -cumsum
-        delta = np.zeros((rows, d))
-        for i in range(d - 1):
-            delta[:, i + 1] = np.where(active[:, i], delta[:, i] - g[i], 0.0)
-        run = np.zeros((rows, d), dtype=np.intp)
-        np.cumsum(~active, axis=1, out=run[:, 1:])
-        run += d * np.arange(rows)[:, None]
-        labels = run.ravel()
-
-        def run_sum(x: np.ndarray) -> np.ndarray:
-            x = np.broadcast_to(x, (rows, d)).ravel()
-            return np.bincount(labels, weights=x, minlength=rows * d)[run]
-
-        v = delta - run_sum(w * delta + q) / run_sum(w)
-        slack = (v[:, :-1] - v[:, 1:] - g).min(axis=1, initial=np.inf)
-        quad, lin = 0.5 * w * v * v, q * v
-        obj = np.sum(quad + lin, axis=1) + constant
-        sure = slack >= -0.5 * feas_tol
-        if sure.any():
-            best = min(best, float(obj[sure].min()))
-        objective[start : start + rows] = np.where(
-            slack >= -2.0 * feas_tol, obj, np.inf
-        )
-        size[start : start + rows] = np.sum(np.abs(quad) + np.abs(lin), axis=1)
-    keep = objective <= best + _ORACLE_MARGIN * (1.0 + size)
-    keep[-1] = True
-    return np.flatnonzero(keep).tolist()
-
-
 def bruteforce_chain_qp(
     weights: Sequence[float],
     linear: Sequence[float],
@@ -291,7 +193,10 @@ def bruteforce_chain_qp(
 
     Searches every active subset; within a maximal active run the variables
     differ by fixed margin offsets, so each run solves in closed form. Ties in
-    the objective go to the lexicographically smallest active set.
+    the objective go to the lexicographically smallest active set. Weights
+    must be finite and > 0, and linear terms, margins and the constant
+    finite; anything else leaves the problem unbounded or undefined and
+    raises InvalidFitInput.
     """
     w = np.asarray(weights, dtype=float)
     q = np.asarray(linear, dtype=float)
@@ -301,12 +206,57 @@ def bruteforce_chain_qp(
         raise LengthMismatch("weights, linear terms and margins are inconsistent")
     if d > 20:
         raise DimensionTooLarge(f"oracle capped at 20 variables, got {d}")
+    constant = float(constant)
+    # row 0 weights, row 1 linear terms, row 2 margins, zero-padded to 2d
+    data = np.zeros((3, 2 * d))
+    data[0, :d], data[1, :d], data[2, : d - 1] = w, q, g
+    if not (np.isfinite(data).all() and np.isfinite(constant) and (w > 0).all()):
+        raise InvalidFitInput("oracle data must be finite and weights must be > 0")
     feas_tol = 1e-12 * (1.0 + float(np.abs(g).max(initial=0.0)))
-    masks = _candidate_masks(w, q, g, constant, feas_tol)
-    best = _solve_masks(w, q, g, constant, feas_tol, masks)
-    assert best is not None  # mask 2^(d-1)-1 is always feasible
-    obj, _, v = best
-    return _solution(v, obj, g)
+    cols = np.arange(d)
+    # a maximal active run lo..hi solves to v_i = beta + delta_i whatever the
+    # rest of the active set, so each run is solved once. Row lo of a table
+    # starts at coordinate lo (past d - lo is padding): terms holds w, q and
+    # g, and delta[lo, j] = -(g_lo + ... + g_{lo+j-1}) chains the margins
+    terms = data.take(cols[:, None] + cols, axis=1)
+    delta = np.zeros((d, d))
+    delta[:, 1:] = -np.cumsum(terms[2, :, :-1], axis=1)
+    terms[2] = terms[0] * delta
+    # sums[:, lo, k - 1] sums the run of k members from lo. Runs of one
+    # length are summed as the rows of a C-contiguous array (take keeps it
+    # so), which rounds like np.sum of each run. Padding 1 keeps beta finite
+    sums = np.ones((3, d, d))
+    for k in range(1, d + 1):
+        sums[:, : d - k + 1, k - 1] = np.add.reduce(terms[:, : d - k + 1, :k], axis=2)
+    beta = -(sums[2] + sums[1]) / sums[0]
+    # run_v[lo, k - 1, j]: coordinate lo + j of the run of k members from lo
+    run_v = beta[:, :, None] + delta[:, None, :]
+    # bit i of a mask makes constraint i + 1 active; best is (objective,
+    # active set, values)
+    best: tuple[float, tuple[int, ...], np.ndarray] = (np.inf, (), np.empty(0))
+    count = 1 << max(d - 1, 0)
+    for start in range(0, count, _ORACLE_BLOCK):
+        masks = np.arange(start, min(start + _ORACLE_BLOCK, count))[:, None]
+        # each coordinate's run starts after the last inactive constraint
+        # before it and ends at the first inactive one at or after it
+        first = np.where(masks << 1 >> cols & 1, 0, cols)
+        last = np.where(masks >> cols & 1, d - 1, cols)
+        run_lo = np.maximum.accumulate(first, axis=1)
+        run_hi = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
+        v = run_v[run_lo, run_hi - run_lo, cols - run_lo]
+        infeasible = (v[:, :-1] - v[:, 1:] - g < -feas_tol).any(1)
+        obj = (0.5 * w * v * v + q * v).sum(1) + constant
+        obj[infeasible] = np.inf
+        low = obj.min()
+        if low == np.inf or low > best[0]:
+            continue
+        for row in np.flatnonzero(obj == low).tolist():
+            mask = start + row
+            key = tuple(i + 1 for i in range(d - 1) if mask >> i & 1)
+            if low < best[0] or key < best[1]:
+                best = (low, key, v[row])
+    assert best[0] < np.inf  # the all-active set is always feasible
+    return _solution(best[2].copy(), float(best[0]), g)
 
 
 def oracle_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:

@@ -75,9 +75,11 @@ def test_gamma_non_integer_multiplicity_exits_one(capsys, m):
 @pytest.mark.parametrize("x,m", [
     ("0", "1000000000000000000000000000000"),
     ("0,1", "5000000000000000000,5000000000000000000"),
+    ("0", "100000000000000"),
 ])
 def test_gamma_multiplicity_beyond_int64_exits_one(capsys, x, m):
-    # nu must be an int64 array length for the flattened coordinates
+    # nu must be an int64 array length for the flattened coordinates, and
+    # those must fit in memory; 10^14 float64 values exceed any address space
     code, out, err = run(capsys, ["gamma", "--t", "1", "--x", x, "--m", m])
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "NonPositiveMultiplicity"
@@ -223,9 +225,11 @@ def test_verify_suite_subset(capsys):
 
 
 def test_verify_unknown_suite_exits_one(capsys):
-    code, _, err = run(capsys, ["verify", "--suites", "nope"])
-    assert code == 1
-    assert json.loads(err)["error"] == "ShelyapError"
+    # a list naming no suite would check nothing and pass
+    for suites in ("nope", ","):
+        code, out, err = run(capsys, ["verify", "--suites", suites])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "ShelyapError"
 
 
 def test_moments_single_coordinate_matches_kernel(capsys):
@@ -260,11 +264,14 @@ def test_moments_custom_offsets_and_rule(capsys):
 
 
 def test_moments_nu_cap_exits_one(capsys):
-    code, _, err = run(
-        capsys, ["moments", "--t", "1", "--x", "0", "--m", "4", "--T", "1"]
-    )
-    assert code == 1
-    assert json.loads(err)["error"] == "NuTooLarge"
+    # the cap is checked before the coordinates are flattened, so a total too
+    # large for memory is NuTooLarge as well
+    for m in ("4", "100000000000000"):
+        code, _, err = run(
+            capsys, ["moments", "--t", "1", "--x", "0", "--m", m, "--T", "1"]
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "NuTooLarge"
 
 
 def test_sweep_t_grid_csv(capsys):

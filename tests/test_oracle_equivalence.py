@@ -1,22 +1,23 @@
-"""The exhaustive oracle's array search against the mask loop it replaced.
+"""The exhaustive oracle's run table against the mask loop it replaced.
 
 The reference below is the earlier bruteforce_chain_qp: one Python pass per
 mask of active constraints, each maximal active run solved in closed form
 with np.sum, and the feasible minimum kept, ties going to the
-lexicographically smallest active set. The package first solves every mask in
-array passes, then solves the masks that may win with the reference's own
-run-by-run arithmetic and picks among them by the same rule. So the results
-must agree bit for bit: values as bytes, the objective with ==, and the
-active set.
+lexicographically smallest active set. The package solves each run once, the
+runs of one length as the rows of one array, and assembles every mask from
+that table in array passes with the reference's own expressions. So the
+results must agree bit for bit: values as bytes, the objective with ==, and
+the active set.
 
-The array pass alone rounds differently wherever a winning run has 8 or more
-members, because np.sum then switches to its unrolled pairwise order; the
-corpus holds more than 100 such calls. It also covers random verify
-instances with nu <= 10, integer lattices with location gaps exactly on the
-merge threshold (x_{j+1} - x_j)/t = (m_j + m_{j+1})/2, where constraints are
-degenerate and several masks tie up to rounding, and direct calls at
-d = 11..14. One call at the d = 20 cap is checked against PAVA instead, with
-its memory bounded.
+Row sums round like np.sum only when taken along a contiguous axis, and
+np.sum switches to its unrolled pairwise order once a run has 8 or more
+members; the corpus holds more than 100 calls whose winning run is that
+long. It also covers random verify instances with nu <= 10, integer lattices
+with location gaps exactly on the merge threshold (x_{j+1} - x_j)/t =
+(m_j + m_{j+1})/2, where constraints are degenerate and several masks tie up
+to rounding, direct calls at d = 11..14, and a d = 15 call whose exact ties
+span blocks of masks. One call at the d = 20 cap is checked against PAVA
+instead, with its memory bounded.
 """
 
 import tracemalloc
@@ -180,6 +181,15 @@ def test_direct_calls_match_reference():
             constant = float(rng.normal())
             got = bruteforce_chain_qp(w, q, g, constant)
             assert_same(got, reference_chain_qp(w, q, g, constant))
+    # every active set joining coordinates 12 and 13 (0-based) ties at 0; the
+    # winner (1..13) is mask 8191 in the second block of 4096, and tied masks
+    # sit in the fourth block too
+    w, q, g = np.ones(15), np.zeros(15), np.zeros(14)
+    q[12], q[13] = 1.0, -1.0
+    got = bruteforce_chain_qp(w, q, g)
+    want = reference_chain_qp(w, q, g)
+    assert want[1] == tuple(range(1, 14))
+    assert_same(got, want)
 
 
 def test_dimension_cap_matches_pava_in_bounded_memory():

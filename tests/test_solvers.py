@@ -5,6 +5,7 @@ import pytest
 
 from shelyap import (
     DimensionTooLarge,
+    InvalidFitInput,
     LengthMismatch,
     bruteforce_chain_qp,
     check_minimizer_structure,
@@ -254,6 +255,23 @@ def test_oracle_dimension_cap():
 def test_oracle_rejects_inconsistent_shapes():
     with pytest.raises(LengthMismatch):
         bruteforce_chain_qp(weights=(1.0, 1.0), linear=(0.0, 0.0), margins=())
+
+
+@pytest.mark.parametrize("weights,linear,margins,constant", [
+    ((1.0, 0.0), (0.0, 1.0), (1.0,), 0.0),  # unbounded below
+    ((1.0, -1.0), (0.0, 1.0), (1.0,), 0.0),
+    ((1.0, np.nan), (0.0, 1.0), (1.0,), 0.0),
+    ((1.0, np.inf), (0.0, 1.0), (1.0,), 0.0),
+    ((1.0, 1.0), (np.nan, 1.0), (1.0,), 0.0),
+    ((1.0, 1.0), (0.0, -np.inf), (1.0,), 0.0),
+    ((1.0, 1.0), (0.0, 1.0), (np.nan,), 0.0),
+    ((1.0, 1.0), (0.0, 1.0), (np.inf,), 0.0),
+    ((1.0, 1.0), (0.0, 1.0), (1.0,), np.nan),
+    ((1.0, 1.0), (0.0, 1.0), (1.0,), -np.inf),
+])
+def test_oracle_rejects_degenerate_data(weights, linear, margins, constant):
+    with pytest.raises(InvalidFitInput):
+        bruteforce_chain_qp(weights, linear, margins, constant)
 
 
 def test_minimizer_is_strict_local_minimum():
