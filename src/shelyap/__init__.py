@@ -40,7 +40,6 @@ from .errors import (
     UnsortedLocations,
 )
 from .instance import (
-    FlatInstance,
     MomentInstance,
     flatten,
     gamma1_objective,

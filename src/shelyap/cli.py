@@ -36,7 +36,7 @@ from .errors import (
     ShelyapError,
     UnsortedLocations,
 )
-from .instance import MomentInstance, flatten, validate_instance
+from .instance import MomentInstance, validate_instance
 from .quadrature import (
     DEFAULT_SIGMAS,
     _log_rate,
@@ -254,9 +254,8 @@ def _check_triple(inst: MomentInstance) -> bool:
 
 
 def _check_oracle(inst: MomentInstance) -> bool:
-    flat = flatten(inst)
     for fast, slow in (
-        (solve_gamma1(flat, inst.t), oracle_gamma1(flat, inst.t)),
+        (solve_gamma1(inst), oracle_gamma1(inst)),
         (solve_gamma2(inst), oracle_gamma2(inst)),
     ):
         if abs(fast.objective - slow.objective) > ORACLE_OBJ_TOL:
@@ -269,7 +268,7 @@ def _check_oracle(inst: MomentInstance) -> bool:
 
 def _check_structure(inst: MomentInstance) -> bool | None:
     """None means boundary-flagged, excluded from the count."""
-    sol = solve_gamma1(flatten(inst), inst.t)
+    sol = solve_gamma1(inst)
     rep = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     if rep.boundary:
         return None
@@ -339,7 +338,7 @@ def _quadrature_checks(rng: np.random.Generator, count: int) -> list[bool]:
         ref = heat_kernel(T * t, T * x0)
         ok = abs(mom - ref) <= QUAD_REL_TOL * ref
         # default offset [-x/t] makes the bound tight, so allow quadrature slack
-        ub = upper_bound_value(T, flatten(inst), t, cfg.offsets)
+        ub = upper_bound_value(T, inst, cfg.offsets)
         out.append(ok and mom <= ub * (1.0 + QUAD_REL_TOL))
     # shift invariance and strict domination on a two-coordinate instance
     inst = validate_instance(1.0, [0.0], [2])
@@ -356,7 +355,7 @@ def _quadrature_checks(rng: np.random.Generator, count: int) -> list[bool]:
     cfg = dataclasses.replace(
         base_cfg, offsets=tuple(a + 0.4 for a in base_cfg.offsets)
     )
-    ub = upper_bound_value(4.0, flatten(inst), 1.0, cfg.offsets)
+    ub = upper_bound_value(4.0, inst, cfg.offsets)
     out.append(contour_moment(4.0, inst, cfg) <= ub)
     return out
 
@@ -403,6 +402,8 @@ SUITE_INDEX = {
 def cmd_verify(args) -> int:
     if args.count < 0:
         raise ShelyapError(f"count {args.count} must be >= 0")
+    if args.seed < 0:
+        raise ShelyapError(f"seed {args.seed} must be >= 0")
     names = list(SUITE_INDEX) if args.suites is None else [
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
@@ -583,6 +584,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(e)
     except (OSError, json.JSONDecodeError, ValueError) as e:
         return _fail(e)
+    except MemoryError as e:
+        # a grid too large to allocate; numpy raises a private subclass, so
+        # every such failure is reported under the one name
+        return _fail(MemoryError(str(e) or "cannot allocate the requested size"))
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clusters import ClusterResult, first_optimal_merge, simulate_inertia
 from .errors import HypothesisNotMet
-from .instance import MomentInstance, flatten, validate_instance
+from .instance import MomentInstance, validate_instance
 from .solvers import check_minimizer_structure, solve_gamma1, solve_gamma2
 
 
@@ -151,8 +151,7 @@ class GammaReport:
 
 def gamma_report(inst: MomentInstance) -> GammaReport:
     """Compute the exponent by all three routes and cross-check structure."""
-    flat = flatten(inst)
-    sol1 = solve_gamma1(flat, inst.t)
+    sol1 = solve_gamma1(inst)
     sol2 = solve_gamma2(inst)
     res = simulate_inertia(inst)
     g3 = gamma3(inst, res)

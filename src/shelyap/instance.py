@@ -2,8 +2,8 @@
 
 An instance is a horizon t > 0, strictly increasing locations x_1 < ... < x_n,
 and integer multiplicities m_i >= 1. The flattened form repeats each location
-by its multiplicity: nu = sum(m_i) coordinates u_1 <= ... <= u_nu, with f(k)
-giving the 1-based location index that coordinate k came from.
+by its multiplicity: nu = sum(m_i) coordinates u_1 <= ... <= u_nu. Only this
+module builds it; route 1 and the quadrature take the instance.
 
 Two equivalent variational objectives are evaluated here verbatim; the solvers
 module minimizes them:
@@ -50,20 +50,6 @@ class MomentInstance:
     @property
     def nu(self) -> int:
         return sum(self.m)
-
-
-@dataclass(frozen=True, eq=False)
-class FlatInstance:
-    """Multiplicity-flattened coordinates.
-
-    u is a read-only float64 array of length nu, non-decreasing; f is a
-    read-only integer array with f[k-1] the 1-based location index of flat
-    coordinate k.
-    """
-
-    nu: int
-    u: np.ndarray
-    f: np.ndarray
 
 
 def _reals(values: Sequence, error: type[Exception], what: str) -> tuple[float, ...]:
@@ -119,27 +105,32 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
     return MomentInstance(t=t, x=x, m=m)
 
 
-def flatten(inst: MomentInstance) -> FlatInstance:
-    """Repeat each location by its multiplicity.
+def flatten(inst: MomentInstance) -> np.ndarray:
+    """The nu flat coordinates u, each location repeated by its multiplicity.
 
-    Raises NonPositiveMultiplicity if the nu coordinates cannot be allocated.
+    u is a read-only, non-decreasing float64 array. Raises
+    NonPositiveMultiplicity if it cannot be allocated.
     """
     try:
         u = np.repeat(np.asarray(inst.x, dtype=float), inst.m)
-        f = np.repeat(np.arange(1, inst.n + 1), inst.m)
     except MemoryError:
         raise NonPositiveMultiplicity(
             f"total multiplicity {inst.nu} is too large to flatten in memory"
         ) from None
-    u.flags.writeable = f.flags.writeable = False
-    return FlatInstance(nu=len(u), u=u, f=f)
+    u.flags.writeable = False
+    return u
 
 
-def gamma1_objective(flat: FlatInstance, t: float, a: Sequence[float]) -> float:
+def _gamma1_value(inst: MomentInstance, u: np.ndarray, a: np.ndarray) -> float:
+    """Route-1 objective at a, with u = flatten(inst) already built."""
+    return float(np.sum(0.5 * inst.t * a * a + u * a))
+
+
+def gamma1_objective(inst: MomentInstance, a: Sequence[float]) -> float:
     a = np.asarray(a, dtype=float)
-    if a.shape != (flat.nu,):
-        raise LengthMismatch(f"expected {flat.nu} coordinates, got {a.shape}")
-    return float(np.sum(0.5 * t * a * a + flat.u * a))
+    if a.shape != (inst.nu,):
+        raise LengthMismatch(f"expected {inst.nu} coordinates, got {a.shape}")
+    return _gamma1_value(inst, flatten(inst), a)
 
 
 def gamma2_objective(inst: MomentInstance, b: Sequence[float]) -> float:

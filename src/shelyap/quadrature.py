@@ -1,6 +1,7 @@
 """Oscillatory contour quadrature for joint moments at scale T.
 
-The moment of a flattened instance (nu, u, f) at scale T is the nu-fold
+The moment of an instance at scale T, with u_1 <= ... <= u_nu its flat
+coordinates (each location repeated by its multiplicity), is the nu-fold
 integral over vertical lines z_j = a_j + i y_j (offsets strictly decreasing,
 consecutive gaps > 1 so no pole of 1/(z_A - z_B - 1) touches the surface):
 
@@ -34,7 +35,7 @@ from .errors import (
     NonPositiveTime,
     NuTooLarge,
 )
-from .instance import FlatInstance, MomentInstance, flatten
+from .instance import MomentInstance, flatten
 from .solvers import VariationalSolution, solve_gamma1
 
 MAX_NU = 3
@@ -100,7 +101,7 @@ def _route1_contour(
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
-    route1 = solve_gamma1(flatten(inst), inst.t)
+    route1 = solve_gamma1(inst)
     center = sum(route1.values) / nu
     gap = 1.0 + 1.0 / nu
     offsets = tuple(center + gap * ((nu + 1) / 2.0 - k) for k in range(1, nu + 1))
@@ -141,7 +142,7 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
-    flat = flatten(inst)
+    u = flatten(inst)
     if len(cfg.offsets) != nu:
         raise LengthMismatch(f"{len(cfg.offsets)} offsets for nu={nu}")
     y, w = _grid(cfg)
@@ -152,7 +153,7 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
         shape[j] = cfg.points
         axes.append(cfg.offsets[j] + 1j * y.reshape(shape))
     val = np.exp(sum(
-        0.5 * T * t * z * z + T * u * z for z, u in zip(axes, flat.u)
+        0.5 * T * t * z * z + T * uj * z for z, uj in zip(axes, u)
     ))
     for a in range(nu):
         for b in range(a + 1, nu):
@@ -185,18 +186,19 @@ def _log_rate(T: float, moment: float) -> float:
 
 
 def upper_bound_value(
-    T: float, flat: FlatInstance, t: float, offsets: tuple[float, ...]
+    T: float, inst: MomentInstance, offsets: tuple[float, ...]
 ) -> float:
     """Absolute-integrand bound on the moment along the given contours."""
-    if len(offsets) != flat.nu:
-        raise LengthMismatch(f"{len(offsets)} offsets for nu={flat.nu}")
+    nu, t = inst.nu, inst.t
+    if len(offsets) != nu:
+        raise LengthMismatch(f"{len(offsets)} offsets for nu={nu}")
     _check_offsets(tuple(float(a) for a in offsets))
-    log_val = -0.5 * flat.nu * math.log(2.0 * math.pi * T * t)
-    for a in range(flat.nu):
-        for b in range(a + 1, flat.nu):
+    log_val = -0.5 * nu * math.log(2.0 * math.pi * T * t)
+    for a in range(nu):
+        for b in range(a + 1, nu):
             g = offsets[a] - offsets[b]
             log_val += math.log(abs(g / (g - 1.0)))
     log_val += sum(
-        0.5 * T * t * a * a + T * u * a for a, u in zip(offsets, flat.u)
+        0.5 * T * t * a * a + T * u * a for a, u in zip(offsets, flatten(inst))
     )
     return math.exp(log_val)

@@ -9,6 +9,7 @@ import numpy as np
 from .instance import MomentInstance, validate_instance
 
 MIN_GAP = 1e-3
+MAX_DRAWS = 200_000
 
 
 def random_instance(rng: np.random.Generator) -> MomentInstance:
@@ -30,14 +31,13 @@ def sample_matching(
     rng: np.random.Generator,
     want: Callable[[MomentInstance], bool],
     count: int,
-    max_draws: int = 200_000,
 ) -> list[MomentInstance]:
-    """Rejection-sample `count` instances satisfying `want`."""
+    """Rejection-sample `count` instances satisfying `want` in MAX_DRAWS draws."""
     out: list[MomentInstance] = []
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         if len(out) == count:
             return out
         inst = random_instance(rng)
         if want(inst):
             out.append(inst)
-    raise RuntimeError(f"only {len(out)}/{count} matching instances in {max_draws} draws")
+    raise RuntimeError(f"only {len(out)}/{count} matching instances in {MAX_DRAWS} draws")

@@ -64,12 +64,7 @@ import numpy as np
 
 from .clusters import ClusterResult
 from .errors import DimensionTooLarge, InvalidFitInput, LengthMismatch
-from .instance import (
-    FlatInstance,
-    MomentInstance,
-    gamma1_objective,
-    gamma2_objective,
-)
+from .instance import MomentInstance, _gamma1_value, flatten, gamma2_objective
 
 STRUCTURE_TOL_SCALE = 1e-9
 BOUNDARY_TOL = 1e-6
@@ -165,12 +160,13 @@ def _solution(
     return VariationalSolution(values, objective, tight)
 
 
-def solve_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
+def solve_gamma1(inst: MomentInstance) -> VariationalSolution:
     """Minimize route 1 exactly via the pooled non-increasing fit."""
-    shift = np.arange(1, flat.nu + 1, dtype=float)
-    c = isotonic_nonincreasing(shift - flat.u / t, np.full(flat.nu, float(t)))
+    u = flatten(inst)
+    shift = np.arange(1, len(u) + 1, dtype=float)
+    c = isotonic_nonincreasing(shift - u / inst.t, np.full(len(u), inst.t))
     a = c - shift
-    return _solution(a, gamma1_objective(flat, t, a), 1.0)
+    return _solution(a, _gamma1_value(inst, u, a), 1.0)
 
 
 def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
@@ -259,10 +255,9 @@ def bruteforce_chain_qp(
     return _solution(best[2].copy(), float(best[0]), g)
 
 
-def oracle_gamma1(flat: FlatInstance, t: float) -> VariationalSolution:
-    w = [t] * flat.nu
-    g = [1.0] * (flat.nu - 1)
-    return bruteforce_chain_qp(w, flat.u, g)
+def oracle_gamma1(inst: MomentInstance) -> VariationalSolution:
+    u = flatten(inst)
+    return bruteforce_chain_qp([inst.t] * len(u), u, [1.0] * (len(u) - 1))
 
 
 def oracle_gamma2(inst: MomentInstance) -> VariationalSolution:
@@ -313,18 +308,18 @@ def check_minimizer_structure(
     a = np.asarray(sol.values)
     dev = np.abs((a[:-1] - a[1:]) - 1.0)
     x, m, t = np.asarray(inst.x), np.asarray(inst.m), inst.t
-    # 0-based location of each flat coordinate; terminal block of each location
-    loc = np.repeat(np.arange(inst.n), m)
+    # terminal block of each location
     block_of = np.empty(inst.n, dtype=int)
     for bi, block in enumerate(res.partition):
         block_of[np.asarray(block) - 1] = bi
-    blk = block_of[loc]
-    same = blk[:-1] == blk[1:]
-    # location pairs on the merge threshold; gap i crosses pair loc[i]
-    pair_near = np.abs((x[1:] - x[:-1]) / t - (m[:-1] + m[1:]) / 2.0) <= BOUNDARY_TOL
-    cross = loc[:-1] != loc[1:]
+    # gap cross[j] runs from location j + 1 to j + 2; every other gap lies
+    # inside one location, so in one block and clear of any location pair
+    cross = np.cumsum(m)[:-1] - 1
+    same = np.ones(len(dev), dtype=bool)
+    same[cross] = block_of[:-1] == block_of[1:]
     near = np.zeros(len(dev), dtype=bool)
-    near[cross] = pair_near[loc[:-1][cross]]
+    # location pairs on the merge threshold
+    near[cross] = np.abs((x[1:] - x[:-1]) / t - (m[:-1] + m[1:]) / 2.0) <= BOUNDARY_TOL
     near |= ~same & (dev <= BOUNDARY_TOL)
     near_t = any(abs(e.time - t) <= BOUNDARY_TOL * (1.0 + t) for e in res.events)
     return StructureReport(

@@ -16,7 +16,6 @@ from shelyap import (
     contour_moment,
     default_contour_config,
     ContourConfig,
-    flatten,
     gamma3,
     gamma_report,
     heat_kernel,
@@ -113,9 +112,8 @@ def test_criterion_3_solver_matches_oracle():
     insts = sample_matching(rng, lambda i: i.nu <= 10, 200)
     ok = len(insts) == 200
     for inst in insts:
-        flat = flatten(inst)
         for fast, slow in (
-            (solve_gamma1(flat, inst.t), oracle_gamma1(flat, inst.t)),
+            (solve_gamma1(inst), oracle_gamma1(inst)),
             (solve_gamma2(inst), oracle_gamma2(inst)),
         ):
             if abs(fast.objective - slow.objective) > 1e-10:
@@ -132,8 +130,7 @@ def test_criterion_4_minimizer_structure(thousand_instances):
     ok = True
     excluded = 0
     for inst in thousand_instances:
-        flat = flatten(inst)
-        sol = solve_gamma1(flat, inst.t)
+        sol = solve_gamma1(inst)
         report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
         if report.boundary:
             excluded += 1
@@ -209,7 +206,7 @@ def test_criterion_7_quadrature_baseline():
             ref = heat_kernel(T, T * x)
             if abs(mom - ref) > 1e-8 * ref:
                 ok = False
-            if mom > upper_bound_value(T, flatten(inst), 1.0, cfg.offsets) * (
+            if mom > upper_bound_value(T, inst, cfg.offsets) * (
                 1.0 + 1e-8
             ):
                 ok = False
@@ -221,15 +218,13 @@ def test_criterion_7_quadrature_baseline():
                 )
                 if abs(contour_moment(T, inst, moved) - mom) > 1e-8 * abs(mom):
                     ok = False
-                if mom > upper_bound_value(
-                    T, flatten(inst), 1.0, moved.offsets
-                ) * (1.0 + 1e-8):
+                if mom > upper_bound_value(T, inst, moved.offsets) * (1.0 + 1e-8):
                     ok = False
     pair = validate_instance(1.0, [0.0, 0.5], [1, 1])
     for T in (1.0, 4.0):
         cfg = default_contour_config(T, pair)
         mom = contour_moment(T, pair, cfg)
-        if mom > upper_bound_value(T, flatten(pair), 1.0, cfg.offsets) * (
+        if mom > upper_bound_value(T, pair, cfg.offsets) * (
             1.0 + 1e-8
         ):
             ok = False

@@ -214,6 +214,14 @@ def test_verify_negative_count_exits_one(capsys, suite):
     assert json.loads(err)["error"] == "ShelyapError"
 
 
+def test_verify_negative_seed_exits_one(capsys):
+    # rejected before any suite draws, as a negative count is
+    code, out, err = run(capsys, ["verify", "--seed", "-1"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ShelyapError",
+                               "message": "seed -1 must be >= 0"}
+
+
 def test_verify_suite_subset(capsys):
     code, out, _ = run(
         capsys, ["verify", "--count", "4", "--suites", "physics,triple"]
@@ -477,6 +485,34 @@ def test_moments_solves_route_one_once(monkeypatch, capsys, offsets):
                               "--T", "2", *offsets])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_gamma_flattens_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(inst):
+        calls.append(1)
+        return shelyap.flatten(inst)
+
+    for module in ("instance", "solvers", "quadrature"):
+        monkeypatch.setattr(f"shelyap.{module}.flatten", counted)
+    code, _, _ = run(capsys, ["gamma", "--t", "1", "--x", "0,1,3",
+                              "--m", "2,3,1"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^19 grid values and the 10^15 x 10^15 matrix the Gauss rule builds
+    # lie past the 64-bit address space, so the request fails at once
+    ["sweep", *PAIR, "--param", "t", "--grid", "1:2:10000000000000000000"],
+    ["moments", "--t", "1", "--x", "0", "--m", "3", "--T", "1",
+     "--points", "1000000000000000"],
+])
+def test_impossible_allocation_exits_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert set(json.loads(err)) == {"error", "message"}
 
 
 def _formatter_corpus(rng):

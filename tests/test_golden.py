@@ -29,6 +29,11 @@ one is pooled inside a block.
 The two single-suite verify cases were recorded before the exhaustive oracle
 searched its active sets as arrays and before the Gauss-Legendre nodes were
 cached: the oracle suite alone and the quadrature suite alone.
+
+The ROUTE1_TIE case was recorded before route 1 and the quadrature took the
+instance in place of its flattened form. There (x_2 - x_1)/t = (m_1 + m_2)/2
+to double precision, so the route-1 merge threshold is tied and the rounding
+of left-to-right sums decides the split.
 """
 
 import contextlib
@@ -49,6 +54,8 @@ BIG = [
 ROUTE1_POOLED = ["--t", "0.001", "--x", "0,5,30,35,60,65",
                  "--m", "9000,11000,8000,12000,10000,7000"]
 ROUTE1_TIES = ["--t", "1", "--x", "0,1,3,4,8,9", "--m", "1,1,2,1,1,1"]
+ROUTE1_TIE = ["--t", "0.13218650019257538",
+              "--x=-1.7571448324634413,36.24647397290198", "--m", "571,4"]
 GOLDEN = [
     (["gamma", *FIVE],
      0, "c1b7d2600f2439e2f0414f76e0a1f62c5ddedd1353e4edbf56f7dce7b2ced625"),
@@ -113,6 +120,8 @@ GOLDEN = [
      0, "77083f8ee7bc7f262aee8413b92d644a3bda65d799a129047f71dea86cc7e158"),
     (["verify", "--suites", "quadrature", "--seed", "3", "--count", "30"],
      0, "058fc1d6b9c467dab40c2b21172ca706d111dd9d4f876eee9cb18c2ff5507861"),
+    (["gamma", *ROUTE1_TIE],
+     0, "36143e2ce5ba2850f93d8d676b3561e185d07d1b0faa63f2d87ab8cb3397692f"),
 ]
 
 

@@ -48,65 +48,59 @@ def test_validate_rejections():
 
 
 def test_flatten_examples():
-    flat = flatten(validate_instance(1.0, [0.0, 0.5], [1, 1]))
-    assert flat.nu == 2
-    assert flat.u.tolist() == [0.0, 0.5]
-    assert flat.f.tolist() == [1, 2]
+    u = flatten(validate_instance(1.0, [0.0, 0.5], [1, 1]))
+    assert u.tolist() == [0.0, 0.5]
 
-    flat = flatten(validate_instance(1.0, [0.0, 0.5], [2, 1]))
-    assert flat.nu == 3
-    assert flat.u.tolist() == [0.0, 0.0, 0.5]
-    assert flat.f.tolist() == [1, 1, 2]
+    u = flatten(validate_instance(1.0, [0.0, 0.5], [2, 1]))
+    assert u.tolist() == [0.0, 0.0, 0.5]
 
-    flat = flatten(validate_instance(3.0, [-1.0], [5]))
-    assert flat.nu == 5
-    assert flat.u.tolist() == [-1.0] * 5
-    assert flat.f.tolist() == [1] * 5
-    assert flat.u.dtype == np.float64
-    assert not flat.u.flags.writeable
-    assert not flat.f.flags.writeable
+    u = flatten(validate_instance(3.0, [-1.0], [5]))
+    assert u.tolist() == [-1.0] * 5
+    assert u.dtype == np.float64
+    assert not u.flags.writeable
 
 
 def test_flatten_roundtrip_recovers_instance():
     rng = np.random.default_rng(11)
     for _ in range(100):
         inst = random_instance(rng)
-        flat = flatten(inst)
-        # regroup by the location index map
+        u = flatten(inst)
+        assert len(u) == inst.nu
+        # locations are strictly increasing, so each run of equal u is one
+        # location and its length the multiplicity
         xs, ms = [], []
-        for u, j in zip(flat.u, flat.f):
-            if len(xs) < j:
-                xs.append(u)
-                ms.append(0)
-            ms[j - 1] += 1
-            assert u == inst.x[j - 1]
+        for v in u.tolist():
+            if xs and xs[-1] == v:
+                ms[-1] += 1
+            else:
+                xs.append(v)
+                ms.append(1)
         assert tuple(xs) == inst.x
         assert tuple(ms) == inst.m
-        assert flat.u.tolist() == sorted(flat.u.tolist())
+        assert u.tolist() == sorted(u.tolist())
 
 
 def test_objective_values_hand_checked():
     inst = validate_instance(1.0, [0.0, 0.5], [1, 1])
-    flat = flatten(inst)
-    assert gamma1_objective(flat, 1.0, [0.25, -0.75]) == -0.0625
+    assert gamma1_objective(inst, [0.25, -0.75]) == -0.0625
     assert gamma2_objective(inst, [0.25, -0.75]) == -0.0625
 
     one = validate_instance(1.0, [0.0], [1])
-    assert gamma1_objective(flatten(one), 1.0, [0.0]) == 0.0
+    assert gamma1_objective(one, [0.0]) == 0.0
     assert gamma2_objective(one, [0.0]) == 0.0
 
     two = validate_instance(1.0, [0.0], [2])
     assert gamma2_objective(two, [0.0]) == 0.25
 
     wide = validate_instance(1.0, [0.0, 2.0], [1, 1])
-    assert gamma1_objective(flatten(wide), 1.0, [0.0, -2.0]) == -2.0
+    assert gamma1_objective(wide, [0.0, -2.0]) == -2.0
     assert gamma2_objective(wide, [0.0, -2.0]) == -2.0
 
 
 def test_objective_length_checks():
     inst = validate_instance(1.0, [0.0, 0.5], [2, 1])
     with pytest.raises(LengthMismatch):
-        gamma1_objective(flatten(inst), 1.0, [0.0, 0.0])
+        gamma1_objective(inst, [0.0, 0.0])
     with pytest.raises(LengthMismatch):
         gamma2_objective(inst, [0.0, 0.0, 0.0])
 
@@ -116,13 +110,12 @@ def test_objectives_strictly_convex():
     rng = np.random.default_rng(5)
     for _ in range(50):
         inst = random_instance(rng)
-        flat = flatten(inst)
         lam = rng.uniform(0.1, 0.9)
-        a1 = rng.normal(size=flat.nu)
-        a2 = a1 + rng.normal(size=flat.nu) * 0.5
-        mid = gamma1_objective(flat, inst.t, lam * a1 + (1 - lam) * a2)
-        chord = lam * gamma1_objective(flat, inst.t, a1) + (1 - lam) * gamma1_objective(
-            flat, inst.t, a2
+        a1 = rng.normal(size=inst.nu)
+        a2 = a1 + rng.normal(size=inst.nu) * 0.5
+        mid = gamma1_objective(inst, lam * a1 + (1 - lam) * a2)
+        chord = lam * gamma1_objective(inst, a1) + (1 - lam) * gamma1_objective(
+            inst, a2
         )
         assert mid < chord
 

@@ -74,8 +74,8 @@ def reference_chain_qp(weights, linear, margins, constant=0.0):
 
 
 def reference_gamma1(inst):
-    flat = flatten(inst)
-    return reference_chain_qp([inst.t] * flat.nu, flat.u, [1.0] * (flat.nu - 1))
+    nu = inst.nu
+    return reference_chain_qp([inst.t] * nu, flatten(inst), [1.0] * (nu - 1))
 
 
 def reference_gamma2(inst):
@@ -106,7 +106,7 @@ def check_instances(insts):
     runs = []
     for inst in insts:
         for got, want in (
-            (oracle_gamma1(flatten(inst), inst.t), reference_gamma1(inst)),
+            (oracle_gamma1(inst), reference_gamma1(inst)),
             (oracle_gamma2(inst), reference_gamma2(inst)),
         ):
             assert_same(got, want)

@@ -74,8 +74,7 @@ def route1_shape(rng, max_m):
 
 
 def route1_targets(inst):
-    flat = flatten(inst)
-    return np.arange(1, flat.nu + 1) - flat.u / inst.t, np.full(flat.nu, inst.t)
+    return np.arange(1, inst.nu + 1) - flatten(inst) / inst.t, np.full(inst.nu, inst.t)
 
 
 def route2_threshold(rng):
@@ -158,7 +157,7 @@ def test_route1_active_set_at_large_nu():
         if inst.nu < 10000:
             continue
         seen += 1
-        sol = solve_gamma1(flatten(inst), inst.t)
+        sol = solve_gamma1(inst)
         want = reference_active(np.asarray(sol.values))
         assert sol.active == want
         assert all(type(i) is int for i in sol.active)
@@ -178,7 +177,7 @@ def test_rejects_nan_targets_and_weights_not_positive():
 
 def test_tight_mask_is_read_only():
     inst = validate_instance(1.0, [0.0, 0.3, 0.6, 3.0, 3.3], [1] * 5)
-    sol = solve_gamma1(flatten(inst), inst.t)
+    sol = solve_gamma1(inst)
     assert sol.tight.dtype == bool and not sol.tight.flags.writeable
     assert sol.tight.tolist() == [True, True, False, True]
     assert sol.active == frozenset({1, 2, 4}) and sol.active is sol.active

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shelyap import (
-    flatten,
     gamma3,
     simulate_inertia,
     solve_gamma1,
@@ -47,7 +46,7 @@ def routes(inst):
     """gamma by route 1 (PAVA per coordinate), route 2 (PAVA per location)
     and route 3 (closed form on the simulated partition)."""
     return np.array([
-        solve_gamma1(flatten(inst), inst.t).objective,
+        solve_gamma1(inst).objective,
         solve_gamma2(inst).objective,
         gamma3(inst, simulate_inertia(inst)),
     ])

@@ -15,7 +15,6 @@ from shelyap import (
     contour_moment,
     contour_moment_complex,
     default_contour_config,
-    flatten,
     heat_kernel,
     lyapunov_rate_estimate,
     upper_bound_value,
@@ -99,14 +98,13 @@ def test_upper_bound_dominates_moment():
     for T in (1.0, 3.0):
         for x, m in ([[0.0], [2]], [[0.0, 0.5], [1, 1]], [[-1.0, 1.2], [1, 2]]):
             inst = validate_instance(1.0, x, m)
-            flat = flatten(inst)
             cfg = default_contour_config(T, inst)
             moment = abs(contour_moment(T, inst, cfg))
-            bound = upper_bound_value(T, flat, inst.t, cfg.offsets)
+            bound = upper_bound_value(T, inst, cfg.offsets)
             assert moment <= bound * (1.0 + 1e-8)
             # widening the ladder keeps domination and loosens the pole factor
             wide = tuple(2.0 * a for a in cfg.offsets)
-            assert moment <= upper_bound_value(T, flat, inst.t, wide) * (1.0 + 1e-8)
+            assert moment <= upper_bound_value(T, inst, wide) * (1.0 + 1e-8)
 
 
 def test_kernel_product_floor():
@@ -150,7 +148,7 @@ def test_offset_gap_must_clear_pole():
         ContourConfig(offsets=(0.5, 0.0), truncation=4.0, points=16)
     with pytest.raises(InvalidContour):
         upper_bound_value(
-            1.0, flatten(validate_instance(1.0, [0.0], [2])), 1.0, (0.5, 0.0)
+            1.0, validate_instance(1.0, [0.0], [2]), (0.5, 0.0)
         )
 
 
@@ -160,7 +158,7 @@ def test_offset_count_must_match():
     with pytest.raises(LengthMismatch):
         contour_moment(1.0, inst, cfg)
     with pytest.raises(LengthMismatch):
-        upper_bound_value(1.0, flatten(inst), 1.0, (0.0,))
+        upper_bound_value(1.0, inst, (0.0,))
 
 
 def test_config_validation():

@@ -9,7 +9,6 @@ from shelyap import (
     LengthMismatch,
     bruteforce_chain_qp,
     check_minimizer_structure,
-    flatten,
     gamma1_objective,
     gamma2_objective,
     isotonic_nonincreasing,
@@ -99,13 +98,12 @@ def test_isotonic_rejects_bad_shapes():
 
 def test_solutions_hold_read_only_arrays():
     inst = validate_instance(1.0, [0.0, 0.5, 2.0], [2, 1, 1])
-    flat = flatten(inst)
-    for sol in (solve_gamma1(flat, inst.t), solve_gamma2(inst),
-                oracle_gamma1(flat, inst.t), oracle_gamma2(inst)):
+    for sol in (solve_gamma1(inst), solve_gamma2(inst),
+                oracle_gamma1(inst), oracle_gamma2(inst)):
         assert isinstance(sol.values, np.ndarray)
         assert sol.values.dtype == np.float64
         assert not sol.values.flags.writeable
-        assert sol != solve_gamma1(flat, inst.t)  # identity, not values
+        assert sol != solve_gamma1(inst)  # identity, not values
 
 
 def test_isotonic_kkt_certificate():
@@ -132,7 +130,7 @@ def test_isotonic_kkt_certificate():
 
 def test_solve_gamma1_two_point_example():
     inst = validate_instance(1.0, [0.0, 0.5], [1, 1])
-    sol = solve_gamma1(flatten(inst), inst.t)
+    sol = solve_gamma1(inst)
     assert sol.values == pytest.approx((0.25, -0.75))
     assert sol.objective == pytest.approx(-0.0625)
     assert sol.active == frozenset({1})
@@ -140,7 +138,7 @@ def test_solve_gamma1_two_point_example():
 
 def test_solve_gamma1_single_coordinate():
     inst = validate_instance(1.0, [0.0], [1])
-    sol = solve_gamma1(flatten(inst), inst.t)
+    sol = solve_gamma1(inst)
     assert sol.values == pytest.approx((0.0,))
     assert sol.objective == pytest.approx(0.0)
     assert sol.active == frozenset()
@@ -148,7 +146,7 @@ def test_solve_gamma1_single_coordinate():
 
 def test_solve_gamma1_wide_pair_inactive():
     inst = validate_instance(1.0, [0.0, 2.0], [1, 1])
-    sol = solve_gamma1(flatten(inst), inst.t)
+    sol = solve_gamma1(inst)
     assert sol.values == pytest.approx((0.0, -2.0))
     assert sol.objective == pytest.approx(-2.0)
     assert sol.active == frozenset()
@@ -165,13 +163,12 @@ def test_solve_gamma2_matches_gamma1_through_lift():
     rng = np.random.default_rng(23)
     for _ in range(100):
         inst = random_interior_instance(rng)
-        flat = flatten(inst)
-        s1 = solve_gamma1(flat, inst.t)
+        s1 = solve_gamma1(inst)
         s2 = solve_gamma2(inst)
         tol = 1e-10 * (1 + abs(s1.objective))
         assert s2.objective == pytest.approx(s1.objective, abs=tol)
         lifted = lift_b_to_a(s2.values, inst)
-        assert gamma1_objective(flat, inst.t, lifted) == pytest.approx(
+        assert gamma1_objective(inst, lifted) == pytest.approx(
             s1.objective, abs=tol
         )
 
@@ -184,7 +181,7 @@ def test_lift_objective_identity_for_arbitrary_b():
         inst = random_interior_instance(rng)
         b = rng.normal(scale=2.0, size=inst.n)
         a = lift_b_to_a(b, inst)
-        lhs = gamma1_objective(flatten(inst), inst.t, a)
+        lhs = gamma1_objective(inst, a)
         rhs = gamma2_objective(inst, b)
         assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
@@ -215,9 +212,8 @@ def test_oracle_matches_solver_gamma1():
         inst = random_interior_instance(rng, max_m=4)
         if inst.nu > 10:
             continue
-        flat = flatten(inst)
-        sol = solve_gamma1(flat, inst.t)
-        ora = oracle_gamma1(flat, inst.t)
+        sol = solve_gamma1(inst)
+        ora = oracle_gamma1(inst)
         assert sol.objective == pytest.approx(ora.objective, abs=1e-10)
         assert np.allclose(sol.values, ora.values, atol=1e-8)
         checked += 1
@@ -281,22 +277,21 @@ def test_minimizer_is_strict_local_minimum():
     rng = np.random.default_rng(71)
     for _ in range(50):
         inst = random_interior_instance(rng, max_m=4)
-        flat = flatten(inst)
-        sol = solve_gamma1(flat, inst.t)
+        sol = solve_gamma1(inst)
         base = np.asarray(sol.values)
-        d = rng.normal(size=flat.nu)
+        d = rng.normal(size=inst.nu)
         i = 0
-        while i < flat.nu:
+        while i < inst.nu:
             j = i
-            while j < flat.nu - 1 and (j + 1) in sol.active:
+            while j < inst.nu - 1 and (j + 1) in sol.active:
                 j += 1
             d[i : j + 1] = np.sort(d[i : j + 1])[::-1]
             i = j + 1
         d /= np.linalg.norm(d)
         stepped = base + 1e-3 * d
-        if flat.nu > 1 and not np.all(np.diff(stepped) <= -1.0 + 1e-9):
+        if inst.nu > 1 and not np.all(np.diff(stepped) <= -1.0 + 1e-9):
             continue  # a slack constraint sat too close to its margin
-        assert gamma1_objective(flat, inst.t, stepped) > sol.objective + 1e-10
+        assert gamma1_objective(inst, stepped) > sol.objective + 1e-10
 
 
 def test_build_b_singleton():
@@ -338,8 +333,7 @@ def test_build_b_is_feasible():
 
 def test_structure_check_on_interior_instance():
     inst = validate_instance(1.0, [0.0, 0.5], [1, 1])
-    flat = flatten(inst)
-    sol = solve_gamma1(flat, inst.t)
+    sol = solve_gamma1(inst)
     report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     assert report.ok
     assert not report.boundary
@@ -349,8 +343,7 @@ def test_structure_check_on_interior_instance():
 
 def test_structure_check_two_blocks():
     inst = validate_instance(1.0, [0.0, 0.3, 0.6, 3.0, 3.3], [1] * 5)
-    flat = flatten(inst)
-    sol = solve_gamma1(flat, inst.t)
+    sol = solve_gamma1(inst)
     report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
     assert report.ok
     assert report.tight.tolist() == [True, True, False, True]
@@ -362,8 +355,7 @@ def test_structure_check_random_agreement():
     boundary = 0
     for _ in range(300):
         inst = random_interior_instance(rng)
-        flat = flatten(inst)
-        sol = solve_gamma1(flat, inst.t)
+        sol = solve_gamma1(inst)
         report = check_minimizer_structure(sol, inst, simulate_inertia(inst))
         if report.boundary:
             boundary += 1

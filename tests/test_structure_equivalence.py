@@ -10,7 +10,6 @@ import numpy as np
 
 from shelyap import (
     check_minimizer_structure,
-    flatten,
     simulate_inertia,
     solve_gamma1,
     solve_gamma2,
@@ -77,7 +76,7 @@ def test_array_check_matches_per_gap_reference():
     boundary = 0
     for _ in range(2000):
         inst = threshold_instance(rng)
-        sol1 = solve_gamma1(flatten(inst), inst.t)
+        sol1 = solve_gamma1(inst)
         sol2 = solve_gamma2(inst)
         res = simulate_inertia(inst)
         rep = check_minimizer_structure(sol1, inst, res)
