@@ -8,7 +8,6 @@ from .clusters import (
     FirstMerge,
     MergeEvent,
     PiecewiseLinearPath,
-    block_com_speed,
     first_optimal_merge,
     initial_speeds,
     separation_margins,
@@ -19,8 +18,6 @@ from .closedform import (
     RecursionCheck,
     gamma3,
     gamma_report,
-    one_point_gamma,
-    two_point_gamma,
     verify_recursion_identity,
 )
 from .errors import (
@@ -35,7 +32,6 @@ from .errors import (
     NonPositiveMultiplicity,
     NonPositiveTime,
     NuTooLarge,
-    OutOfRange,
     ShelyapError,
     UnsortedLocations,
 )
@@ -52,7 +48,6 @@ from .quadrature import (
     contour_moment_complex,
     default_contour_config,
     heat_kernel,
-    lyapunov_rate_estimate,
     upper_bound_value,
 )
 from .sampling import random_instance, sample_matching

@@ -25,12 +25,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clusters import block_com_speed, separation_margins, simulate_inertia
+from .clusters import initial_speeds, separation_margins, simulate_inertia
 from .closedform import gamma3, gamma_report, verify_recursion_identity
 from .errors import (
     HypothesisNotMet,
     InvalidContour,
     NonFiniteResult,
+    NonPositiveMoment,
     NonPositiveMultiplicity,
     NonPositiveTime,
     ShelyapError,
@@ -39,7 +40,6 @@ from .errors import (
 from .instance import MomentInstance, validate_instance
 from .quadrature import (
     DEFAULT_SIGMAS,
-    _log_rate,
     _route1_contour,
     contour_moment,
     contour_moment_complex,
@@ -300,23 +300,20 @@ def _check_physics(inst: MomentInstance) -> bool:
         return False
     if max(abs(p.values[-1]) for p in res.optimal_paths) > ANCHOR_TOL:
         return False
-    t = inst.t
+    # each block's centre of mass moves at its initial speed; the paths are
+    # linear between breakpoints, so the stored values cover every s
+    grid = np.asarray(res.inertia_paths[0].breakpoints)
     m = np.asarray(inst.m, dtype=float)
+    speeds = initial_speeds(inst.m)
     for block, mass in zip(res.partition, res.cluster_masses):
         if sum(inst.m[i - 1] for i in block) != mass:
             return False
-        psi = block_com_speed(inst.m, block)
-        idx = [i - 1 for i in block]
-        mb = m[idx]
-        com0 = sum(
-            mb[j] * res.inertia_paths[i].at(0.0) for j, i in enumerate(idx)
-        ) / mass
-        for s in (t / 2.0, t):
-            com_s = sum(
-                mb[j] * res.inertia_paths[i].at(s) for j, i in enumerate(idx)
-            ) / mass
-            if abs(com_s - com0 - psi * s) > COM_TOL:
-                return False
+        lo, hi = block[0] - 1, block[-1]
+        mb = m[lo:hi]
+        com = mb @ np.array([p.values for p in res.inertia_paths[lo:hi]]) / mass
+        psi = mb @ speeds[lo:hi] / mass
+        if np.max(np.abs(com - com[0] - psi * grid)) > COM_TOL:
+            return False
     if any(p >= q for p, q in zip(res.terminal_positions, res.terminal_positions[1:])):
         return False
     if res.q_hat > 1 and not np.all(separation_margins(inst, res.partition) > 0.0):
@@ -436,7 +433,9 @@ def cmd_moments(args) -> int:
         offsets = _parse_floats(args.offsets, InvalidContour)
         cfg = dataclasses.replace(cfg, offsets=tuple(offsets))
     val = contour_moment_complex(T, inst, cfg)
-    rate = _log_rate(T, val.real)
+    if not val.real > 0.0:
+        raise NonPositiveMoment(f"moment {val.real} has no log-rate")
+    rate = math.log(val.real) / T
     gamma = route1.objective
     doc = {
         "moment": val.real,

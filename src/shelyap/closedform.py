@@ -53,26 +53,6 @@ def gamma3(inst: MomentInstance, res: ClusterResult) -> float:
     return float(total)
 
 
-def one_point_gamma(t: float, x1: float, m1: int) -> float:
-    """Exponent of a single location: (m^3 - m) t/24 - m x^2 / (2t)."""
-    return (m1**3 - m1) * t / 24.0 - m1 * x1 * x1 / (2.0 * t)
-
-
-def two_point_gamma(t: float, x: tuple[float, float], m: tuple[int, int]) -> float:
-    """Exponent of two locations; branch on whether they merge by time t."""
-    x1, x2 = x
-    m1, m2 = m
-    gap = x2 - x1
-    if 0.0 < gap / t <= (m1 + m2) / 2.0:
-        big_m = m1 + m2
-        return (
-            (big_m**3 - big_m) * t / 24.0
-            - m1 * m2 * gap / 2.0
-            - (m1 * x1 + m2 * x2) ** 2 / (2.0 * big_m * t)
-        )
-    return one_point_gamma(t, x1, m1) + one_point_gamma(t, x2, m2)
-
-
 @dataclass(frozen=True)
 class RecursionCheck:
     lhs: float

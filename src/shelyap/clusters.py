@@ -33,13 +33,12 @@ ends a cascade also gives the next event.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NoMerge, OutOfRange
+from .errors import NoMerge
 from .instance import MomentInstance
 
 EVENT_TOL_SCALE = 1e-12
@@ -57,14 +56,6 @@ def initial_speeds(m: Sequence[int]) -> np.ndarray:
     return 0.5 * (after - before)
 
 
-def block_com_speed(m: Sequence[int], block: Sequence[int]) -> float:
-    """Centre-of-mass speed of a contiguous block of 1-based indices."""
-    lo, hi = min(block), max(block)
-    after = sum(m[hi:])
-    before = sum(m[: lo - 1])
-    return 0.5 * (after - before)
-
-
 @dataclass(frozen=True)
 class MergeEvent:
     """One merge group: the pre-merge member intervals it combined."""
@@ -76,19 +67,10 @@ class MergeEvent:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearPath:
+    """A path's values at the breakpoints; it is linear in between."""
+
     breakpoints: tuple[float, ...]
     values: np.ndarray
-
-    def at(self, s: float) -> float:
-        """Evaluate at s; exact stored value when s is a breakpoint."""
-        b = self.breakpoints
-        if s < b[0] or s > b[-1]:
-            raise OutOfRange(f"s={s} outside [{b[0]}, {b[-1]}]")
-        k = bisect.bisect_left(b, s)
-        if k < len(b) and b[k] == s:
-            return self.values[k]
-        w = (s - b[k - 1]) / (b[k] - b[k - 1])
-        return self.values[k - 1] + w * (self.values[k] - self.values[k - 1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,10 +31,6 @@ class NoMerge(ShelyapError):
     """The simulation produced no merge event."""
 
 
-class OutOfRange(ShelyapError):
-    """Evaluation point lies outside a path's breakpoint span."""
-
-
 class DimensionTooLarge(ShelyapError):
     """Chain QP dimension exceeds the exhaustive oracle's cap."""
 

@@ -58,7 +58,10 @@ def _reals(values: Sequence, error: type[Exception], what: str) -> tuple[float, 
         # first keeps the common case fast
         if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
             raise error(f"{what} {v!r} is not a real number")
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an int past the float range
+        raise error(f"a {what} is beyond the float range") from None
 
 
 def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentInstance:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (
     InvalidContour,
     LengthMismatch,
-    NonPositiveMoment,
+    NonFiniteResult,
     NonPositiveTime,
     NuTooLarge,
 )
@@ -40,6 +40,7 @@ from .solvers import VariationalSolution, solve_gamma1
 
 MAX_NU = 3
 DEFAULT_SIGMAS = 8.0
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def heat_kernel(time: float, space: float) -> float:
@@ -170,25 +171,12 @@ def contour_moment(T: float, inst: MomentInstance, cfg: ContourConfig) -> float:
     return contour_moment_complex(T, inst, cfg).real
 
 
-def lyapunov_rate_estimate(
-    T: float, inst: MomentInstance, cfg: ContourConfig | None = None
-) -> float:
-    """log(moment)/T; the gap to the exponent shrinks as T grows."""
-    if cfg is None:
-        cfg = default_contour_config(T, inst)
-    return _log_rate(T, contour_moment(T, inst, cfg))
-
-
-def _log_rate(T: float, moment: float) -> float:
-    if not moment > 0.0:
-        raise NonPositiveMoment(f"moment {moment} has no log-rate")
-    return math.log(moment) / T
-
-
 def upper_bound_value(
     T: float, inst: MomentInstance, offsets: tuple[float, ...]
 ) -> float:
-    """Absolute-integrand bound on the moment along the given contours."""
+    """Absolute-integrand bound on the moment; NonFiniteResult if it overflows."""
+    if not T > 0.0:
+        raise NonPositiveTime(f"T={T} must be > 0")
     nu, t = inst.nu, inst.t
     if len(offsets) != nu:
         raise LengthMismatch(f"{len(offsets)} offsets for nu={nu}")
@@ -201,4 +189,6 @@ def upper_bound_value(
     log_val += sum(
         0.5 * T * t * a * a + T * u * a for a, u in zip(offsets, flatten(inst))
     )
+    if not log_val <= _LOG_FLOAT_MAX:
+        raise NonFiniteResult(f"bound exp({log_val}) is beyond the float range")
     return math.exp(log_val)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from shelyap import (
-    block_com_speed,
     check_minimizer_structure,
     contour_moment,
     default_contour_config,
@@ -19,8 +18,6 @@ from shelyap import (
     gamma3,
     gamma_report,
     heat_kernel,
-    lyapunov_rate_estimate,
-    one_point_gamma,
     oracle_gamma1,
     oracle_gamma2,
     random_instance,
@@ -29,11 +26,13 @@ from shelyap import (
     simulate_inertia,
     solve_gamma1,
     solve_gamma2,
-    two_point_gamma,
     upper_bound_value,
     validate_instance,
     verify_recursion_identity,
 )
+from test_closedform import one_point_gamma, two_point_gamma
+from test_clusters import block_com_speed
+from test_quadrature import lyapunov_rate_estimate
 
 # brute-force quadrature gap for (t=1, x=[0], m=[2]) at T=40, tabulated with
 # an independent dense-trapezoid integrator before this threshold was frozen
@@ -180,8 +179,10 @@ def test_criterion_6_simulation_physics(thousand_instances):
         for block, mass in zip(res.partition, res.cluster_masses):
             psi = block_com_speed(inst.m, block)
             idx = [i - 1 for i in block]
+            paths = res.inertia_paths
             com = [
-                sum(m[i] * res.inertia_paths[i].at(s) for i in idx) / mass
+                sum(m[i] * np.interp(s, paths[i].breakpoints, paths[i].values)
+                    for i in idx) / mass
                 for s in (0.0, t / 2.0, t)
             ]
             if abs(com[1] - com[0] - psi * t / 2.0) > 1e-10:

@@ -436,6 +436,8 @@ def test_inline_minus_inf_and_nan_reach_validation(capsys, argv, error):
     ({"t": 1, "x": ["0", "1"], "m": [1, 1]}, "UnsortedLocations"),
     ({"t": 1, "x": [False, True], "m": [1, 1]}, "UnsortedLocations"),
     ({"t": "1", "x": ["0", "1"], "m": [1, 1]}, "UnsortedLocations"),
+    ({"t": 10**400, "x": [0], "m": [1]}, "NonPositiveTime"),
+    ({"t": 1, "x": [0, 10**400], "m": [1, 1]}, "UnsortedLocations"),
 ])
 def test_file_instance_rejects_non_numbers(tmp_path, capsys, doc, error):
     path = tmp_path / "inst.json"

@@ -7,14 +7,32 @@ from shelyap import (
     HypothesisNotMet,
     gamma3,
     gamma_report,
-    one_point_gamma,
     simulate_inertia,
     solve_gamma2,
-    two_point_gamma,
     validate_instance,
     verify_recursion_identity,
 )
 from shelyap.cli import ANCHOR_TOL, MOMENTUM_TOL, TRIPLE_TOL
+
+
+def one_point_gamma(t, x1, m1):
+    """Exponent of a single location: (m^3 - m) t/24 - m x^2 / (2t)."""
+    return (m1**3 - m1) * t / 24.0 - m1 * x1 * x1 / (2.0 * t)
+
+
+def two_point_gamma(t, x, m):
+    """Exponent of two locations; branch on whether they merge by time t."""
+    x1, x2 = x
+    m1, m2 = m
+    gap = x2 - x1
+    if 0.0 < gap / t <= (m1 + m2) / 2.0:
+        big_m = m1 + m2
+        return (
+            (big_m**3 - big_m) * t / 24.0
+            - m1 * m2 * gap / 2.0
+            - (m1 * x1 + m2 * x2) ** 2 / (2.0 * big_m * t)
+        )
+    return one_point_gamma(t, x1, m1) + one_point_gamma(t, x2, m2)
 
 
 def test_gamma3_single_location():

@@ -32,6 +32,11 @@ def test_validate_rejections():
         validate_instance(1.0, [0.5, 0.0], [1, 1])
     with pytest.raises(UnsortedLocations):
         validate_instance(1.0, [0.5, 0.5], [1, 1])
+    # ints past the float range
+    with pytest.raises(NonPositiveTime):
+        validate_instance(10**400, [0.0], [1])
+    with pytest.raises(UnsortedLocations):
+        validate_instance(1.0, [0, 10**400], [1, 1])
     with pytest.raises(NonPositiveMultiplicity):
         validate_instance(1.0, [0.0], [0])
     with pytest.raises(NonPositiveMultiplicity):

@@ -1,5 +1,6 @@
 """Tests for the contour-integral moment evaluation."""
 
+import json
 import math
 
 import numpy as np
@@ -9,17 +10,22 @@ from shelyap import (
     ContourConfig,
     InvalidContour,
     LengthMismatch,
-    NonPositiveMoment,
+    NonFiniteResult,
     NonPositiveTime,
     NuTooLarge,
     contour_moment,
     contour_moment_complex,
     default_contour_config,
     heat_kernel,
-    lyapunov_rate_estimate,
     upper_bound_value,
     validate_instance,
 )
+from shelyap.cli import main
+
+
+def lyapunov_rate_estimate(T, inst):
+    """log(moment)/T on the default contour; it nears the exponent as T grows."""
+    return math.log(contour_moment(T, inst, default_contour_config(T, inst))) / T
 
 
 def test_heat_kernel_values():
@@ -175,11 +181,21 @@ def test_moment_requires_positive_scale():
     cfg = ContourConfig(offsets=(0.0,), truncation=4.0, points=16)
     with pytest.raises(NonPositiveTime):
         contour_moment(0.0, inst, cfg)
+    for T in (0.0, -1.0):
+        with pytest.raises(NonPositiveTime):
+            upper_bound_value(T, inst, cfg.offsets)
 
 
-def test_rate_estimate_rejects_nonpositive_moment():
+def test_rate_estimate_rejects_nonpositive_moment(capsys):
     # a deliberately under-resolved trapezoid grid goes negative here
-    inst = validate_instance(1.0, [3.0], [1])
-    cfg = ContourConfig(offsets=(0.0,), truncation=8.0, points=8, rule="trapezoid")
-    with pytest.raises(NonPositiveMoment):
-        lyapunov_rate_estimate(1.0, inst, cfg)
+    code = main(["moments", "--t", "1", "--x", "3", "--m", "1", "--T", "1",
+                 "--offsets", "0", "--rule", "trapezoid", "--points", "8"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert json.loads(out.err)["error"] == "NonPositiveMoment"
+
+
+def test_upper_bound_past_float_range_is_typed():
+    inst = validate_instance(1.0, [0.0], [2])
+    with pytest.raises(NonFiniteResult):
+        upper_bound_value(1e6, inst, default_contour_config(1e6, inst).offsets)
