@@ -44,7 +44,6 @@ from .instance import (
 )
 from .quadrature import (
     ContourConfig,
-    contour_moment,
     contour_moment_complex,
     default_contour_config,
     heat_kernel,

@@ -41,7 +41,6 @@ from .instance import MomentInstance, validate_instance
 from .quadrature import (
     DEFAULT_SIGMAS,
     _route1_contour,
-    contour_moment,
     contour_moment_complex,
     default_contour_config,
     heat_kernel,
@@ -331,7 +330,7 @@ def _quadrature_checks(rng: np.random.Generator, count: int) -> list[bool]:
         x0 = float(rng.uniform(-1.5, 1.5))
         inst = validate_instance(t, [x0], [1])
         cfg = default_contour_config(T, inst, points=200)
-        mom = contour_moment(T, inst, cfg)
+        mom = contour_moment_complex(T, inst, cfg).real
         ref = heat_kernel(T * t, T * x0)
         ok = abs(mom - ref) <= QUAD_REL_TOL * ref
         # default offset [-x/t] makes the bound tight, so allow quadrature slack
@@ -340,59 +339,41 @@ def _quadrature_checks(rng: np.random.Generator, count: int) -> list[bool]:
     # shift invariance and strict domination on a two-coordinate instance
     inst = validate_instance(1.0, [0.0], [2])
     base_cfg = default_contour_config(4.0, inst)
-    base = contour_moment(4.0, inst, base_cfg)
+    base = contour_moment_complex(4.0, inst, base_cfg).real
     ok_shift = True
     for delta in (-0.5, 0.25, 0.5):
         cfg = dataclasses.replace(
             base_cfg, offsets=tuple(a + delta for a in base_cfg.offsets)
         )
-        if abs(contour_moment(4.0, inst, cfg) - base) > QUAD_REL_TOL * abs(base):
+        moved = contour_moment_complex(4.0, inst, cfg).real
+        if abs(moved - base) > QUAD_REL_TOL * abs(base):
             ok_shift = False
     out.append(ok_shift)
     cfg = dataclasses.replace(
         base_cfg, offsets=tuple(a + 0.4 for a in base_cfg.offsets)
     )
     ub = upper_bound_value(4.0, inst, cfg.offsets)
-    out.append(contour_moment(4.0, inst, cfg) <= ub)
+    out.append(contour_moment_complex(4.0, inst, cfg).real <= ub)
     return out
 
 
-def _run_suite(name: str, seed: int, count: int) -> dict:
-    idx = SUITE_INDEX[name]
-    rng = np.random.default_rng([seed, idx])
-    skipped = 0
-    if name == "triple":
-        results = [_check_triple(random_instance(rng)) for _ in range(count)]
-    elif name == "oracle":
-        insts = sample_matching(rng, lambda i: i.nu <= 10, count)
-        results = [_check_oracle(inst) for inst in insts]
-    elif name == "structure":
-        raw = [_check_structure(random_instance(rng)) for _ in range(count)]
-        skipped = sum(1 for r in raw if r is None)
-        results = [r for r in raw if r is not None]
-    elif name == "recursion":
-        results = _recursion_checks(rng, count)
-    elif name == "physics":
-        results = [_check_physics(random_instance(rng)) for _ in range(count)]
-    elif name == "quadrature":
-        results = _quadrature_checks(rng, count)
-    else:
-        raise ShelyapError(f"unknown suite {name!r}")
-    return {
-        "suite": name,
-        "pass": sum(1 for r in results if r),
-        "total": len(results),
-        "skipped": skipped,
-    }
+def _on_random(check):
+    """A suite that applies check to count fresh random instances."""
+    return lambda rng, count: [check(random_instance(rng)) for _ in range(count)]
 
 
-SUITE_INDEX = {
-    "triple": 0,
-    "oracle": 1,
-    "structure": 2,
-    "recursion": 3,
-    "physics": 4,
-    "quadrature": 5,
+# name -> (rng, count) -> results, None for a boundary skip; a suite draws
+# from default_rng([seed, its position here])
+SUITES = {
+    "triple": _on_random(_check_triple),
+    "oracle": lambda rng, count: [
+        _check_oracle(inst)
+        for inst in sample_matching(rng, lambda i: i.nu <= 10, count)
+    ],
+    "structure": _on_random(_check_structure),
+    "recursion": _recursion_checks,
+    "physics": _on_random(_check_physics),
+    "quadrature": _quadrature_checks,
 }
 
 
@@ -401,21 +382,25 @@ def cmd_verify(args) -> int:
         raise ShelyapError(f"count {args.count} must be >= 0")
     if args.seed < 0:
         raise ShelyapError(f"seed {args.seed} must be >= 0")
-    names = list(SUITE_INDEX) if args.suites is None else [
+    names = list(SUITES) if args.suites is None else [
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
     if not names:
-        raise ShelyapError(f"no suite named; pick from {', '.join(SUITE_INDEX)}")
+        raise ShelyapError(f"no suite named; pick from {', '.join(SUITES)}")
     for s in names:
-        if s not in SUITE_INDEX:
-            raise ShelyapError(f"unknown suite {s!r}; pick from {', '.join(SUITE_INDEX)}")
+        if s not in SUITES:
+            raise ShelyapError(f"unknown suite {s!r}; pick from {', '.join(SUITES)}")
     lines = []
     all_ok = True
     for name in names:
-        r = _run_suite(name, args.seed, args.count)
-        note = f" ({r['skipped']} boundary skipped)" if r["skipped"] else ""
-        lines.append(f"{r['suite']}: {r['pass']}/{r['total']} pass{note}")
-        all_ok = all_ok and r["pass"] == r["total"]
+        rng = np.random.default_rng([args.seed, list(SUITES).index(name)])
+        raw = SUITES[name](rng, args.count)
+        results = [r for r in raw if r is not None]
+        passed = sum(results)
+        skipped = len(raw) - len(results)
+        note = f" ({skipped} boundary skipped)" if skipped else ""
+        lines.append(f"{name}: {passed}/{len(results)} pass{note}")
+        all_ok = all_ok and passed == len(results)
     lines.append("VERIFY PASS" if all_ok else "VERIFY FAIL")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if all_ok else 2
@@ -433,6 +418,8 @@ def cmd_moments(args) -> int:
         offsets = _parse_floats(args.offsets, InvalidContour)
         cfg = dataclasses.replace(cfg, offsets=tuple(offsets))
     val = contour_moment_complex(T, inst, cfg)
+    if not math.isfinite(val.real):
+        raise NonFiniteResult(f"moment {val.real} is not finite")
     if not val.real > 0.0:
         raise NonPositiveMoment(f"moment {val.real} has no log-rate")
     rate = math.log(val.real) / T
@@ -545,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--count", type=int, default=100,
                    help="instances (or checks) per suite")
-    v.add_argument("--suites", help=f"comma list from: {', '.join(SUITE_INDEX)}")
+    v.add_argument("--suites", help=f"comma list from: {', '.join(SUITES)}")
     v.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("moments", help="contour moment and rate at scale T")
@@ -581,7 +568,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return args.func(args)
     except ShelyapError as e:
         return _fail(e)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, ValueError, OverflowError) as e:
         return _fail(e)
     except MemoryError as e:
         # a grid too large to allocate; numpy raises a private subclass, so

@@ -114,7 +114,6 @@ class GammaReport:
     minimizer_a: np.ndarray
     minimizer_b: np.ndarray
     structure_ok: bool
-    boundary: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,5 +146,4 @@ def gamma_report(inst: MomentInstance) -> GammaReport:
         minimizer_a=sol1.values,
         minimizer_b=sol2.values,
         structure_ok=structure.ok,
-        boundary=structure.boundary,
     )

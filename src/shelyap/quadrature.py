@@ -167,10 +167,6 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
     return complex(val.sum() / (2.0 * math.pi) ** nu)
 
 
-def contour_moment(T: float, inst: MomentInstance, cfg: ContourConfig) -> float:
-    return contour_moment_complex(T, inst, cfg).real
-
-
 def upper_bound_value(
     T: float, inst: MomentInstance, offsets: tuple[float, ...]
 ) -> float:

@@ -57,7 +57,6 @@ expressions, so the result is that loop's, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,20 +77,13 @@ _ORACLE_BLOCK = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class VariationalSolution:
-    """Minimizer, objective value, and the tight chain constraints.
-
-    values is a read-only float64 array. tight is a read-only boolean array
-    whose entry i - 1 says that gap values_i - values_{i+1} sits within
-    structure tolerance of its margin; active holds those 1-based i.
-    """
+    """Minimizer and objective value; values is a read-only float64 array."""
 
     values: np.ndarray
     objective: float
-    tight: np.ndarray
 
-    @cached_property
-    def active(self) -> frozenset[int]:
-        return frozenset((np.flatnonzero(self.tight) + 1).tolist())
+    def __post_init__(self) -> None:
+        self.values.flags.writeable = False
 
 
 def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray:
@@ -151,22 +143,13 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
     return out
 
 
-def _solution(
-    values: np.ndarray, objective: float, margins: np.ndarray | float
-) -> VariationalSolution:
-    gaps = values[:-1] - values[1:]
-    tight = gaps <= margins + STRUCTURE_TOL_SCALE * (1.0 + np.abs(margins))
-    values.flags.writeable = tight.flags.writeable = False
-    return VariationalSolution(values, objective, tight)
-
-
 def solve_gamma1(inst: MomentInstance) -> VariationalSolution:
     """Minimize route 1 exactly via the pooled non-increasing fit."""
     u = flatten(inst)
     shift = np.arange(1, len(u) + 1, dtype=float)
     c = isotonic_nonincreasing(shift - u / inst.t, np.full(len(u), inst.t))
     a = c - shift
-    return _solution(a, _gamma1_value(inst, u, a), 1.0)
+    return VariationalSolution(a, _gamma1_value(inst, u, a))
 
 
 def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
@@ -176,7 +159,7 @@ def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
     shift = np.concatenate([[0.0], np.cumsum(margins)])
     c = isotonic_nonincreasing(shift - np.asarray(inst.x) / inst.t, m * inst.t)
     b = c - shift
-    return _solution(b, gamma2_objective(inst, b), margins)
+    return VariationalSolution(b, gamma2_objective(inst, b))
 
 
 def bruteforce_chain_qp(
@@ -252,7 +235,7 @@ def bruteforce_chain_qp(
             if low < best[0] or key < best[1]:
                 best = (low, key, v[row])
     assert best[0] < np.inf  # the all-active set is always feasible
-    return _solution(best[2].copy(), float(best[0]), g)
+    return VariationalSolution(best[2].copy(), float(best[0]))
 
 
 def oracle_gamma1(inst: MomentInstance) -> VariationalSolution:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import shelyap
-from shelyap.cli import _format_row, dumps_json, format_float, main
+from shelyap.cli import SUITES, _format_row, dumps_json, format_float, main
 from shelyap.errors import NonFiniteResult
 from shelyap.quadrature import heat_kernel
 
@@ -230,6 +230,23 @@ def test_verify_suite_subset(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("physics: 4/4")
     assert lines[1].startswith("triple: 4/4")
+
+
+@pytest.mark.parametrize("results,line,code", [
+    ([True, None, True], "structure: 2/2 pass (1 boundary skipped)", 0),
+    ([None, False, None], "structure: 0/1 pass (2 boundary skipped)", 2),
+], ids=["pass", "fail"])
+def test_verify_leaves_boundary_skips_out_of_the_total(capsys, monkeypatch,
+                                                       results, line, code):
+    def suite(rng, count):
+        # each suite draws from default_rng([seed, its position in SUITES])
+        assert rng.random() == np.random.default_rng([3, 2]).random()
+        return results
+
+    monkeypatch.setitem(SUITES, "structure", suite)
+    got, out, _ = run(capsys, ["verify", "--seed", "3", "--suites", "structure"])
+    verdict = "VERIFY PASS" if code == 0 else "VERIFY FAIL"
+    assert (got, out) == (code, f"{line}\n{verdict}\n")
 
 
 def test_verify_unknown_suite_exits_one(capsys):
@@ -510,6 +527,9 @@ def test_gamma_flattens_once(monkeypatch, capsys):
     ["sweep", *PAIR, "--param", "t", "--grid", "1:2:10000000000000000000"],
     ["moments", "--t", "1", "--x", "0", "--m", "3", "--T", "1",
      "--points", "1000000000000000"],
+    # a point count past the index range overflows before any allocation
+    ["moments", "--t", "1", "--x", "0", "--m", "1", "--T", "1",
+     "--points", "100000000000000000000000"],
 ])
 def test_impossible_allocation_exits_one(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -583,6 +603,10 @@ def test_moments_nonpositive_scale_exits_one(capsys, T, offsets):
     ["clusters", "--t", "5e-324", "--x", "0,1", "--m", "1,1", "--format", "csv"],
     ["sweep", "--t", "1", "--x", "0,1", "--m", "1,1", "--param", "t",
      "--grid", "5e-324:1e-323:2"],
+    # NaN moments: the integrand overflows, or the truncation is infinite
+    ["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "1e6"],
+    ["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "1",
+     "--truncation-sigmas", "1e400"],
 ])
 def test_non_finite_result_exits_one(capsys, argv):
     with np.errstate(all="ignore"):

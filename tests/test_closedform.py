@@ -197,7 +197,6 @@ def test_gamma_report_merged_pair():
     assert report.minimizer_a == pytest.approx((0.25, -0.75))
     assert report.minimizer_b == pytest.approx((0.25, -0.75))
     assert report.structure_ok
-    assert not report.boundary
 
 
 def test_minimizers_are_read_only_arrays():

@@ -21,8 +21,8 @@ A NaN target is rejected instead.
 import numpy as np
 import pytest
 
-from shelyap import InvalidFitInput, flatten, solve_gamma1, validate_instance
-from shelyap.solvers import STRUCTURE_TOL_SCALE, isotonic_nonincreasing
+from shelyap import InvalidFitInput, flatten, validate_instance
+from shelyap.solvers import isotonic_nonincreasing
 
 
 def reference_isotonic(z, w):
@@ -141,29 +141,6 @@ def test_runs_match_coordinate_loop_bytewise():
     assert pooled >= 100
 
 
-def reference_active(values):
-    gaps = values[:-1] - values[1:]
-    return frozenset(
-        i + 1 for i in range(len(gaps))
-        if gaps[i] <= 1.0 + STRUCTURE_TOL_SCALE * (1.0 + 1.0)
-    )
-
-
-def test_route1_active_set_at_large_nu():
-    rng = np.random.default_rng(7)
-    seen = 0
-    while seen < 4:
-        inst = route1_shape(rng, 30000)
-        if inst.nu < 10000:
-            continue
-        seen += 1
-        sol = solve_gamma1(inst)
-        want = reference_active(np.asarray(sol.values))
-        assert sol.active == want
-        assert all(type(i) is int for i in sol.active)
-        assert sol.tight.tolist() == [i + 1 in want for i in range(inst.nu - 1)]
-
-
 def test_rejects_nan_targets_and_weights_not_positive():
     nan = float("nan")
     for z, w in (([1.0, nan], [1.0, 1.0]), ([1.0, 2.0], [1.0, nan]),
@@ -173,11 +150,3 @@ def test_rejects_nan_targets_and_weights_not_positive():
     assert issubclass(InvalidFitInput, ValueError)
     fit = isotonic_nonincreasing([np.inf, 0.0, -np.inf], [1.0] * 3)
     assert fit.tolist() == [np.inf, 0.0, -np.inf]
-
-
-def test_tight_mask_is_read_only():
-    inst = validate_instance(1.0, [0.0, 0.3, 0.6, 3.0, 3.3], [1] * 5)
-    sol = solve_gamma1(inst)
-    assert sol.tight.dtype == bool and not sol.tight.flags.writeable
-    assert sol.tight.tolist() == [True, True, False, True]
-    assert sol.active == frozenset({1, 2, 4}) and sol.active is sol.active

@@ -1,10 +1,14 @@
-"""The package's public names, pinned.
+"""The package's public names and result fields, pinned.
 
-Adding or removing a public name is a deliberate API change: update this list
-in the same change and report the new count.
+Adding or removing a public name, or a field of a public result type, is a
+deliberate API change: update these lists in the same change and report the
+new count.
 """
 
+import dataclasses
 import types
+
+import pytest
 
 import shelyap
 
@@ -16,7 +20,7 @@ PUBLIC = (
     "NonPositiveTime", "NuTooLarge", "PiecewiseLinearPath", "RecursionCheck",
     "ShelyapError", "StructureReport", "UnsortedLocations",
     "VariationalSolution", "bruteforce_chain_qp", "check_minimizer_structure",
-    "contour_moment", "contour_moment_complex", "default_contour_config",
+    "contour_moment_complex", "default_contour_config",
     "first_optimal_merge", "flatten", "gamma1_objective", "gamma2_objective",
     "gamma3", "gamma_report", "heat_kernel", "initial_speeds",
     "isotonic_nonincreasing", "oracle_gamma1", "oracle_gamma2",
@@ -24,6 +28,20 @@ PUBLIC = (
     "simulate_inertia", "solve_gamma1", "solve_gamma2", "upper_bound_value",
     "validate_instance", "verify_recursion_identity",
 )
+
+FIELDS = {
+    "VariationalSolution": ("values", "objective"),
+    "GammaReport": ("gamma1", "gamma2", "gamma3", "max_pairwise_dev",
+                    "partition", "minimizer_a", "minimizer_b", "structure_ok"),
+    "StructureReport": ("tight", "same_block", "near_threshold",
+                        "near_terminal_merge"),
+    "ClusterResult": ("partition", "cluster_masses", "terminal_positions",
+                      "drifts", "events", "inertia_paths", "optimal_paths",
+                      "momentum_at_breakpoints"),
+    "MergeEvent": ("time", "merged", "position"),
+    "ContourConfig": ("offsets", "truncation", "points", "rule"),
+    "MomentInstance": ("t", "x", "m"),
+}
 
 
 def test_public_names_are_pinned():
@@ -33,4 +51,10 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(shelyap, n), types.ModuleType)
     )
     assert names == sorted(PUBLIC)
-    assert len(names) == 48
+    assert len(names) == 47
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_result_fields_are_pinned(name):
+    fields = dataclasses.fields(getattr(shelyap, name))
+    assert tuple(f.name for f in fields) == FIELDS[name]

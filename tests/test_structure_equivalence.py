@@ -1,4 +1,4 @@
-"""The array structure check and active sets against a per-gap loop reference.
+"""The array structure check against a per-gap loop reference.
 
 The reference below classifies one flat coordinate gap at a time with scalar
 tolerances. The package computes the same predicates as whole-array masks;
@@ -12,7 +12,6 @@ from shelyap import (
     check_minimizer_structure,
     simulate_inertia,
     solve_gamma1,
-    solve_gamma2,
     validate_instance,
 )
 from shelyap.solvers import BOUNDARY_TOL, STRUCTURE_TOL_SCALE
@@ -23,6 +22,7 @@ def _tol(margin):
 
 
 def reference_active(values, margins):
+    """1-based indices of the chain constraints whose gap sits on its margin."""
     gaps = values[:-1] - values[1:]
     return frozenset(
         i + 1 for i in range(len(margins)) if gaps[i] <= margins[i] + _tol(margins[i])
@@ -77,7 +77,6 @@ def test_array_check_matches_per_gap_reference():
     for _ in range(2000):
         inst = threshold_instance(rng)
         sol1 = solve_gamma1(inst)
-        sol2 = solve_gamma2(inst)
         res = simulate_inertia(inst)
         rep = check_minimizer_structure(sol1, inst, res)
         rows, ok, bd = reference_structure(sol1, inst, res)
@@ -86,12 +85,6 @@ def test_array_check_matches_per_gap_reference():
         assert got == rows, inst
         assert type(rep.ok) is bool and rep.ok == ok, inst
         assert type(rep.boundary) is bool and rep.boundary == bd, inst
-        m = np.asarray(inst.m, dtype=float)
-        assert sol1.active == reference_active(np.asarray(sol1.values),
-                                               np.ones(inst.nu - 1)), inst
-        assert sol2.active == reference_active(np.asarray(sol2.values),
-                                               (m[:-1] + m[1:]) / 2.0), inst
-        assert all(type(i) is int for i in sol1.active | sol2.active)
         boundary += bd
     # the threshold pushes must reach the boundary branch
     assert boundary > 100
