@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clusters import initial_speeds, separation_margins, simulate_inertia
+from .clusters import _sticky_partition, initial_speeds, separation_margins, simulate_inertia
 from .closedform import gamma3, gamma_report, verify_recursion_identity
 from .errors import (
     HypothesisNotMet,
@@ -268,7 +268,7 @@ def _check_oracle(inst: MomentInstance) -> bool:
 def _check_structure(inst: MomentInstance) -> bool | None:
     """None means boundary-flagged, excluded from the count."""
     sol = solve_gamma1(inst)
-    rep = check_minimizer_structure(sol, inst, simulate_inertia(inst))
+    rep = check_minimizer_structure(sol, inst, _sticky_partition(inst))
     if rep.boundary:
         return None
     return rep.ok
@@ -454,7 +454,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _sweep_row(inst: MomentInstance, value: float) -> tuple:
-    res = simulate_inertia(inst)
+    res = _sticky_partition(inst)
     s0 = res.events[0].time if res.events else None
     return value, gamma3(inst, res), res.q_hat, s0
 

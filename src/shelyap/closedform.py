@@ -22,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterResult, first_optimal_merge, simulate_inertia
+from .clusters import ClusterResult, _sticky_partition, first_optimal_merge, simulate_inertia
 from .errors import HypothesisNotMet
 from .instance import MomentInstance, validate_instance
 from .solvers import check_minimizer_structure, solve_gamma1, solve_gamma2
 
 
 def gamma3(inst: MomentInstance, res: ClusterResult) -> float:
-    """Sum the closed-form contribution of every terminal block."""
+    """Sum the closed-form contribution of every terminal block.
+
+    Only res.partition is read, so a partition-only run's result works too.
+    """
     x = np.asarray(inst.x)
     m = np.asarray(inst.m, dtype=float)
     t = inst.t
@@ -93,7 +96,7 @@ def verify_recursion_identity(inst: MomentInstance) -> RecursionCheck:
         (m**3 - m) * s0 / 24.0 - m * (x - xi) ** 2 / (2.0 * s0)
     ))
     sub = validate_instance(inst.t - s0, fm.x_prime, fm.m_prime)
-    lhs = first_leg + gamma3(sub, simulate_inertia(sub))
+    lhs = first_leg + gamma3(sub, _sticky_partition(sub))
     rhs = gamma3(inst, res)
     return RecursionCheck(lhs=lhs, rhs=rhs, s0=s0,
                           x_prime=fm.x_prime, m_prime=fm.m_prime)
@@ -132,7 +135,7 @@ def gamma_report(inst: MomentInstance) -> GammaReport:
     """Compute the exponent by all three routes and cross-check structure."""
     sol1 = solve_gamma1(inst)
     sol2 = solve_gamma2(inst)
-    res = simulate_inertia(inst)
+    res = _sticky_partition(inst)
     g3 = gamma3(inst, res)
     vals = (sol1.objective, sol2.objective, g3)
     max_dev = max(abs(p - q) for p in vals for q in vals)

@@ -19,7 +19,9 @@ grid {0, merge times, t} of K points:
                    which returns to zero at s = t.
 
 Each family is one read-only (n, K) float array; path i's `values` is row i
-of it, a NumPy view.
+of it, a NumPy view. Recording them takes O(n K) memory, so the callers that
+need only the partition and the merge log (gamma, sweep, the verify checks
+that read no path) run the same event loop with recording off, in O(n) memory.
 
 The simulation is event-driven and keeps the live clusters as parallel arrays
 (first index, mass, momentum, position). Candidate collision times are exact
@@ -97,6 +99,18 @@ class ClusterResult:
 
 
 @dataclass(frozen=True)
+class _Partition:
+    """Terminal partition and merge log of a run that recorded no paths."""
+
+    partition: tuple[tuple[int, ...], ...]
+    events: tuple[MergeEvent, ...]
+
+    @property
+    def q_hat(self) -> int:
+        return len(self.partition)
+
+
+@dataclass(frozen=True)
 class FirstMerge:
     """State extracted at the first merge time s0."""
 
@@ -108,6 +122,16 @@ class FirstMerge:
 
 def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     """Run the sticky dynamics to time t and record paths and merge events."""
+    return _simulate(inst, paths=True)
+
+
+def _sticky_partition(inst: MomentInstance) -> _Partition:
+    """The same run as simulate_inertia, keeping only the partition and events."""
+    return _simulate(inst, paths=False)
+
+
+def _simulate(inst: MomentInstance, paths: bool) -> ClusterResult | _Partition:
+    """The event loop; with paths off it records no snapshot or momentum."""
     t, n = inst.t, inst.n
     tol = event_tolerance(t)
     # live clusters as parallel arrays; first[j] is the first index of cluster
@@ -123,9 +147,10 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     momenta: list[float] = []
 
     def record(s: float) -> None:
-        times.append(s)
-        snaps.append(np.repeat(pos, first[1:] - first[:-1]))
-        momenta.append(sum((mass * speed).tolist()))
+        if paths:
+            times.append(s)
+            snaps.append(np.repeat(pos, first[1:] - first[:-1]))
+            momenta.append(sum((mass * speed).tolist()))
 
     record(0.0)
     s = 0.0
@@ -179,10 +204,13 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
         record(s)
     if s < t:
         pos += speed * (t - s)
-    if times[-1] < t:
+    if paths and times[-1] < t:
         record(t)
 
     bounds = first.tolist()
+    partition = tuple(tuple(range(lo, nxt)) for lo, nxt in zip(bounds, bounds[1:]))
+    if not paths:
+        return _Partition(partition=partition, events=tuple(events))
     drift = pos / t
     grid = tuple(times)
     zeta = np.stack(snaps, axis=1)
@@ -190,7 +218,7 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     # rows are shared views, so keep them immutable like the frozen result
     zeta.flags.writeable = xi.flags.writeable = False
     return ClusterResult(
-        partition=tuple(tuple(range(lo, nxt)) for lo, nxt in zip(bounds, bounds[1:])),
+        partition=partition,
         cluster_masses=tuple(mass.tolist()),
         terminal_positions=tuple(pos.tolist()),
         drifts=tuple(drift.tolist()),

@@ -69,11 +69,12 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
 
     Raises NonPositiveTime, UnsortedLocations, NonPositiveMultiplicity or
     LengthMismatch. Locations must be strictly increasing; ties are rejected
-    rather than merged. t and the locations must be real numbers: a string or
-    a bool is NonPositiveTime or UnsortedLocations, although float() would
-    take it. A multiplicity must be an int or an integral finite float;
-    anything else (1.5, NaN, inf, a string) is NonPositiveMultiplicity, and
-    so is a total nu that no int64 index reaches.
+    rather than merged. t and the locations must be finite real numbers: a
+    string, a bool, an infinity or a NaN is NonPositiveTime or
+    UnsortedLocations, although float() would take it. A multiplicity must
+    be an int or an integral finite float; anything else (1.5, NaN, inf, a
+    string) is NonPositiveMultiplicity, and so is a total nu that no int64
+    index reaches.
     """
     x = _reals(x, UnsortedLocations, "location")
     m_out = []
@@ -93,8 +94,10 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
     (t,) = _reals((t,), NonPositiveTime, "t")
     if not t > 0.0:
         raise NonPositiveTime(f"t={t} must be > 0")
-    if any(not np.isfinite(v) for v in x) or not np.isfinite(t):
-        raise UnsortedLocations("locations and t must be finite")
+    if not np.isfinite(t):
+        raise NonPositiveTime(f"t={t} must be finite")
+    if any(not np.isfinite(v) for v in x):
+        raise UnsortedLocations("locations must be finite")
     for a, b in zip(x, x[1:]):
         if not a < b:
             raise UnsortedLocations(f"locations must be strictly increasing, got {a} before {b}")

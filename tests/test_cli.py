@@ -436,6 +436,7 @@ def test_moments_invalid_contour_setting_is_typed(capsys, setting):
     (["gamma", *PAIR, "--tolerance", "-nan"], "ShelyapError"),
     (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2", "--offsets",
       "-Infinity,1"], "InvalidContour"),
+    (["gamma", "--x=0,1", "--m", "1,1", "--t", "inf"], "NonPositiveTime"),
 ])
 def test_inline_minus_inf_and_nan_reach_validation(capsys, argv, error):
     # the value is the last token; its --flag=value form must agree
@@ -455,10 +456,13 @@ def test_inline_minus_inf_and_nan_reach_validation(capsys, argv, error):
     ({"t": "1", "x": ["0", "1"], "m": [1, 1]}, "UnsortedLocations"),
     ({"t": 10**400, "x": [0], "m": [1]}, "NonPositiveTime"),
     ({"t": 1, "x": [0, 10**400], "m": [1, 1]}, "UnsortedLocations"),
+    # JSON reads a float literal past the range as inf
+    ('{"t": 1e400, "x": [0, 1], "m": [1, 1]}', "NonPositiveTime"),
+    ('{"t": 1, "x": [0, 1e400], "m": [1, 1]}', "UnsortedLocations"),
 ])
 def test_file_instance_rejects_non_numbers(tmp_path, capsys, doc, error):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, ["gamma", "--input", str(path)])
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == error

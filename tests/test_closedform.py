@@ -1,5 +1,7 @@
 """Tests for the closed-form route and the consistency identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,20 @@ def test_three_routes_agree_far_beyond_generator(n, t):
     res = simulate_inertia(inst)
     assert max(abs(p) for p in res.momentum_at_breakpoints) <= MOMENTUM_TOL
     assert max(abs(p.values[-1]) for p in res.optimal_paths) <= ANCHOR_TOL
+
+
+def test_gamma_report_memory_is_linear_in_n():
+    # the ROADMAP shape ends in one block after about n merge events; the
+    # (n, K) paths that gamma does not need would take over 100 MB here
+    n = 2000
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(-n, n, size=n))
+    inst = validate_instance(2.0, x, rng.integers(1, 6, size=n).tolist())
+    tracemalloc.start()
+    try:
+        rep = gamma_report(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.partition == (tuple(range(1, n + 1)),)
+    assert peak < 10e6

@@ -5,6 +5,8 @@ rescan of adjacent pairs per cascade pass and per event, and per-index path
 tuples. The package keeps the clusters as parallel arrays and the paths as
 rows of one matrix per family. Every field must agree bit for bit, including
 merges of many clusters at once and several merge groups at one timestamp.
+The partition-only run, which records no paths, must give the same partition
+and merge log as the full run on the same corpus.
 """
 
 from collections import Counter
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shelyap import initial_speeds, simulate_inertia, validate_instance
-from shelyap.clusters import event_tolerance
+from shelyap.clusters import _sticky_partition, event_tolerance
 
 
 @dataclass
@@ -204,3 +206,25 @@ def test_array_core_matches_object_reference():
     assert big_groups > 100
     assert shared_timestamps > 100
     assert large >= 30
+
+
+def test_partition_only_run_matches_full_run():
+    rng = np.random.default_rng(20261019)
+    large = near = 0
+    for k in range(360):
+        make = (random_shape, equal_line, integer_lattice, near_contact)[k % 4]
+        n = int(rng.integers(200, 261)) if k % 40 < 4 else int(rng.integers(1, 25))
+        inst = make(rng, n)
+        full = simulate_inertia(inst)
+        part = _sticky_partition(inst)
+        assert part.partition == full.partition, inst
+        assert part.q_hat == full.q_hat, inst
+        assert len(part.events) == len(full.events), inst
+        for e, f in zip(part.events, full.events):
+            assert e.merged == f.merged, inst
+            assert _bits([e.time, e.position]) == _bits([f.time, f.position]), inst
+        large += inst.n >= 200
+        # near-contact instances with a pair inside the tie window at s = 0
+        near += bool(make is near_contact and (np.diff(inst.x) <= 1e-11).any())
+    assert large >= 30
+    assert near >= 60

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,15 @@ def test_validate_rejections():
         validate_instance(1.0, [0.0, 1.0], [1])
     with pytest.raises(LengthMismatch):
         validate_instance(1.0, [], [])
+
+
+@pytest.mark.parametrize("t", [float("inf"), np.float64("inf"), json.loads("1e400")])
+def test_infinite_horizon_is_a_time_error(t):
+    # JSON reads 1e400 as inf; a non-finite location stays a location error
+    with pytest.raises(NonPositiveTime, match="must be finite"):
+        validate_instance(t, [0.0, 1.0], [1, 1])
+    with pytest.raises(UnsortedLocations, match="must be finite"):
+        validate_instance(1.0, [0.0, t], [1, 1])
 
 
 def test_flatten_examples():
