@@ -22,7 +22,6 @@ from .closedform import (
 )
 from .errors import (
     DimensionTooLarge,
-    HypothesisNotMet,
     InvalidContour,
     InvalidFitInput,
     LengthMismatch,

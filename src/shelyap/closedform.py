@@ -11,9 +11,10 @@ which specializes to (m^3 - m) t/24 - m x^2/(2t) for a single location and to
 an explicit two-branch formula for two locations (merged branch iff
 0 < (x_2 - x_1)/t <= (m_1 + m_2)/2; the branches agree at the threshold).
 
-verify_recursion_identity checks the dynamic-programming identity: paying the
-free-energy cost of the sticky paths up to the first merge time s0 and
-restarting from the collapsed instance reproduces the full exponent.
+verify_recursion_identity checks the whole induction tree of the lower bound at
+once, one level per merge: the Feynman-Kac action of the drift-removed sticky
+paths, read from one simulate_inertia run and its merge log, reproduces the
+closed form, which reads only the partition.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterResult, _sticky_partition, first_optimal_merge, simulate_inertia
-from .errors import HypothesisNotMet
-from .instance import MomentInstance, validate_instance
+from .clusters import ClusterResult, _sticky_partition, simulate_inertia
+from .instance import MomentInstance
 from .solvers import check_minimizer_structure, solve_gamma1, solve_gamma2
 
 
@@ -60,9 +60,6 @@ def gamma3(inst: MomentInstance, res: ClusterResult) -> float:
 class RecursionCheck:
     lhs: float
     rhs: float
-    s0: float
-    x_prime: tuple[float, ...]
-    m_prime: tuple[int, ...]
 
     @property
     def abs_diff(self) -> float:
@@ -70,36 +67,41 @@ class RecursionCheck:
 
 
 def verify_recursion_identity(inst: MomentInstance) -> RecursionCheck:
-    """Check the first-merge decomposition of the exponent.
+    """Check the whole induction tree: the sticky paths' action is the exponent.
 
-    Requires every location to end in one block (q_hat = 1) and n >= 2, else
-    HypothesisNotMet. With s0 the first merge time and (x', m') the collapsed
-    instance at s0,
+    With breakpoints s_0 <= ... <= s_{K-1} and drift-removed paths xi,
 
-        sum_k [ (m_k^3 - m_k) s0/24 - m_k (x_k - xi_k(s0))^2 / (2 s0) ]
-        + gamma3(t - s0, x', m')  =  gamma3(t, x, m).
+        lhs = sum_k [ sum_{C live on (s_k, s_{k+1})} (M_C^3 - M_C)/24 * ds_k
+                      - sum_i m_i (xi_i(s_{k+1}) - xi_i(s_k))^2 / (2 ds_k) ],
 
-    A first merge exactly at s0 = t leaves no time for the collapsed instance
-    and propagates NonPositiveTime; the randomized generator cannot hit it.
+    summed over intervals with ds_k > 0, and rhs = gamma3. The live clusters
+    of an interval are those formed by the merge events at or before s_k: each
+    merge group replaces its members' (M^3 - M) terms by the merged one's,
+    in exact integers. lhs reads the simulated paths and rhs only the
+    partition, and neither touches route 1 or route 2.
     """
     res = simulate_inertia(inst)
-    if res.q_hat != 1 or inst.n < 2:
-        raise HypothesisNotMet(
-            f"need q_hat=1 and n>=2, got q_hat={res.q_hat}, n={inst.n}"
-        )
-    fm = first_optimal_merge(res, inst)
-    s0 = fm.s0
+    grid = np.asarray(res.optimal_paths[0].breakpoints)
+    xi = np.array([p.values for p in res.optimal_paths])
     m = np.asarray(inst.m, dtype=float)
-    x = np.asarray(inst.x)
-    xi = np.asarray(fm.xi_at_s0)
-    first_leg = float(np.sum(
-        (m**3 - m) * s0 / 24.0 - m * (x - xi) ** 2 / (2.0 * s0)
-    ))
-    sub = validate_instance(inst.t - s0, fm.x_prime, fm.m_prime)
-    lhs = first_leg + gamma3(sub, _sticky_partition(sub))
-    rhs = gamma3(inst, res)
-    return RecursionCheck(lhs=lhs, rhs=rhs, s0=s0,
-                          x_prime=fm.x_prime, m_prime=fm.m_prime)
+    cum = [0, *np.cumsum(inst.m).tolist()]
+
+    def cube(lo: int, hi: int) -> int:
+        big_m = cum[hi] - cum[lo - 1]
+        return big_m**3 - big_m
+
+    # cubes[j]: the sum of M_C^3 - M_C over the live clusters after j events
+    cubes = [sum(mi**3 - mi for mi in inst.m)]
+    for e in res.events:
+        cubes.append(cubes[-1] + cube(e.merged[0][0], e.merged[-1][1])
+                     - sum(cube(lo, hi) for lo, hi in e.merged))
+    done = np.searchsorted([e.time for e in res.events], grid[:-1], side="right")
+    potential = np.array(cubes, dtype=float)[done] / 24.0
+    ds = np.diff(grid)
+    live = ds > 0.0  # a merge at s = 0 repeats the breakpoint 0
+    kinetic = m @ np.diff(xi, axis=1)[:, live] ** 2 / (2.0 * ds[live])
+    lhs = float(np.sum(potential[live] * ds[live] - kinetic))
+    return RecursionCheck(lhs=lhs, rhs=gamma3(inst, res))
 
 
 @dataclass(frozen=True, eq=False)

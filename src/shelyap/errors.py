@@ -9,7 +9,10 @@ class ShelyapError(Exception):
 
 
 class NonPositiveTime(ShelyapError):
-    """Time horizon (or kernel time argument) must be strictly positive."""
+    """Time horizon, moment scale T or kernel time must be > 0.
+
+    The horizon and T must also be finite.
+    """
 
 
 class UnsortedLocations(ShelyapError):
@@ -33,10 +36,6 @@ class NoMerge(ShelyapError):
 
 class DimensionTooLarge(ShelyapError):
     """Chain QP dimension exceeds the exhaustive oracle's cap."""
-
-
-class HypothesisNotMet(ShelyapError):
-    """Instance does not satisfy the precondition of the requested check."""
 
 
 class NuTooLarge(ShelyapError):

@@ -50,6 +50,13 @@ def heat_kernel(time: float, space: float) -> float:
     return math.exp(-space * space / (2.0 * time)) / math.sqrt(2.0 * math.pi * time)
 
 
+def _check_scale(T: float) -> None:
+    if not T > 0.0:
+        raise NonPositiveTime(f"T={T} must be > 0")
+    if not math.isfinite(T):
+        raise NonPositiveTime(f"T={T} must be finite")
+
+
 def _check_offsets(offsets: tuple[float, ...]) -> None:
     for hi, lo in zip(offsets, offsets[1:]):
         if not hi - lo > 1.0:
@@ -97,8 +104,7 @@ def _route1_contour(
     rule: str,
 ) -> tuple[ContourConfig, VariationalSolution]:
     """default_contour_config and the route-1 solution it is centred on."""
-    if not T > 0.0:
-        raise NonPositiveTime(f"T={T} must be > 0")
+    _check_scale(T)
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
@@ -138,8 +144,7 @@ def _grid(cfg: ContourConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -> complex:
     """Tensor-grid value of the contour integral, imaginary residual included."""
-    if not T > 0.0:
-        raise NonPositiveTime(f"T={T} must be > 0")
+    _check_scale(T)
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
@@ -171,8 +176,7 @@ def upper_bound_value(
     T: float, inst: MomentInstance, offsets: tuple[float, ...]
 ) -> float:
     """Absolute-integrand bound on the moment; NonFiniteResult if it overflows."""
-    if not T > 0.0:
-        raise NonPositiveTime(f"T={T} must be > 0")
+    _check_scale(T)
     nu, t = inst.nu, inst.t
     if len(offsets) != nu:
         raise LengthMismatch(f"{len(offsets)} offsets for nu={nu}")

@@ -28,9 +28,8 @@ from shelyap import (
     solve_gamma2,
     upper_bound_value,
     validate_instance,
-    verify_recursion_identity,
 )
-from test_closedform import one_point_gamma, two_point_gamma
+from test_closedform import one_level_recursion, one_point_gamma, two_point_gamma
 from test_clusters import block_com_speed
 from test_quadrature import lyapunov_rate_estimate
 
@@ -148,10 +147,10 @@ def test_criterion_5_first_merge_recursion():
     )
     ok = len(insts) == 100
     for inst in insts:
-        chk = verify_recursion_identity(inst)
+        chk = one_level_recursion(inst)
         if chk.abs_diff > 1e-9 * (1.0 + abs(chk.rhs)):
             ok = False
-    anchor = verify_recursion_identity(
+    anchor = one_level_recursion(
         validate_instance(2.0, [0.0, 1.0, 2.0], [1, 1, 1])
     )
     sub = validate_instance(2.0 - anchor.s0, anchor.x_prime, anchor.m_prime)

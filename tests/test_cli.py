@@ -487,6 +487,13 @@ def test_file_instance_of_wrong_shape_exits_one(tmp_path, capsys, doc):
     (["gamma", "--t", "1", "--x", "0,1", "--m", "1,x"], "NonPositiveMultiplicity"),
     (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2", "--offsets",
       "1,abc"], "InvalidContour"),
+    # an empty field is not skipped: "1,,1" is not the list (1, 1)
+    (["gamma", "--t", "1", "--x", "0,1", "--m", "1,,1"], "NonPositiveMultiplicity"),
+    (["gamma", "--t", "1", "--x", ",0,1", "--m", "1,1"], "UnsortedLocations"),
+    (["gamma", "--t", "1", "--x", "0,1,", "--m", "1,1"], "UnsortedLocations"),
+    (["gamma", "--t", "1", "--x", "0, ,1", "--m", "1,1"], "UnsortedLocations"),
+    (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2", "--offsets",
+      "1,,-1"], "InvalidContour"),
 ])
 def test_malformed_inline_number_exits_one(capsys, argv, error):
     code, out, err = run(capsys, argv)
@@ -589,7 +596,7 @@ def test_float_formatting_round_trips():
         assert float(format_float(v)) == v
 
 
-@pytest.mark.parametrize("T", ["0", "-1"])
+@pytest.mark.parametrize("T", ["0", "-1", "inf"])
 @pytest.mark.parametrize("offsets", [[], ["--offsets", "0.5"]])
 def test_moments_nonpositive_scale_exits_one(capsys, T, offsets):
     code, out, err = run(

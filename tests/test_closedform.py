@@ -1,20 +1,25 @@
 """Tests for the closed-form route and the consistency identities."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from shelyap import (
-    HypothesisNotMet,
+    first_optimal_merge,
     gamma3,
     gamma_report,
+    random_instance,
     simulate_inertia,
     solve_gamma2,
     validate_instance,
     verify_recursion_identity,
 )
-from shelyap.cli import ANCHOR_TOL, MOMENTUM_TOL, TRIPLE_TOL
+from shelyap.cli import ANCHOR_TOL, MOMENTUM_TOL, RECURSION_TOL, TRIPLE_TOL
+from shelyap.clusters import _sticky_partition
+from test_cluster_equivalence import near_contact
+from test_golden import CASCADE, ROUTE1_TIES
 
 
 def one_point_gamma(t, x1, m1):
@@ -35,6 +40,43 @@ def two_point_gamma(t, x, m):
             - (m1 * x1 + m2 * x2) ** 2 / (2.0 * big_m * t)
         )
     return one_point_gamma(t, x1, m1) + one_point_gamma(t, x2, m2)
+
+
+@dataclass(frozen=True)
+class OneLevel:
+    lhs: float
+    rhs: float
+    s0: float
+    x_prime: tuple[float, ...]
+    m_prime: tuple[int, ...]
+
+    @property
+    def abs_diff(self):
+        return abs(self.lhs - self.rhs)
+
+
+def one_level_recursion(inst):
+    """The first level of the induction tree, for q_hat = 1 and n >= 2.
+
+    With s0 the first merge time and (x', m') the collapsed instance at s0,
+
+        sum_k [ (m_k^3 - m_k) s0/24 - m_k (x_k - xi_k(s0))^2 / (2 s0) ]
+        + gamma3(t - s0, x', m')  =  gamma3(t, x, m).
+    """
+    res = simulate_inertia(inst)
+    assert res.q_hat == 1 and inst.n >= 2
+    fm = first_optimal_merge(res, inst)
+    s0 = fm.s0
+    m = np.asarray(inst.m, dtype=float)
+    x = np.asarray(inst.x)
+    xi = np.asarray(fm.xi_at_s0)
+    first_leg = float(np.sum(
+        (m**3 - m) * s0 / 24.0 - m * (x - xi) ** 2 / (2.0 * s0)
+    ))
+    sub = validate_instance(inst.t - s0, fm.x_prime, fm.m_prime)
+    lhs = first_leg + gamma3(sub, _sticky_partition(sub))
+    return OneLevel(lhs=lhs, rhs=gamma3(inst, res), s0=s0,
+                    x_prime=fm.x_prime, m_prime=fm.m_prime)
 
 
 def test_gamma3_single_location():
@@ -132,7 +174,7 @@ def test_gamma3_additive_over_blocks():
 
 def test_recursion_triple_collision():
     inst = validate_instance(2.0, [0.0, 1.0, 2.0], [1, 1, 1])
-    chk = verify_recursion_identity(inst)
+    chk = one_level_recursion(inst)
     assert chk.s0 == pytest.approx(1.0)
     assert chk.x_prime == pytest.approx((0.5,))
     assert chk.m_prime == (3,)
@@ -143,7 +185,7 @@ def test_recursion_triple_collision():
 
 def test_recursion_pair():
     inst = validate_instance(1.0, [0.0, 0.5], [1, 1])
-    chk = verify_recursion_identity(inst)
+    chk = one_level_recursion(inst)
     assert chk.s0 == pytest.approx(0.5)
     assert chk.x_prime == pytest.approx((0.125,))
     assert chk.m_prime == (2,)
@@ -155,20 +197,67 @@ def test_recursion_pair():
 def test_recursion_partial_first_merge():
     # first event collapses only the left pair; the identity still closes
     inst = validate_instance(2.0, [0.0, 0.1, 0.5], [1, 1, 1])
-    chk = verify_recursion_identity(inst)
+    chk = one_level_recursion(inst)
     assert chk.s0 == pytest.approx(0.1)
     assert chk.m_prime == (2, 1)
     assert chk.abs_diff <= 1e-9 * (1 + abs(chk.rhs))
 
 
-def test_recursion_requires_single_block():
-    with pytest.raises(HypothesisNotMet):
-        verify_recursion_identity(validate_instance(1.0, [0.0, 2.0], [1, 1]))
+def test_recursion_holds_on_two_blocks():
+    # q_hat = 2: the one-level identity needs one block, the whole tree does not
+    chk = verify_recursion_identity(validate_instance(1.0, [0.0, 2.0], [1, 1]))
+    assert chk.rhs == -2.0
+    assert chk.abs_diff <= 1e-12
 
 
-def test_recursion_requires_two_locations():
-    with pytest.raises(HypothesisNotMet):
-        verify_recursion_identity(validate_instance(1.0, [0.0], [3]))
+def test_recursion_holds_on_one_location():
+    # n = 1: no merge, one interval, one path
+    chk = verify_recursion_identity(validate_instance(1.0, [0.0], [3]))
+    assert chk.rhs == 1.0
+    assert chk.abs_diff <= 1e-12
+
+
+@pytest.mark.parametrize("x,m,value", [
+    ([0.0, 5e-324], [1, 3], 2.5),
+    ([0.0, 5e-324, 1.0], [5, 5, 1], 49.954545454545453),
+])
+def test_recursion_skips_zero_length_interval(x, m, value):
+    # gap / closing speed underflows to 0, so the merge lands at s = 0 and
+    # the breakpoint 0 repeats; that interval holds no action
+    inst = validate_instance(1.0, x, m)
+    assert simulate_inertia(inst).inertia_paths[0].breakpoints[:2] == (0.0, 0.0)
+    chk = verify_recursion_identity(inst)
+    assert chk.lhs == pytest.approx(value, rel=1e-15)
+    assert chk.rhs == pytest.approx(value, rel=1e-15)
+
+
+def _identity_cases():
+    for name, argv in (("cascade", CASCADE), ("route1_ties", ROUTE1_TIES)):
+        t, x, m = (argv[argv.index(f) + 1] for f in ("--t", "--x", "--m"))
+        yield pytest.param(float(t), [float(v) for v in x.split(",")],
+                           [int(v) for v in m.split(",")], id=name)
+    # near-contact draws with a pair inside the tie window at s = 0
+    rng = np.random.default_rng(20261019)
+    k = 0
+    while k < 8:
+        inst = near_contact(rng, int(rng.integers(2, 25)))
+        if (np.diff(inst.x) <= 1e-11).any():
+            yield pytest.param(inst.t, list(inst.x), list(inst.m), id=f"near_contact{k}")
+            k += 1
+
+
+@pytest.mark.parametrize("t,x,m", list(_identity_cases()))
+def test_recursion_whole_tree_identity(t, x, m):
+    chk = verify_recursion_identity(validate_instance(t, x, m))
+    assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
+
+
+def test_recursion_on_every_generator_draw():
+    # no rejection: draws with q_hat > 1 and with n = 1 are checked too
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        chk = verify_recursion_identity(random_instance(rng))
+        assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
 
 
 def test_recursion_random_instances():
@@ -184,7 +273,7 @@ def test_recursion_random_instances():
         inst = validate_instance(t, x, m)
         if simulate_inertia(inst).q_hat != 1:
             continue
-        chk = verify_recursion_identity(inst)
+        chk = one_level_recursion(inst)
         assert chk.abs_diff <= 1e-9 * (1 + abs(chk.rhs))
         checked += 1
 
@@ -237,6 +326,8 @@ def test_three_routes_agree_far_beyond_generator(n, t):
     res = simulate_inertia(inst)
     assert max(abs(p) for p in res.momentum_at_breakpoints) <= MOMENTUM_TOL
     assert max(abs(p.values[-1]) for p in res.optimal_paths) <= ANCHOR_TOL
+    chk = verify_recursion_identity(inst)
+    assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
 
 
 def test_gamma_report_memory_is_linear_in_n():

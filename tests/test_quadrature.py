@@ -187,6 +187,20 @@ def test_moment_requires_positive_scale():
             upper_bound_value(T, inst, cfg.offsets)
 
 
+@pytest.mark.parametrize("T,message", [
+    (math.inf, "T=inf must be finite"), (math.nan, "T=nan must be > 0"),
+    (-math.inf, "T=-inf must be > 0"),
+])
+def test_scale_must_be_finite_and_positive(T, message):
+    inst = validate_instance(1.0, [0.0], [1])
+    cfg = ContourConfig(offsets=(0.0,), truncation=4.0, points=16)
+    for call in (lambda: default_contour_config(T, inst),
+                 lambda: contour_moment_complex(T, inst, cfg),
+                 lambda: upper_bound_value(T, inst, cfg.offsets)):
+        with pytest.raises(NonPositiveTime, match=message):
+            call()
+
+
 def test_rate_estimate_rejects_nonpositive_moment(capsys):
     # a deliberately under-resolved trapezoid grid goes negative here
     code = main(["moments", "--t", "1", "--x", "3", "--m", "1", "--T", "1",
