@@ -37,7 +37,6 @@ from .errors import (
 from .instance import (
     MomentInstance,
     flatten,
-    gamma1_objective,
     gamma2_objective,
     validate_instance,
 )

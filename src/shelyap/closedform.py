@@ -11,6 +11,9 @@ which specializes to (m^3 - m) t/24 - m x^2/(2t) for a single location and to
 an explicit two-branch formula for two locations (merged branch iff
 0 < (x_2 - x_1)/t <= (m_1 + m_2)/2; the branches agree at the threshold).
 
+gamma3 evaluates every block at once in O(n) work, the pair sum through a
+prefix identity over the cumulative masses.
+
 verify_recursion_identity checks the whole induction tree of the lower bound at
 once, one level per merge: the Feynman-Kac action of the drift-removed sticky
 paths, read from one simulate_inertia run and its merge log, reproduces the
@@ -29,31 +32,31 @@ from .solvers import check_minimizer_structure, solve_gamma1, solve_gamma2
 
 
 def gamma3(inst: MomentInstance, res: ClusterResult) -> float:
-    """Sum the closed-form contribution of every terminal block.
+    """Sum the closed-form contribution of every terminal block, in one pass.
 
-    Only res.partition is read, so a partition-only run's result works too.
+    A block B is a run of consecutive locations from first(B). With C_k the
+    mass of B left of k, its pair term is
+
+        P_B = 1/2 sum_{k in B} m_k (x_k - x_first(B)) (2 C_k + m_k - M_B),
+
+    which is sum_{k<l in B} m_k m_l (x_l - x_k)/2 because
+    sum_{k in B} m_k (2 C_k + m_k - M_B) = 0. Segment sums give M_B, the first
+    moments and P_B of all blocks at once. Only res.partition is read, so a
+    partition-only run's result works too.
     """
     x = np.asarray(inst.x)
     m = np.asarray(inst.m, dtype=float)
     t = inst.t
-    total = 0.0
-    for block in res.partition:
-        lo, hi = block[0] - 1, block[-1]
-        mb, xb = m[lo:hi], x[lo:hi]
-        big_m = float(mb.sum())
-        # Blocks are contiguous and x increases, so xb[b] - xb[a] is
-        # |xb[a] - xb[b]|. Seeding each row with the running total and
-        # accumulating adds the terms strictly left to right, in the order of
-        # the pair loop this replaces; np.sum would add them pairwise and
-        # change the last digits.
-        pair = 0.0
-        for a in range(len(mb) - 1):
-            row = mb[a] * mb[a + 1 :] * (xb[a + 1 :] - xb[a]) / 2.0
-            row[0] += pair
-            pair = np.add.accumulate(row)[-1]
-        com = float(np.sum(mb * xb))
-        total += (big_m**3 - big_m) * t / 24.0 - pair - com * com / (2.0 * t * big_m)
-    return float(total)
+    sizes = np.fromiter(map(len, res.partition), dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    big_m = np.add.reduceat(m, starts)
+    com = np.add.reduceat(m * x, starts)
+    left = np.cumsum(m) - m  # integer-valued, so every C_k below is exact
+    c = left - np.repeat(left[starts], sizes)
+    dx = x - np.repeat(x[starts], sizes)
+    pair = np.add.reduceat(m * dx * (2.0 * c + m - np.repeat(big_m, sizes)), starts) / 2.0
+    kinetic = com * com / (2.0 * t * big_m)
+    return float(np.sum((big_m**3 - big_m) * t / 24.0 - pair - kinetic))
 
 
 @dataclass(frozen=True)

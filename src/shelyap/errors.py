@@ -11,7 +11,8 @@ class ShelyapError(Exception):
 class NonPositiveTime(ShelyapError):
     """Time horizon, moment scale T or kernel time must be > 0.
 
-    The horizon and T must also be finite.
+    The horizon and T must also be finite, and so must the quadrature's
+    kernel time T*t: it neither underflows to 0 nor overflows to inf.
     """
 
 

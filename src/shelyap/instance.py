@@ -5,8 +5,8 @@ and integer multiplicities m_i >= 1. The flattened form repeats each location
 by its multiplicity: nu = sum(m_i) coordinates u_1 <= ... <= u_nu. Only this
 module builds it; route 1 and the quadrature take the instance.
 
-Two equivalent variational objectives are evaluated here verbatim; the solvers
-module minimizes them:
+Two equivalent variational objectives; the solvers module minimizes them, and
+gamma2_objective evaluates route 2 here verbatim:
 
     route 1 (per-coordinate drifts a, constraints a_k - a_{k+1} >= 1):
         sum_k (t/2) a_k^2 + u_k a_k
@@ -125,18 +125,6 @@ def flatten(inst: MomentInstance) -> np.ndarray:
         ) from None
     u.flags.writeable = False
     return u
-
-
-def _gamma1_value(inst: MomentInstance, u: np.ndarray, a: np.ndarray) -> float:
-    """Route-1 objective at a, with u = flatten(inst) already built."""
-    return float(np.sum(0.5 * inst.t * a * a + u * a))
-
-
-def gamma1_objective(inst: MomentInstance, a: Sequence[float]) -> float:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (inst.nu,):
-        raise LengthMismatch(f"expected {inst.nu} coordinates, got {a.shape}")
-    return _gamma1_value(inst, flatten(inst), a)
 
 
 def gamma2_objective(inst: MomentInstance, b: Sequence[float]) -> float:

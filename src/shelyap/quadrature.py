@@ -50,11 +50,13 @@ def heat_kernel(time: float, space: float) -> float:
     return math.exp(-space * space / (2.0 * time)) / math.sqrt(2.0 * math.pi * time)
 
 
-def _check_scale(T: float) -> None:
+def _check_scale(T: float, t: float) -> None:
     if not T > 0.0:
         raise NonPositiveTime(f"T={T} must be > 0")
     if not math.isfinite(T):
         raise NonPositiveTime(f"T={T} must be finite")
+    if not 0.0 < T * t < math.inf:
+        raise NonPositiveTime(f"kernel time T*t={T * t} must be > 0 and finite")
 
 
 def _check_offsets(offsets: tuple[float, ...]) -> None:
@@ -104,7 +106,7 @@ def _route1_contour(
     rule: str,
 ) -> tuple[ContourConfig, VariationalSolution]:
     """default_contour_config and the route-1 solution it is centred on."""
-    _check_scale(T)
+    _check_scale(T, inst.t)
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
@@ -144,7 +146,7 @@ def _grid(cfg: ContourConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -> complex:
     """Tensor-grid value of the contour integral, imaginary residual included."""
-    _check_scale(T)
+    _check_scale(T, inst.t)
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
@@ -176,7 +178,7 @@ def upper_bound_value(
     T: float, inst: MomentInstance, offsets: tuple[float, ...]
 ) -> float:
     """Absolute-integrand bound on the moment; NonFiniteResult if it overflows."""
-    _check_scale(T)
+    _check_scale(T, inst.t)
     nu, t = inst.nu, inst.t
     if len(offsets) != nu:
         raise LengthMismatch(f"{len(offsets)} offsets for nu={nu}")

@@ -63,7 +63,7 @@ import numpy as np
 
 from .clusters import ClusterResult
 from .errors import DimensionTooLarge, InvalidFitInput, LengthMismatch
-from .instance import MomentInstance, _gamma1_value, flatten, gamma2_objective
+from .instance import MomentInstance, flatten, gamma2_objective
 
 STRUCTURE_TOL_SCALE = 1e-9
 BOUNDARY_TOL = 1e-6
@@ -149,7 +149,7 @@ def solve_gamma1(inst: MomentInstance) -> VariationalSolution:
     shift = np.arange(1, len(u) + 1, dtype=float)
     c = isotonic_nonincreasing(shift - u / inst.t, np.full(len(u), inst.t))
     a = c - shift
-    return VariationalSolution(a, _gamma1_value(inst, u, a))
+    return VariationalSolution(a, float(np.sum(0.5 * inst.t * a * a + u * a)))
 
 
 def solve_gamma2(inst: MomentInstance) -> VariationalSolution:

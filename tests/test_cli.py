@@ -607,6 +607,21 @@ def test_moments_nonpositive_scale_exits_one(capsys, T, offsets):
     assert json.loads(err)["error"] == "NonPositiveTime"
 
 
+@pytest.mark.parametrize("t,m,T,offsets", [
+    ("1e-300", "2", "1e-300", []), ("1e-300", "2", "1e-300", ["--offsets", "1,-1"]),
+    ("1e300", "1", "1e300", []), ("1e300", "1", "1e300", ["--offsets", "0.5"]),
+])
+def test_moments_kernel_time_out_of_range_exits_one(capsys, t, m, T, offsets):
+    # T*t underflows to 0 or overflows to inf although t and T are in range
+    code, out, err = run(
+        capsys, ["moments", "--t", t, "--x", "0", "--m", m, "--T", T, *offsets]
+    )
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "NonPositiveTime"
+    assert doc["message"].startswith("kernel time T*t=")
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
     ["gamma", "--t", "1e308", "--x", "0,1", "--m", "1000,1000"],

@@ -9,11 +9,18 @@ from shelyap import (
     NonPositiveTime,
     UnsortedLocations,
     flatten,
-    gamma1_objective,
     gamma2_objective,
     random_instance,
     validate_instance,
 )
+
+
+def gamma1_objective(inst, a):
+    """Route-1 objective sum_k (t/2) a_k^2 + u_k a_k, as solve_gamma1 sums it."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (inst.nu,):
+        raise LengthMismatch(f"expected {inst.nu} coordinates, got {a.shape}")
+    return float(np.sum(0.5 * inst.t * a * a + flatten(inst) * a))
 
 
 def test_validate_accepts_and_freezes():

@@ -23,7 +23,7 @@ PUBLIC = (
     "ShelyapError", "StructureReport", "UnsortedLocations",
     "VariationalSolution", "bruteforce_chain_qp", "check_minimizer_structure",
     "contour_moment_complex", "default_contour_config",
-    "first_optimal_merge", "flatten", "gamma1_objective", "gamma2_objective",
+    "first_optimal_merge", "flatten", "gamma2_objective",
     "gamma3", "gamma_report", "heat_kernel", "initial_speeds",
     "isotonic_nonincreasing", "oracle_gamma1", "oracle_gamma2",
     "random_instance", "sample_matching", "separation_margins",
@@ -54,7 +54,7 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(shelyap, n), types.ModuleType)
     )
     assert names == sorted(PUBLIC)
-    assert len(names) == 46
+    assert len(names) == 45
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

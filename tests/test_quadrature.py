@@ -187,12 +187,20 @@ def test_moment_requires_positive_scale():
             upper_bound_value(T, inst, cfg.offsets)
 
 
-@pytest.mark.parametrize("T,message", [
-    (math.inf, "T=inf must be finite"), (math.nan, "T=nan must be > 0"),
-    (-math.inf, "T=-inf must be > 0"),
+SCALE_CASES = [
+    (1.0, math.inf, "T=inf must be finite"), (1.0, math.nan, "T=nan must be > 0"),
+    (1.0, -math.inf, "T=-inf must be > 0"),
+    # the kernel time T*t underflows to 0 or overflows to inf
+    (1e-300, 1e-300, r"kernel time T\*t=0.0 must be > 0"),
+    (1e300, 1e300, r"kernel time T\*t=inf must be > 0 and finite"),
+]
+
+
+@pytest.mark.parametrize("t,T,message", SCALE_CASES, ids=[
+    f"{T}-{message}" if t == 1.0 else f"t={t}-T={T}" for t, T, message in SCALE_CASES
 ])
-def test_scale_must_be_finite_and_positive(T, message):
-    inst = validate_instance(1.0, [0.0], [1])
+def test_scale_must_be_finite_and_positive(t, T, message):
+    inst = validate_instance(t, [0.0], [1])
     cfg = ContourConfig(offsets=(0.0,), truncation=4.0, points=16)
     for call in (lambda: default_contour_config(T, inst),
                  lambda: contour_moment_complex(T, inst, cfg),

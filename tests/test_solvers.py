@@ -9,7 +9,6 @@ from shelyap import (
     LengthMismatch,
     bruteforce_chain_qp,
     check_minimizer_structure,
-    gamma1_objective,
     gamma2_objective,
     isotonic_nonincreasing,
     oracle_gamma1,
@@ -19,6 +18,7 @@ from shelyap import (
     solve_gamma2,
     validate_instance,
 )
+from test_instance import gamma1_objective
 from test_structure_equivalence import reference_active
 
 
