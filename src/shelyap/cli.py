@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clusters import _sticky_partition, initial_speeds, separation_margins, simulate_inertia
+from .clusters import _forest, _simulate, event_tolerance, separation_margins, simulate_inertia
 from .closedform import gamma3, gamma_report, verify_recursion_identity
 from .errors import (
     InvalidContour,
@@ -268,7 +268,7 @@ def _check_oracle(inst: MomentInstance) -> bool:
 def _check_structure(inst: MomentInstance) -> bool | None:
     """None means boundary-flagged, excluded from the count."""
     sol = solve_gamma1(inst)
-    rep = check_minimizer_structure(sol, inst, _sticky_partition(inst))
+    rep = check_minimizer_structure(sol, inst, _simulate(inst))
     if rep.boundary:
         return None
     return rep.ok
@@ -280,32 +280,32 @@ def _check_recursion(inst: MomentInstance) -> bool:
 
 
 def _check_physics(inst: MomentInstance) -> bool:
-    res = simulate_inertia(inst)
-    if sum(res.cluster_masses) != float(inst.nu):
+    run = _simulate(inst)
+    lo, hi, mass, birth, position, speed, parent = _forest(inst, run.events)
+    n, t = inst.n, inst.t
+    kid = np.flatnonzero(parent >= 0)
+    up = parent[kid]
+    # each merge group carries its members' momentum and is born where they
+    # meet, up to gaps that close within event_tolerance(t)
+    p = mass * speed
+    inflow = np.bincount(up, weights=p[kid], minlength=len(lo))[n:]
+    scale = np.bincount(up, weights=np.abs(p[kid]), minlength=len(lo))[n:]
+    if np.any(np.abs(p[n:] - inflow) > MOMENTUM_TOL * (1.0 + scale)):
         return False
-    if max(abs(p) for p in res.momentum_at_breakpoints) > MOMENTUM_TOL:
+    meet = position[kid] + speed[kid] * (birth[up] - birth[kid])
+    window = np.ptp(speed) * event_tolerance(t) + ANCHOR_TOL * (1.0 + np.abs(position[up]))
+    if np.any(np.abs(meet - position[up]) > window):
         return False
-    if max(abs(p.values[-1]) for p in res.optimal_paths) > ANCHOR_TOL:
+    # each block moves at its locations' mean initial speed; blocks end apart
+    root = np.flatnonzero(parent < 0)[np.argsort(lo[parent < 0])]
+    cum_p = np.cumsum([0.0, *(mass[:n] * speed[:n])])
+    psi = (cum_p[hi[root]] - cum_p[lo[root] - 1]) / mass[root]
+    if np.any(np.abs(speed[root] - psi) > COM_TOL * (1.0 + np.abs(psi))):
         return False
-    # each block's centre of mass moves at its initial speed; the paths are
-    # linear between breakpoints, so the stored values cover every s
-    grid = np.asarray(res.inertia_paths[0].breakpoints)
-    m = np.asarray(inst.m, dtype=float)
-    speeds = initial_speeds(inst.m)
-    for block, mass in zip(res.partition, res.cluster_masses):
-        if sum(inst.m[i - 1] for i in block) != mass:
-            return False
-        lo, hi = block[0] - 1, block[-1]
-        mb = m[lo:hi]
-        com = mb @ np.array([p.values for p in res.inertia_paths[lo:hi]]) / mass
-        psi = mb @ speeds[lo:hi] / mass
-        if np.max(np.abs(com - com[0] - psi * grid)) > COM_TOL:
-            return False
-    if any(p >= q for p, q in zip(res.terminal_positions, res.terminal_positions[1:])):
+    terminal = position[root] + speed[root] * (t - birth[root])
+    if np.any(np.diff(terminal) <= 0.0):
         return False
-    if res.q_hat > 1 and not np.all(separation_margins(inst, res.partition) > 0.0):
-        return False
-    return True
+    return len(root) == 1 or bool(np.all(separation_margins(inst, run.partition) > 0.0))
 
 
 def _quadrature_checks(rng: np.random.Generator, count: int) -> list[bool]:
@@ -442,9 +442,9 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _sweep_row(inst: MomentInstance, value: float) -> tuple:
-    res = _sticky_partition(inst)
-    s0 = res.events[0].time if res.events else None
-    return value, gamma3(inst, res), res.q_hat, s0
+    run = _simulate(inst)
+    s0 = run.events[0].time if run.events else None
+    return value, gamma3(inst, run), len(run.partition), s0
 
 
 def cmd_sweep(args) -> int:

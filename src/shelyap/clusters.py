@@ -11,17 +11,19 @@ is included. The surviving clusters at time t define the optimal partition
 B_1, ..., B_qhat into contiguous index blocks, each with terminal position
 zeta_B(t) and drift v_j = zeta_B(t)/t.
 
-Two path families are recorded per original index i on a shared breakpoint
-grid {0, merge times, t} of K points:
+All the run keeps is its merge forest: the locations are its leaves, and
+each MergeEvent is a node with a birth time, children (the member intervals
+it merged), a birth position and a speed, at which it moves until it merges
+again. With the times the loop stepped to, the forest fixes every position.
+
+simulate_inertia alone, for `clusters`, expands it into two read-only (n, K)
+path families on the breakpoints {0, merge times, t}; row i is index i's
 
     inertia path   zeta_i(s): the simulated trajectory;
     optimal path   xi_i(s) = zeta_i(s) - v_j s, the drift-removed trajectory,
                    which returns to zero at s = t.
 
-Each family is one read-only (n, K) float array; path i's `values` is row i
-of it, a NumPy view. Recording them takes O(n K) memory, so the callers that
-need only the partition and the merge log (gamma, sweep, the verify checks
-that read no path) run the same event loop with recording off, in O(n) memory.
+gamma, sweep and the verify checks read the forest, in O(n + events) memory.
 
 The simulation is event-driven and keeps the live clusters as parallel arrays
 (first index, mass, momentum, position). Candidate collision times are exact
@@ -36,7 +38,7 @@ ends a cascade also gives the next event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,11 +62,12 @@ def initial_speeds(m: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """One merge group: the pre-merge member intervals it combined."""
+    """One merge group, a forest node: merged lists its children, the member intervals."""
 
     time: float
     merged: tuple[tuple[int, int], ...]
     position: float
+    speed: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +80,7 @@ class PiecewiseLinearPath:
 
 @dataclass(frozen=True, eq=False)
 class ClusterResult:
-    """Terminal partition, per-block data, merge log and recorded paths.
-
-    momentum_at_breakpoints holds sum(mass * speed) over live clusters right
-    after each recorded breakpoint; conservation keeps every entry at zero up
-    to rounding.
-    """
+    """Terminal partition, per-block data, merge log and the expanded paths."""
 
     partition: tuple[tuple[int, ...], ...]
     cluster_masses: tuple[float, ...]
@@ -91,23 +89,18 @@ class ClusterResult:
     events: tuple[MergeEvent, ...]
     inertia_paths: tuple[PiecewiseLinearPath, ...]
     optimal_paths: tuple[PiecewiseLinearPath, ...]
-    momentum_at_breakpoints: tuple[float, ...]
 
     @property
     def q_hat(self) -> int:
         return len(self.partition)
 
 
-@dataclass(frozen=True)
-class _Partition:
-    """Terminal partition and merge log of a run that recorded no paths."""
+class _Run(NamedTuple):
+    """A run's partition, merge log and every time the loop stepped to, t last."""
 
     partition: tuple[tuple[int, ...], ...]
     events: tuple[MergeEvent, ...]
-
-    @property
-    def q_hat(self) -> int:
-        return len(self.partition)
+    steps: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -121,17 +114,50 @@ class FirstMerge:
 
 
 def simulate_inertia(inst: MomentInstance) -> ClusterResult:
-    """Run the sticky dynamics to time t and record paths and merge events."""
-    return _simulate(inst, paths=True)
+    """Run the sticky dynamics to time t and expand the paths of every index.
+
+    Each forest node writes its birth position and speed into its index rows,
+    and every row moves by speed * step over the loop's steps, in the loop's
+    arithmetic, so every value has the loop's bits.
+    """
+    partition, events, steps = _simulate(inst)
+    t = inst.t
+    batches: dict[float, list[MergeEvent]] = {}
+    for e in events:
+        batches.setdefault(e.time, []).append(e)
+    z = np.array(inst.x, dtype=float)
+    v = initial_speeds(inst.m)
+    grid, columns = [0.0], [z.copy()]
+    s = 0.0
+    for step in steps:  # the last step is to t
+        z += v * (step - s)
+        s = step
+        if s in batches or s == t:
+            for e in batches.get(s, ()):
+                lo, hi = e.merged[0][0] - 1, e.merged[-1][1]
+                z[lo:hi], v[lo:hi] = e.position, e.speed
+            grid.append(s)
+            columns.append(z.copy())
+    terminal = z[[b[0] - 1 for b in partition]]
+    drift = terminal / t
+    grid = tuple(grid)
+    zeta = np.stack(columns, axis=1)
+    xi = zeta - np.repeat(drift, [len(b) for b in partition])[:, None] * np.array(grid)
+    # rows are shared views, so keep them immutable like the frozen result
+    zeta.flags.writeable = xi.flags.writeable = False
+    return ClusterResult(
+        partition=partition,
+        cluster_masses=tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in partition),
+        terminal_positions=tuple(terminal.tolist()),
+        drifts=tuple(drift.tolist()),
+        events=events,
+        inertia_paths=tuple(PiecewiseLinearPath(grid, row) for row in zeta),
+        optimal_paths=tuple(PiecewiseLinearPath(grid, row) for row in xi),
+    )
 
 
-def _sticky_partition(inst: MomentInstance) -> _Partition:
-    """The same run as simulate_inertia, keeping only the partition and events."""
-    return _simulate(inst, paths=False)
-
-
-def _simulate(inst: MomentInstance, paths: bool) -> ClusterResult | _Partition:
-    """The event loop; with paths off it records no snapshot or momentum."""
+def _simulate(inst: MomentInstance) -> _Run:
+    """The event loop, in O(n + events) memory."""
     t, n = inst.t, inst.n
     tol = event_tolerance(t)
     # live clusters as parallel arrays; first[j] is the first index of cluster
@@ -142,19 +168,9 @@ def _simulate(inst: MomentInstance, paths: bool) -> ClusterResult | _Partition:
     pos = np.array(inst.x, dtype=float)
     speed = mom / mass
     events: list[MergeEvent] = []
-    times: list[float] = []
-    snaps: list[np.ndarray] = []
-    momenta: list[float] = []
-
-    def record(s: float) -> None:
-        if paths:
-            times.append(s)
-            snaps.append(np.repeat(pos, first[1:] - first[:-1]))
-            momenta.append(sum((mass * speed).tolist()))
-
-    record(0.0)
+    steps: list[float] = []
     s = 0.0
-    arrived = merged = False  # contacts count only at a time reached by a move
+    arrived = False  # contacts count only at a time reached by a move
     while len(pos) > 1:
         closing = speed[:-1] - speed[1:]
         cand = s + np.divide(pos[1:] - pos[:-1], closing,
@@ -176,57 +192,54 @@ def _simulate(inst: MomentInstance, paths: bool) -> ClusterResult | _Partition:
                 bounds = first[j0 : j1 + 2].tolist()
                 total = sum(ms)
                 com = sum(a * b for a, b in zip(ms, xs)) / total
-                mom[j0] = sum(mom[j0 : j1 + 1].tolist())
-                mass[j0], pos[j0] = total, com
+                p = sum(mom[j0 : j1 + 1].tolist())
+                mom[j0], mass[j0], pos[j0] = p, total, com
                 keep[j0 + 1 : j1 + 1] = False
                 events.append(MergeEvent(
                     time=s,
                     merged=tuple((lo, nxt - 1) for lo, nxt in zip(bounds, bounds[1:])),
                     position=com,
+                    speed=p / total,
                 ))
             first = first[keep]
             keep = keep[:-1]
             mass, mom, pos = mass[keep], mom[keep], pos[keep]
             speed = mom / mass
-            merged = True
             continue
         # no pair in contact: this scan also gives the next event
-        if merged:
-            record(s)
-            merged = False
         s_next = float(cand.min())
         if not s_next <= t + tol:
             break
         s_evt = min(s_next, t)
         pos += speed * (s_evt - s)
         s, arrived = s_evt, True
-    if merged:
-        record(s)
+        steps.append(s)
     if s < t:
-        pos += speed * (t - s)
-    if paths and times[-1] < t:
-        record(t)
-
+        steps.append(t)
     bounds = first.tolist()
     partition = tuple(tuple(range(lo, nxt)) for lo, nxt in zip(bounds, bounds[1:]))
-    if not paths:
-        return _Partition(partition=partition, events=tuple(events))
-    drift = pos / t
-    grid = tuple(times)
-    zeta = np.stack(snaps, axis=1)
-    xi = zeta - np.repeat(drift, first[1:] - first[:-1])[:, None] * np.array(grid)
-    # rows are shared views, so keep them immutable like the frozen result
-    zeta.flags.writeable = xi.flags.writeable = False
-    return ClusterResult(
-        partition=partition,
-        cluster_masses=tuple(mass.tolist()),
-        terminal_positions=tuple(pos.tolist()),
-        drifts=tuple(drift.tolist()),
-        events=tuple(events),
-        inertia_paths=tuple(PiecewiseLinearPath(grid, row) for row in zeta),
-        optimal_paths=tuple(PiecewiseLinearPath(grid, row) for row in xi),
-        momentum_at_breakpoints=tuple(momenta),
-    )
+    return _Run(partition, tuple(events), tuple(steps))
+
+
+def _forest(inst: MomentInstance, events: Sequence[MergeEvent]) -> tuple[np.ndarray, ...]:
+    """The merge forest as columns, the n leaves first, then one node per event:
+    index range (lo, hi), mass, birth time, birth position, speed, and the node
+    it merged into (-1 for a root). A range names one node, as live clusters
+    are disjoint and a merge widens them."""
+    n = inst.n
+    lo = [*range(1, n + 1), *(e.merged[0][0] for e in events)]
+    hi = [*range(1, n + 1), *(e.merged[-1][1] for e in events)]
+    node = {iv: k for k, iv in enumerate(zip(lo, hi))}
+    parent = [-1] * len(lo)
+    for k, e in enumerate(events, n):
+        for iv in e.merged:
+            parent[node[iv]] = k
+    lo, hi = np.array(lo), np.array(hi)
+    cum = np.cumsum([0.0, *inst.m])
+    birth = np.array([0.0] * n + [e.time for e in events])
+    position = np.array([*inst.x, *(e.position for e in events)], dtype=float)
+    speed = np.concatenate((initial_speeds(inst.m), [e.speed for e in events]))
+    return lo, hi, cum[hi] - cum[lo - 1], birth, position, speed, np.array(parent)
 
 
 def first_optimal_merge(res: ClusterResult, inst: MomentInstance) -> FirstMerge:
@@ -268,13 +281,8 @@ def separation_margins(inst: MomentInstance, partition: Sequence[Sequence[int]])
     """
     x = np.asarray(inst.x)
     m = np.asarray(inst.m, dtype=float)
-    coms, masses = [], []
-    for block in partition:
-        idx = [i - 1 for i in block]
-        mb = m[idx].sum()
-        coms.append(float((m[idx] * x[idx]).sum() / mb))
-        masses.append(float(mb))
-    out = []
-    for k in range(len(coms) - 1):
-        out.append(coms[k + 1] - coms[k] - (masses[k] + masses[k + 1]) * inst.t / 2.0)
-    return np.asarray(out)
+    sizes = np.fromiter(map(len, partition), dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    masses = np.add.reduceat(m, starts)
+    coms = np.add.reduceat(m * x, starts) / masses
+    return np.diff(coms) - (masses[:-1] + masses[1:]) * inst.t / 2.0

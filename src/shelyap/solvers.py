@@ -287,8 +287,8 @@ def check_minimizer_structure(
     classify reliably are flagged boundary instead of asserted either way:
     the location-pair margin test |(x_{j+1}-x_j)/t - (m_j+m_{j+1})/2| <= 1e-6,
     a cross-block gap within 1e-6 of 1, or any merge within 1e-6*(1+t) of t.
-    Only res.partition and res.events are read, so a partition-only run's
-    result works too.
+    Only res.partition and res.events are read, so the event loop's _Run
+    works too.
     """
     a = np.asarray(sol.values)
     dev = np.abs((a[:-1] - a[1:]) - 1.0)

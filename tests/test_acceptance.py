@@ -30,7 +30,7 @@ from shelyap import (
     validate_instance,
 )
 from test_closedform import one_level_recursion, one_point_gamma, two_point_gamma
-from test_clusters import block_com_speed
+from test_clusters import block_com_speed, merge_momentum_defects
 from test_quadrature import lyapunov_rate_estimate
 
 # brute-force quadrature gap for (t=1, x=[0], m=[2]) at T=40, tabulated with
@@ -169,7 +169,7 @@ def test_criterion_6_simulation_physics(thousand_instances):
         res = simulate_inertia(inst)
         if sum(res.cluster_masses) != float(inst.nu):
             ok = False
-        if max(abs(p) for p in res.momentum_at_breakpoints) > 1e-12:
+        if max(merge_momentum_defects(inst, res.events), default=0.0) > 1e-12:
             ok = False
         if max(abs(p.values[-1]) for p in res.optimal_paths) > 1e-12:
             ok = False

@@ -16,8 +16,8 @@ from shelyap import (
     validate_instance,
     verify_recursion_identity,
 )
-from shelyap.cli import ANCHOR_TOL, MOMENTUM_TOL, RECURSION_TOL, TRIPLE_TOL
-from shelyap.clusters import _sticky_partition
+from shelyap.cli import ANCHOR_TOL, RECURSION_TOL, TRIPLE_TOL, _check_physics
+from shelyap.clusters import _simulate
 from test_cluster_equivalence import near_contact
 from test_golden import CASCADE, ROUTE1_TIES
 
@@ -74,7 +74,7 @@ def one_level_recursion(inst):
         (m**3 - m) * s0 / 24.0 - m * (x - xi) ** 2 / (2.0 * s0)
     ))
     sub = validate_instance(inst.t - s0, fm.x_prime, fm.m_prime)
-    lhs = first_leg + gamma3(sub, _sticky_partition(sub))
+    lhs = first_leg + gamma3(sub, _simulate(sub))
     return OneLevel(lhs=lhs, rhs=gamma3(inst, res), s0=s0,
                     x_prime=fm.x_prime, m_prime=fm.m_prime)
 
@@ -323,20 +323,24 @@ def test_three_routes_agree_far_beyond_generator(n, t):
     rep = gamma_report(inst)
     assert rep.max_pairwise_dev <= TRIPLE_TOL * (1.0 + abs(rep.gamma3))
     assert rep.structure_ok
+    assert _check_physics(inst)
     res = simulate_inertia(inst)
-    assert max(abs(p) for p in res.momentum_at_breakpoints) <= MOMENTUM_TOL
     assert max(abs(p.values[-1]) for p in res.optimal_paths) <= ANCHOR_TOL
     chk = verify_recursion_identity(inst)
     assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
+
+
+def _benchmark_shape(n, t):
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(-n, n, size=n))
+    return validate_instance(t, x, rng.integers(1, 6, size=n).tolist())
 
 
 def test_gamma_report_memory_is_linear_in_n():
     # the ROADMAP shape ends in one block after about n merge events; the
     # (n, K) paths that gamma does not need would take over 100 MB here
     n = 2000
-    rng = np.random.default_rng(0)
-    x = np.sort(rng.uniform(-n, n, size=n))
-    inst = validate_instance(2.0, x, rng.integers(1, 6, size=n).tolist())
+    inst = _benchmark_shape(n, 2.0)
     tracemalloc.start()
     try:
         rep = gamma_report(inst)
@@ -345,3 +349,26 @@ def test_gamma_report_memory_is_linear_in_n():
         tracemalloc.stop()
     assert rep.partition == (tuple(range(1, n + 1)),)
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("t", [0.02, 2.0])
+def test_forest_readers_far_beyond_generator(t):
+    # about n blocks at t = 0.02, one block after n - 1 merges at t = 2
+    inst = _benchmark_shape(3000, t)
+    chk = verify_recursion_identity(inst)
+    assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
+    assert _check_physics(inst)
+
+
+def test_recursion_check_memory_is_linear_in_n():
+    # the node sum reads the merge forest; summing over the dense (n, K)
+    # paths, as the check once did, peaked at 162 MB here
+    inst = _benchmark_shape(2000, 2.0)
+    tracemalloc.start()
+    try:
+        chk = verify_recursion_identity(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
+    assert peak < 8e6

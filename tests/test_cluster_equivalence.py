@@ -2,11 +2,12 @@
 
 The reference below is the earlier core: one object per live cluster, a full
 rescan of adjacent pairs per cascade pass and per event, and per-index path
-tuples. The package keeps the clusters as parallel arrays and the paths as
-rows of one matrix per family. Every field must agree bit for bit, including
-merges of many clusters at once and several merge groups at one timestamp.
-The partition-only run, which records no paths, must give the same partition
-and merge log as the full run on the same corpus.
+tuples snapshotted during the run. The package keeps the clusters as parallel
+arrays, records only the merge forest and its steps, and expands the paths
+afterwards. Every field must agree bit for bit, including each merge event's
+speed, merges of many clusters at once and several merge groups at one
+timestamp. The run record that gamma and the verify checks read must give the
+same partition and merge log as simulate_inertia on the same corpus.
 """
 
 from collections import Counter
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shelyap import initial_speeds, simulate_inertia, validate_instance
-from shelyap.clusters import _sticky_partition, event_tolerance
+from shelyap.clusters import _simulate, event_tolerance
 
 
 @dataclass
@@ -71,7 +72,8 @@ def _merge_contacts(clusters, s, tol, events):
             mass = sum(c.mass for c in group)
             momentum = sum(c.momentum for c in group)
             com = sum(c.mass * c.position for c in group) / mass
-            pass_events.append((s, tuple((c.lo, c.hi) for c in group), com))
+            pass_events.append((s, tuple((c.lo, c.hi) for c in group), com,
+                                momentum / mass))
             clusters[j0 : j1 + 1] = [_Cluster(group[0].lo, group[-1].hi,
                                               mass, momentum, com)]
         events.extend(reversed(pass_events))
@@ -90,7 +92,6 @@ def reference_simulate(inst):
     events = []
     times = [0.0]
     snaps = [_snapshot(clusters, n)]
-    momenta = [sum(c.mass * c.speed for c in clusters)]
     s = 0.0
     while len(clusters) > 1:
         s_next = min(_collision_times(clusters, s))
@@ -104,14 +105,12 @@ def reference_simulate(inst):
         if _merge_contacts(clusters, s, tol, events):
             times.append(s)
             snaps.append(_snapshot(clusters, n))
-            momenta.append(sum(c.mass * c.speed for c in clusters))
     if s < t:
         for c in clusters:
             c.position += c.speed * (t - s)
     if times[-1] < t:
         times.append(t)
         snaps.append(_snapshot(clusters, n))
-        momenta.append(sum(c.mass * c.speed for c in clusters))
     drifts = tuple(c.position / t for c in clusters)
     drift_of_index = {}
     for c, v in zip(clusters, drifts):
@@ -131,7 +130,6 @@ def reference_simulate(inst):
         "grid": tuple(times),
         "zeta": zeta,
         "xi": xi,
-        "momenta": tuple(momenta),
     }
 
 
@@ -181,12 +179,11 @@ def test_array_core_matches_object_reference():
         assert _bits(res.cluster_masses) == _bits(ref["masses"]), inst
         assert _bits(res.terminal_positions) == _bits(ref["terminal"]), inst
         assert _bits(res.drifts) == _bits(ref["drifts"]), inst
-        assert _bits(res.momentum_at_breakpoints) == _bits(ref["momenta"]), inst
-        got_events = [(e.time, e.merged, e.position) for e in res.events]
+        got_events = [(e.time, e.merged, e.position, e.speed) for e in res.events]
         assert len(got_events) == len(ref["events"]), inst
-        for (s, merged, pos), (rs, rmerged, rpos) in zip(got_events, ref["events"]):
+        for (s, merged, pos, v), (rs, rmerged, rpos, rv) in zip(got_events, ref["events"]):
             assert merged == rmerged, inst
-            assert _bits([s, pos]) == _bits([rs, rpos]), inst
+            assert _bits([s, pos, v]) == _bits([rs, rpos, rv]), inst
         for paths, rows in ((res.inertia_paths, ref["zeta"]),
                             (res.optimal_paths, ref["xi"])):
             assert len(paths) == inst.n
@@ -195,9 +192,9 @@ def test_array_core_matches_object_reference():
                 assert _bits(p.values) == _bits(row), inst
         # every scalar field stays a Python number
         assert all(type(v) is float for v in res.cluster_masses + res.drifts
-                   + res.terminal_positions + res.momentum_at_breakpoints)
+                   + res.terminal_positions)
         assert all(type(e.time) is float and type(e.position) is float
-                   for e in res.events)
+                   and type(e.speed) is float for e in res.events)
         big_groups += sum(len(e.merged) > 2 for e in res.events)
         shared_timestamps += sum(
             c > 1 for c in Counter(e.time for e in res.events).values()
@@ -216,13 +213,17 @@ def test_partition_only_run_matches_full_run():
         n = int(rng.integers(200, 261)) if k % 40 < 4 else int(rng.integers(1, 25))
         inst = make(rng, n)
         full = simulate_inertia(inst)
-        part = _sticky_partition(inst)
+        part = _simulate(inst)
         assert part.partition == full.partition, inst
-        assert part.q_hat == full.q_hat, inst
         assert len(part.events) == len(full.events), inst
         for e, f in zip(part.events, full.events):
             assert e.merged == f.merged, inst
-            assert _bits([e.time, e.position]) == _bits([f.time, f.position]), inst
+            assert (_bits([e.time, e.position, e.speed])
+                    == _bits([f.time, f.position, f.speed])), inst
+        # the steps increase to t and hold every merge time and breakpoint
+        steps = part.steps
+        assert all(a < b for a, b in zip(steps, steps[1:])) and steps[-1] == inst.t, inst
+        assert set(full.inertia_paths[0].breakpoints[1:]) <= set(steps), inst
         large += inst.n >= 200
         # near-contact instances with a pair inside the tie window at s = 0
         near += bool(make is near_contact and (np.diff(inst.x) <= 1e-11).any())

@@ -10,6 +10,8 @@ from shelyap import (
     simulate_inertia,
     validate_instance,
 )
+from shelyap.clusters import _simulate
+from test_cluster_equivalence import integer_lattice
 
 MOMENTUM_TOL = 1e-12
 ANCHOR_TOL = 1e-12
@@ -22,6 +24,21 @@ def block_com_speed(m, block):
     after = sum(m[hi:])
     before = sum(m[: lo - 1])
     return 0.5 * (after - before)
+
+
+def merge_momentum_defects(inst, events):
+    """|M v - sum of its members' M v| at each merge event.
+
+    A member's speed is its own event's, or a location's initial speed.
+    """
+    speed = {(i, i): v for i, v in enumerate(initial_speeds(inst.m).tolist(), 1)}
+    out = []
+    for e in events:
+        members = sum(sum(inst.m[lo - 1 : hi]) * speed[lo, hi] for lo, hi in e.merged)
+        lo, hi = e.merged[0][0], e.merged[-1][1]
+        out.append(abs(sum(inst.m[lo - 1 : hi]) * e.speed - members))
+        speed[lo, hi] = e.speed
+    return out
 
 
 def test_initial_speeds_examples():
@@ -49,6 +66,7 @@ def test_pair_merges_at_known_time():
     assert ev.time == 0.5
     assert ev.position == 0.25
     assert ev.merged == ((1, 1), (2, 2))
+    assert ev.speed == 0.0
     # merged cluster has zero net speed, so it parks at 0.25
     assert res.terminal_positions == (0.25,)
     assert res.drifts == (0.25,)
@@ -159,8 +177,8 @@ def test_physics_invariants_random():
         assert sum(res.cluster_masses) == float(inst.nu)
         for block, mass in zip(res.partition, res.cluster_masses):
             assert sum(inst.m[i - 1] for i in block) == mass
-        # momentum stays zero at every breakpoint
-        assert max(abs(p) for p in res.momentum_at_breakpoints) <= MOMENTUM_TOL
+        # every merge group carries its members' momentum
+        assert max(merge_momentum_defects(inst, res.events), default=0.0) <= MOMENTUM_TOL
         # drift-removed paths return to zero
         assert max(abs(p.values[-1]) for p in res.optimal_paths) <= ANCHOR_TOL
         # terminal order is strict
@@ -200,3 +218,50 @@ def test_paths_share_breakpoint_grid():
             assert p.breakpoints == grid
         for e in res.events:
             assert e.time in grid
+
+
+def block_loop_margins(inst, partition):
+    """The earlier separation_margins: one Python pass per terminal block."""
+    x = np.asarray(inst.x)
+    m = np.asarray(inst.m, dtype=float)
+    coms, masses = [], []
+    for block in partition:
+        idx = [i - 1 for i in block]
+        mb = m[idx].sum()
+        coms.append(float((m[idx] * x[idx]).sum() / mb))
+        masses.append(float(mb))
+    out = []
+    for k in range(len(coms) - 1):
+        out.append(coms[k + 1] - coms[k] - (masses[k] + masses[k + 1]) * inst.t / 2.0)
+    return np.asarray(out)
+
+
+def test_separation_margins_match_block_loop():
+    # segment sums add each block's moments left to right, numpy's block sum
+    # pairwise, so entries may differ by rounding: |d| <= 4 eps S, with S the
+    # sum of both blocks' mean |x| and the mass term (worst seen: 1.09 eps S)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20261020)
+    corpus = [random_instance(rng) for _ in range(1500)]
+    for k in range(300):
+        n = int(rng.integers(2, 400))
+        corpus.append(validate_instance((0.02, 0.3, 2.0)[k % 3],
+                                        np.sort(rng.uniform(-n, n, size=n)),
+                                        rng.integers(1, 6, size=n).tolist()))
+    corpus += [integer_lattice(rng, int(rng.integers(2, 60))) for _ in range(300)]
+    entries = 0
+    for inst in corpus:
+        part = _simulate(inst).partition
+        got, ref = separation_margins(inst, part), block_loop_margins(inst, part)
+        assert got.shape == ref.shape == (len(part) - 1,)
+        if len(part) < 2:
+            continue
+        m = np.asarray(inst.m, dtype=float)
+        x = np.abs(np.asarray(inst.x))
+        moment = np.array([m[b[0] - 1 : b[-1]] @ x[b[0] - 1 : b[-1]] for b in part])
+        mass = np.array([m[b[0] - 1 : b[-1]].sum() for b in part])
+        scale = (moment / mass)[:-1] + (moment / mass)[1:] + (mass[:-1] + mass[1:]) * inst.t / 2
+        assert np.all(np.abs(got - ref) <= 4 * eps * scale), inst
+        assert np.array_equal(np.sign(got), np.sign(ref)), inst
+        entries += len(got)
+    assert entries > 20000

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from shelyap import gamma3, simulate_inertia, validate_instance
-from shelyap.clusters import _Partition, _sticky_partition
+from shelyap.clusters import _Run, _simulate
 from test_golden import BIG, CASCADE, FIVE, ROUTE1_POOLED, ROUTE1_TIE, ROUTE1_TIES
 
 EPS = Fraction(1, 2**52)
@@ -141,7 +141,7 @@ def test_exact_reference_is_the_pair_sum():
     shapes = (random_shape, equal_line, heavy_lattice, short_horizon)
     for k in range(100):
         inst = shapes[k % 4](rng, int(rng.integers(1, 30)))
-        part = _sticky_partition(inst).partition
+        part = _simulate(inst).partition
         t = Fraction(inst.t)
         potential = kinetic = Fraction(0)
         for b in part:
@@ -158,7 +158,7 @@ def test_corpus_within_exact_bound():
     worst = 0.0
     large_blocks = 0
     for inst in corpus():
-        res = _sticky_partition(inst)
+        res = _simulate(inst)
         got = gamma3(inst, res)
         assert type(got) is float
         err = error_in_eps_s(inst, res.partition, got)
@@ -190,10 +190,10 @@ def test_ten_thousand_within_exact_bound(t):
     if t == 2.0:
         # the sticky run ends in one block here; gamma3 reads only the
         # partition, so it is given directly rather than simulated
-        part = _Partition(partition=(tuple(range(1, n + 1)),), events=())
+        part = _Run(partition=(tuple(range(1, n + 1)),), events=(), steps=(t,))
     else:
-        part = _sticky_partition(inst)
-        assert part.q_hat > 0.9 * n
+        part = _simulate(inst)
+        assert len(part.partition) > 0.9 * n
     assert error_in_eps_s(inst, part.partition, gamma3(inst, part)) <= C_BOUND
 
 
@@ -203,5 +203,5 @@ def test_ten_thousand_within_exact_bound(t):
                               "ROUTE1_TIES", "ROUTE1_TIE"])
 def test_golden_instances_within_exact_bound(argv):
     inst = instance_of(argv)
-    part = _sticky_partition(inst)
+    part = _simulate(inst)
     assert error_in_eps_s(inst, part.partition, gamma3(inst, part)) <= C_BOUND
