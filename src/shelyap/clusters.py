@@ -14,7 +14,8 @@ zeta_B(t) and drift v_j = zeta_B(t)/t.
 All the run keeps is its merge forest: the locations are its leaves, and
 each MergeEvent is a node with a birth time, children (the member intervals
 it merged), a birth position and a speed, at which it moves until it merges
-again. With the times the loop stepped to, the forest fixes every position.
+again. A node's position at time s is its birth position + speed * (s - birth),
+so the forest fixes every position.
 
 simulate_inertia alone, for `clusters`, expands it into two read-only (n, K)
 path families on the breakpoints {0, merge times, t}; row i is index i's
@@ -25,18 +26,28 @@ path families on the breakpoints {0, merge times, t}; row i is index i's
 
 gamma, sweep and the verify checks read the forest, in O(n + events) memory.
 
-The simulation is event-driven and keeps the live clusters as parallel arrays
-(first index, mass, momentum, position). Candidate collision times are exact
-ratios gap / closing-speed, computed for all adjacent pairs in one array
-expression; two candidates within 1e-12 * (1 + t) of each other count as
-simultaneous, and merging cascades within one event batch until no adjacent
-pair is in contact. Multi-way collisions therefore resolve into one or more
-merge groups recorded at the same timestamp, left to right. The scan that
-ends a cascade also gives the next event.
+The event loop keeps the live clusters in a doubly linked list, keyed by
+their first index, each with its mass, momentum, speed, birth time and birth
+position; nothing moves per event. A min-heap holds one collision candidate
+per adjacent pair, computed once, when the pair becomes adjacent: at
+s0 = max(birth_L, birth_R) the candidate is s0 + gap(s0) / closing speed, and
+a pair that does not close in has none. Every merge retires its clusters'
+forest nodes, and an entry counts only while both of its nodes are live, so
+stale entries are dropped as they reach the top. Each event costs O(log n).
+
+Ties: the earliest live candidate c sets the batch time s = min(c, t), and
+the loop ends once c > t + event_tolerance(t), so a merge at s = t counts.
+Every candidate <= s + event_tolerance(t) merges in one pass, as runs of
+adjacent pairs, left to right, with group sums as Python sums left to right.
+The pairs that this forms cascade at the same s as the next pass, with their
+own merge groups, while their candidates fall in the window. A contact at
+s = 0 thus merges at the first batch, and a multi-way collision resolves into
+one or more merge groups at one timestamp.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -96,11 +107,10 @@ class ClusterResult:
 
 
 class _Run(NamedTuple):
-    """A run's partition, merge log and every time the loop stepped to, t last."""
+    """A run's partition and merge log."""
 
     partition: tuple[tuple[int, ...], ...]
     events: tuple[MergeEvent, ...]
-    steps: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -116,33 +126,29 @@ class FirstMerge:
 def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     """Run the sticky dynamics to time t and expand the paths of every index.
 
-    Each forest node writes its birth position and speed into its index rows,
-    and every row moves by speed * step over the loop's steps, in the loop's
-    arithmetic, so every value has the loop's bits.
+    The grid is 0, then each merge time once, then t. Column 0 holds the
+    locations, and a merge time's column the state after all its merges. Each
+    forest node fills its index rows from its birth column up to its parent's
+    with birth position + speed * (s - birth), the loop's own arithmetic; at
+    its birth it holds its birth position exactly.
     """
-    partition, events, steps = _simulate(inst)
-    t = inst.t
-    batches: dict[float, list[MergeEvent]] = {}
-    for e in events:
-        batches.setdefault(e.time, []).append(e)
-    z = np.array(inst.x, dtype=float)
-    v = initial_speeds(inst.m)
-    grid, columns = [0.0], [z.copy()]
-    s = 0.0
-    for step in steps:  # the last step is to t
-        z += v * (step - s)
-        s = step
-        if s in batches or s == t:
-            for e in batches.get(s, ()):
-                lo, hi = e.merged[0][0] - 1, e.merged[-1][1]
-                z[lo:hi], v[lo:hi] = e.position, e.speed
-            grid.append(s)
-            columns.append(z.copy())
-    terminal = z[[b[0] - 1 for b in partition]]
+    partition, events = _simulate(inst)
+    lo, hi, _, birth, position, speed, parent = _forest(inst, events)
+    n, t = inst.n, inst.t
+    times = sorted({e.time for e in events})
+    grid = (0.0, *times, *([t] if not times or times[-1] < t else []))
+    g = np.array(grid)
+    first = np.concatenate((np.zeros(n, dtype=np.intp), np.searchsorted(times, birth[n:]) + 1))
+    stop = np.where(parent < 0, len(grid), first[parent])
+    zeta = np.empty((n, len(grid)))
+    for a, b, i, j, z, v, s in zip(first.tolist(), stop.tolist(), lo.tolist(), hi.tolist(),
+                                   position.tolist(), speed.tolist(), birth.tolist()):
+        if a < b:
+            zeta[i - 1 : j, a:b] = z + v * (g[a:b] - s)
+            zeta[i - 1 : j, a] = z
+    terminal = zeta[[b[0] - 1 for b in partition], -1]
     drift = terminal / t
-    grid = tuple(grid)
-    zeta = np.stack(columns, axis=1)
-    xi = zeta - np.repeat(drift, [len(b) for b in partition])[:, None] * np.array(grid)
+    xi = zeta - np.repeat(drift, [len(b) for b in partition])[:, None] * g
     # rows are shared views, so keep them immutable like the frozen result
     zeta.flags.writeable = xi.flags.writeable = False
     return ClusterResult(
@@ -157,68 +163,91 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
 
 
 def _simulate(inst: MomentInstance) -> _Run:
-    """The event loop, in O(n + events) memory."""
+    """The event loop, in O(n + events) memory and O((n + events) log n) time."""
     t, n = inst.t, inst.n
     tol = event_tolerance(t)
-    # live clusters as parallel arrays; first[j] is the first index of cluster
-    # j and first[-1] = n + 1, so first[1:] - first[:-1] gives the sizes
-    first = np.arange(1, n + 2)
-    mass = np.array(inst.m, dtype=float)
-    mom = mass * initial_speeds(inst.m)
-    pos = np.array(inst.x, dtype=float)
-    speed = mom / mass
+    # live clusters keyed by their first index j (0-based) in a doubly linked
+    # list, n being the sentinel past the last one; cluster j ends at index
+    # last[j], sits at anchor + v * (s - birth) and is forest node node[j],
+    # -1 once merged into a left neighbour
+    prv = list(range(-1, n))
+    nxt = list(range(1, n + 1))
+    last = list(range(n))
+    mass = list(map(float, inst.m))
+    mom = (np.array(mass) * initial_speeds(inst.m)).tolist()
+    v = (np.array(mom) / np.array(mass)).tolist()
+    birth = [0.0] * n
+    anchor = list(inst.x)
+    node = [*range(n), -1]
+    heap: list[tuple[float, int, int, int]] = []
+
+    def push(j: int) -> None:
+        """Queue the pair (j, nxt[j]) once, at the time it would collide."""
+        k = nxt[j]
+        closing = v[j] - v[k]
+        if closing > 0.0:
+            s0 = max(birth[j], birth[k])
+            gap = anchor[k] + v[k] * (s0 - birth[k]) - (anchor[j] + v[j] * (s0 - birth[j]))
+            heapq.heappush(heap, (s0 + gap / closing, j, node[j], node[k]))
+
+    def pop_due(limit: float) -> list[int]:
+        """Left keys of the live pairs whose candidate is <= limit, in order."""
+        due = []
+        while heap and heap[0][0] <= limit:
+            _, j, a, b = heapq.heappop(heap)
+            if node[j] == a and node[nxt[j]] == b:
+                due.append(j)
+        return sorted(due)
+
+    for j in range(n - 1):
+        push(j)
     events: list[MergeEvent] = []
-    steps: list[float] = []
-    s = 0.0
-    arrived = False  # contacts count only at a time reached by a move
-    while len(pos) > 1:
-        closing = speed[:-1] - speed[1:]
-        cand = s + np.divide(pos[1:] - pos[:-1], closing,
-                             out=np.full(len(closing), np.inf), where=closing > 0.0)
-        touching = (cand <= s + tol).nonzero()[0].tolist() if arrived else []
-        if touching:
-            # one cascade pass: merge every run of adjacent pairs in contact;
-            # group sums stay Python sums, left to right
+    while heap:
+        c, j, a, b = heap[0]
+        if node[j] != a or node[nxt[j]] != b:
+            heapq.heappop(heap)  # a stale entry: a merge has changed the pair
+            continue
+        if not c <= t + tol:
+            break
+        # the earliest live candidate sets the batch time
+        s = min(c, t)
+        due = pop_due(s + tol)
+        while due:
+            # one cascade pass: merge every run of adjacent due pairs; group
+            # sums stay Python sums, left to right
             runs: list[list[int]] = []
-            for j in touching:
-                if runs and runs[-1][1] == j:
-                    runs[-1][1] = j + 1
+            for j in due:
+                if runs and nxt[runs[-1][-1]] == j:
+                    runs[-1].append(j)
                 else:
-                    runs.append([j, j + 1])
-            keep = np.ones(len(first), dtype=bool)
-            for j0, j1 in runs:
-                ms = mass[j0 : j1 + 1].tolist()
-                xs = pos[j0 : j1 + 1].tolist()
-                bounds = first[j0 : j1 + 2].tolist()
+                    runs.append([j])
+            for run in runs:
+                group = [*run, nxt[run[-1]]]
+                ms = [mass[k] for k in group]
+                xs = [anchor[k] + v[k] * (s - birth[k]) for k in group]
                 total = sum(ms)
-                com = sum(a * b for a, b in zip(ms, xs)) / total
-                p = sum(mom[j0 : j1 + 1].tolist())
-                mom[j0], mass[j0], pos[j0] = p, total, com
-                keep[j0 + 1 : j1 + 1] = False
+                com = sum(mk * xk for mk, xk in zip(ms, xs)) / total
+                p = sum(mom[k] for k in group)
                 events.append(MergeEvent(
                     time=s,
-                    merged=tuple((lo, nxt - 1) for lo, nxt in zip(bounds, bounds[1:])),
+                    merged=tuple((k + 1, last[k] + 1) for k in group),
                     position=com,
                     speed=p / total,
                 ))
-            first = first[keep]
-            keep = keep[:-1]
-            mass, mom, pos = mass[keep], mom[keep], pos[keep]
-            speed = mom / mass
-            continue
-        # no pair in contact: this scan also gives the next event
-        s_next = float(cand.min())
-        if not s_next <= t + tol:
-            break
-        s_evt = min(s_next, t)
-        pos += speed * (s_evt - s)
-        s, arrived = s_evt, True
-        steps.append(s)
-    if s < t:
-        steps.append(t)
-    bounds = first.tolist()
-    partition = tuple(tuple(range(lo, nxt)) for lo, nxt in zip(bounds, bounds[1:]))
-    return _Run(partition, tuple(events), tuple(steps))
+                j0, k1 = group[0], group[-1]
+                mass[j0], mom[j0], v[j0], birth[j0], anchor[j0] = total, p, p / total, s, com
+                last[j0], nxt[j0] = last[k1], nxt[k1]
+                prv[nxt[k1]] = j0
+                node[j0] = n + len(events) - 1
+                for k in group[1:]:
+                    node[k] = -1
+            # each merged cluster forms new pairs with its neighbours
+            for j in {k for run in runs for k in (prv[run[0]], run[0])}:
+                if j >= 0 and nxt[j] < n:
+                    push(j)
+            due = pop_due(s + tol)
+    partition = tuple(tuple(range(j + 1, last[j] + 2)) for j in range(n) if node[j] >= 0)
+    return _Run(partition, tuple(events))
 
 
 def _forest(inst: MomentInstance, events: Sequence[MergeEvent]) -> tuple[np.ndarray, ...]:

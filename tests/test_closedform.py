@@ -330,8 +330,8 @@ def test_three_routes_agree_far_beyond_generator(n, t):
     assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
 
 
-def _benchmark_shape(n, t):
-    rng = np.random.default_rng(0)
+def _benchmark_shape(n, t, seed=0):
+    rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(-n, n, size=n))
     return validate_instance(t, x, rng.integers(1, 6, size=n).tolist())
 
@@ -372,3 +372,16 @@ def test_recursion_check_memory_is_linear_in_n():
         tracemalloc.stop()
     assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_routes_and_forest_checks_at_thirty_thousand(t):
+    # ten times the forest readers' size; the sticky run stays O(n log n), and
+    # nothing here builds the dense paths
+    inst = _benchmark_shape(30_000, t)
+    rep = gamma_report(inst)
+    assert rep.max_pairwise_dev <= TRIPLE_TOL * (1.0 + abs(rep.gamma3))
+    assert rep.structure_ok
+    chk = verify_recursion_identity(inst)
+    assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
+    assert _check_physics(inst)

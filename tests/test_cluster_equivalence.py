@@ -1,11 +1,14 @@
-"""The array sticky-cluster core against an object-per-cluster reference.
+"""The heap-driven sticky-cluster core against an object-per-cluster reference.
 
-The reference below is the earlier core: one object per live cluster, a full
-rescan of adjacent pairs per cascade pass and per event, and per-index path
-tuples snapshotted during the run. The package keeps the clusters as parallel
-arrays, records only the merge forest and its steps, and expands the paths
-afterwards. Every field must agree bit for bit, including each merge event's
-speed, merges of many clusters at once and several merge groups at one
+The reference below keeps one object per live cluster at an anchored position
+(birth position + speed * (s - birth)), takes each adjacent pair's collision
+candidate at the later of the two births, rescans every pair per cascade pass
+and per event, and snapshots per-index path tuples during the run. The
+package keeps the live clusters in a linked list with a lazy-deletion heap of
+neighbour candidates, records only the merge forest, and expands the paths
+afterwards, so this checks the heap, the list and the stale-entry filter
+against a rescan. Every field must agree bit for bit, including each merge
+event's speed, merges of many clusters at once and several merge groups at one
 timestamp. The run record that gamma and the verify checks read must give the
 same partition and merge log as simulate_inertia on the same corpus.
 """
@@ -25,40 +28,43 @@ class _Cluster:
     hi: int
     mass: float
     momentum: float
-    position: float
+    anchor: float
+    birth: float
 
     @property
     def speed(self):
         return self.momentum / self.mass
 
+    def at(self, s):
+        return self.anchor + self.speed * (s - self.birth)
 
-def _collision_times(clusters, s):
+
+def _collision_times(clusters):
+    """Every adjacent pair's candidate, taken at the later of the two births."""
     out = []
     for a, b in zip(clusters, clusters[1:]):
         closing = a.speed - b.speed
         if closing > 0.0:
-            out.append(s + (b.position - a.position) / closing)
+            s0 = max(a.birth, b.birth)
+            out.append(s0 + (b.at(s0) - a.at(s0)) / closing)
         else:
             out.append(np.inf)
     return out
 
 
-def _snapshot(clusters, n):
+def _snapshot(clusters, n, s=None):
     snap = [0.0] * n
     for c in clusters:
         for i in range(c.lo, c.hi + 1):
-            snap[i - 1] = c.position
+            snap[i - 1] = c.anchor if s is None else c.at(s)
     return snap
 
 
 def _merge_contacts(clusters, s, tol, events):
-    merged_any = False
     while len(clusters) > 1:
-        cand = _collision_times(clusters, s)
-        touching = [j for j, c in enumerate(cand) if c <= s + tol]
+        touching = [j for j, c in enumerate(_collision_times(clusters)) if c <= s + tol]
         if not touching:
             break
-        merged_any = True
         runs = [[touching[0]]]
         for j in touching[1:]:
             if j == runs[-1][-1] + 1:
@@ -71,13 +77,12 @@ def _merge_contacts(clusters, s, tol, events):
             group = clusters[j0 : j1 + 1]
             mass = sum(c.mass for c in group)
             momentum = sum(c.momentum for c in group)
-            com = sum(c.mass * c.position for c in group) / mass
+            com = sum(c.mass * c.at(s) for c in group) / mass
             pass_events.append((s, tuple((c.lo, c.hi) for c in group), com,
                                 momentum / mass))
             clusters[j0 : j1 + 1] = [_Cluster(group[0].lo, group[-1].hi,
-                                              mass, momentum, com)]
+                                              mass, momentum, com, s)]
         events.extend(reversed(pass_events))
-    return merged_any
 
 
 def reference_simulate(inst):
@@ -86,32 +91,25 @@ def reference_simulate(inst):
     tol = event_tolerance(t)
     phi = initial_speeds(inst.m)
     clusters = [
-        _Cluster(i + 1, i + 1, float(mi), float(mi) * float(v), float(xi))
+        _Cluster(i + 1, i + 1, float(mi), float(mi) * float(v), float(xi), 0.0)
         for i, (xi, mi, v) in enumerate(zip(inst.x, inst.m, phi))
     ]
     events = []
     times = [0.0]
     snaps = [_snapshot(clusters, n)]
-    s = 0.0
     while len(clusters) > 1:
-        s_next = min(_collision_times(clusters, s))
+        s_next = min(_collision_times(clusters))
         if not s_next <= t + tol:
             break
-        s_evt = min(s_next, t)
-        dt = s_evt - s
-        for c in clusters:
-            c.position += c.speed * dt
-        s = s_evt
-        if _merge_contacts(clusters, s, tol, events):
-            times.append(s)
-            snaps.append(_snapshot(clusters, n))
-    if s < t:
-        for c in clusters:
-            c.position += c.speed * (t - s)
+        s = min(s_next, t)
+        _merge_contacts(clusters, s, tol, events)
+        times.append(s)
+        snaps.append(_snapshot(clusters, n, s))
     if times[-1] < t:
         times.append(t)
-        snaps.append(_snapshot(clusters, n))
-    drifts = tuple(c.position / t for c in clusters)
+        snaps.append(_snapshot(clusters, n, t))
+    terminal = tuple(c.at(t) for c in clusters)
+    drifts = tuple(z / t for z in terminal)
     drift_of_index = {}
     for c, v in zip(clusters, drifts):
         for i in range(c.lo, c.hi + 1):
@@ -124,7 +122,7 @@ def reference_simulate(inst):
     return {
         "partition": tuple(tuple(range(c.lo, c.hi + 1)) for c in clusters),
         "masses": tuple(c.mass for c in clusters),
-        "terminal": tuple(c.position for c in clusters),
+        "terminal": terminal,
         "drifts": drifts,
         "events": tuple(events),
         "grid": tuple(times),
@@ -220,10 +218,18 @@ def test_partition_only_run_matches_full_run():
             assert e.merged == f.merged, inst
             assert (_bits([e.time, e.position, e.speed])
                     == _bits([f.time, f.position, f.speed])), inst
-        # the steps increase to t and hold every merge time and breakpoint
-        steps = part.steps
-        assert all(a < b for a, b in zip(steps, steps[1:])) and steps[-1] == inst.t, inst
-        assert set(full.inertia_paths[0].breakpoints[1:]) <= set(steps), inst
+        # the grid is 0, each merge time once, then t; each merge time's
+        # column holds its last merge group's birth position on that group's
+        # rows, bit for bit
+        times = sorted({e.time for e in part.events})
+        grid = full.inertia_paths[0].breakpoints
+        assert grid == (0.0, *times, *([inst.t] if not times or times[-1] < inst.t else [])), inst
+        expect = {}
+        for e in part.events:
+            for i in range(e.merged[0][0], e.merged[-1][1] + 1):
+                expect[i, times.index(e.time) + 1] = e.position
+        for (i, k), z in expect.items():
+            assert _bits([full.inertia_paths[i - 1].values[k]]) == _bits([z]), inst
         large += inst.n >= 200
         # near-contact instances with a pair inside the tie window at s = 0
         near += bool(make is near_contact and (np.diff(inst.x) <= 1e-11).any())

@@ -190,7 +190,7 @@ def test_ten_thousand_within_exact_bound(t):
     if t == 2.0:
         # the sticky run ends in one block here; gamma3 reads only the
         # partition, so it is given directly rather than simulated
-        part = _Run(partition=(tuple(range(1, n + 1)),), events=(), steps=(t,))
+        part = _Run(partition=(tuple(range(1, n + 1)),), events=())
     else:
         part = _simulate(inst)
         assert len(part.partition) > 0.9 * n
