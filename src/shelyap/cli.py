@@ -39,7 +39,6 @@ from .errors import (
 from .instance import MomentInstance, validate_instance
 from .quadrature import (
     DEFAULT_SIGMAS,
-    _route1_contour,
     contour_moment_complex,
     default_contour_config,
     heat_kernel,
@@ -399,9 +398,7 @@ def cmd_verify(args) -> int:
 def cmd_moments(args) -> int:
     inst = _load_instance(args)
     T = float(args.T)
-    cfg, route1 = _route1_contour(
-        T, inst, args.points, args.truncation_sigmas, args.rule
-    )
+    cfg = default_contour_config(T, inst, args.points, args.truncation_sigmas, args.rule)
     if args.offsets is not None:
         offsets = _parse_floats(args.offsets, InvalidContour)
         cfg = dataclasses.replace(cfg, offsets=tuple(offsets))
@@ -411,7 +408,7 @@ def cmd_moments(args) -> int:
     if not val.real > 0.0:
         raise NonPositiveMoment(f"moment {val.real} has no log-rate")
     rate = math.log(val.real) / T
-    gamma = route1.objective
+    gamma = solve_gamma1(inst).objective
     doc = {
         "moment": val.real,
         "rate": rate,

@@ -48,6 +48,7 @@ one or more merge groups at one timestamp.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -281,7 +282,8 @@ def first_optimal_merge(res: ClusterResult, inst: MomentInstance) -> FirstMerge:
     if not res.events:
         raise NoMerge("no merge event in [0, t]")
     s0 = res.events[0].time
-    k = res.inertia_paths[0].breakpoints.index(s0)
+    # the last column at s0, after its merges; a grid opens (0, 0) if s0 = 0
+    k = bisect_right(res.inertia_paths[0].breakpoints, s0) - 1
     zeta0 = [float(p.values[k]) for p in res.inertia_paths]
     xi0 = [float(p.values[k]) for p in res.optimal_paths]
     x_prime: list[float] = []

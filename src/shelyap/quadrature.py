@@ -18,6 +18,10 @@ integrand's absolute bound
                        * exp( sum_j T t a_j^2 / 2 + T u_j a_j ).
 
 For nu = 1 the moment is exactly the heat kernel p(T t, T u_1).
+
+The default contour is centred on -sum(u)/(nu t), the route-1 minimizer's mean
+(pooling keeps sums), read from the instance: this module shares no code with
+the three routes, so it checks them independently.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .errors import (
     NuTooLarge,
 )
 from .instance import MomentInstance, flatten
-from .solvers import VariationalSolution, solve_gamma1
 
 MAX_NU = 3
 DEFAULT_SIGMAS = 8.0
@@ -94,35 +97,28 @@ def default_contour_config(
     truncation_sigmas: float = DEFAULT_SIGMAS,
     rule: str = "gauss",
 ) -> ContourConfig:
-    """Offsets centred on the route-1 minimizer with uniform gap 1 + 1/nu."""
-    return _route1_contour(T, inst, points, truncation_sigmas, rule)[0]
+    """Offsets with uniform gap 1 + 1/nu, centred on -sum(u)/(nu t).
 
-
-def _route1_contour(
-    T: float,
-    inst: MomentInstance,
-    points: int | None,
-    truncation_sigmas: float,
-    rule: str,
-) -> tuple[ContourConfig, VariationalSolution]:
-    """default_contour_config and the route-1 solution it is centred on."""
+    That centre, the route-1 minimizer's mean (pooling keeps sums), comes from
+    the instance, not a solver; NonFiniteResult if it is not finite.
+    """
     _check_scale(T, inst.t)
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
-    route1 = solve_gamma1(inst)
-    center = sum(route1.values) / nu
+    center = -float(np.sum(flatten(inst))) / inst.t / nu
+    if not math.isfinite(center):
+        raise NonFiniteResult(f"contour centre -sum(u)/(nu t) = {center} is not finite")
     gap = 1.0 + 1.0 / nu
     offsets = tuple(center + gap * ((nu + 1) / 2.0 - k) for k in range(1, nu + 1))
     if points is None:
         points = 200 if nu <= 2 else 96
-    cfg = ContourConfig(
+    return ContourConfig(
         offsets=offsets,
         truncation=truncation_sigmas / math.sqrt(T * inst.t),
         points=points,
         rule=rule,
     )
-    return cfg, route1
 
 
 @functools.lru_cache(maxsize=8)

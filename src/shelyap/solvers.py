@@ -57,13 +57,15 @@ expressions, so the result is that loop's, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .clusters import ClusterResult
 from .errors import DimensionTooLarge, InvalidFitInput, LengthMismatch
 from .instance import MomentInstance, flatten, gamma2_objective
+
+if TYPE_CHECKING:
+    from .clusters import ClusterResult
 
 STRUCTURE_TOL_SCALE = 1e-9
 BOUNDARY_TOL = 1e-6

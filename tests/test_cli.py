@@ -509,12 +509,20 @@ def test_moments_solves_route_one_once(monkeypatch, capsys, offsets):
         calls.append(1)
         return shelyap.solve_gamma1(*args)
 
-    monkeypatch.setattr("shelyap.quadrature.solve_gamma1", counted)
     monkeypatch.setattr("shelyap.cli.solve_gamma1", counted)
     code, _, _ = run(capsys, ["moments", "--t", "1", "--x", "0", "--m", "2",
                               "--T", "2", *offsets])
     assert code == 0
     assert len(calls) == 1
+
+    # the default contour's centre comes from the instance, not from PAVA
+    def refuse(*args):
+        raise AssertionError("default_contour_config ran PAVA")
+
+    monkeypatch.setattr("shelyap.solvers.isotonic_nonincreasing", refuse)
+    inst = shelyap.validate_instance(0.8, [-0.5, 0.5], [2, 1])
+    cfg = shelyap.default_contour_config(2.0, inst)
+    assert cfg.offsets == (1.5416666666666665, 0.20833333333333334, -1.125)
 
 
 def test_gamma_flattens_once(monkeypatch, capsys):
@@ -633,6 +641,10 @@ def test_moments_kernel_time_out_of_range_exits_one(capsys, t, m, T, offsets):
     ["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "1e6"],
     ["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "1",
      "--truncation-sigmas", "1e400"],
+    # a default contour centre -sum(u)/(nu t) past the float range: the sum
+    # overflows, or the sum is finite and its ratio to t is not
+    ["moments", "--t", "1", "--x", "1e308,1.7e308", "--m", "1,1", "--T", "1"],
+    ["moments", "--t", "1e-300", "--x", "1e10", "--m", "3", "--T", "1"],
 ])
 def test_non_finite_result_exits_one(capsys, argv):
     with np.errstate(all="ignore"):
@@ -647,6 +659,7 @@ def test_non_finite_result_exits_one(capsys, argv):
     ["clusters", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
     ["sweep", "--t", "1", "--x", "0,1", "--m", "1,1", "--param", "t",
      "--grid", "5e-324:1e-323:2"],
+    ["moments", "--t", "1", "--x", "1e308,1.7e308", "--m", "1,1", "--T", "1"],
 ])
 def test_degenerate_input_stderr_is_one_error_object(argv):
     # a fresh interpreter, so numpy's warnings would reach stderr unfiltered

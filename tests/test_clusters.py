@@ -150,6 +150,15 @@ def test_first_optimal_merge_examples():
     assert fm.m_prime == (2,)
 
 
+def test_first_merge_at_time_zero_reads_the_state_after_it():
+    # a contact at s = 0 merges at once; the grid opens (0, 0, ...), and the
+    # first column holds the locations before the merge
+    inst = validate_instance(1.0, [0.0, 5e-324, 1.0], [5, 5, 1])
+    fm = first_optimal_merge(simulate_inertia(inst), inst)
+    assert fm.s0 == 0.0
+    assert fm.m_prime == (10, 1)
+
+
 def test_first_merge_collapses_only_first_event_clusters():
     # {4,5} merge later than {1,2}: only the earliest batch collapses
     inst = validate_instance(1.0, [0.0, 0.2, 3.0, 3.4], [1, 1, 1, 1])

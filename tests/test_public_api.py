@@ -5,6 +5,7 @@ deliberate API change: update these lists in the same change and report the
 new count.
 """
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -63,6 +64,33 @@ def test_public_names_are_pinned():
 def test_result_fields_are_pinned(name):
     fields = dataclasses.fields(getattr(shelyap, name))
     assert tuple(f.name for f in fields) == FIELDS[name]
+
+
+def _runtime_imports(module):
+    """Sibling modules a shelyap module imports at run time.
+
+    Relative `from .x import` lines count; those under `if TYPE_CHECKING:`
+    serve annotations only and do not.
+    """
+    tree = ast.parse(Path(module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            node.body = []
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+@pytest.mark.parametrize("name, allowed", [
+    # the three routes and the quadrature check share no code
+    ("solvers", {"errors", "instance"}),
+    ("clusters", {"errors", "instance"}),
+    ("quadrature", {"errors", "instance"}),
+    ("sampling", {"errors", "instance"}),
+    ("closedform", {"clusters", "instance", "solvers"}),
+])
+def test_module_graph_keeps_the_routes_apart(name, allowed):
+    imports = _runtime_imports(importlib.import_module(f"shelyap.{name}"))
+    assert imports <= allowed
 
 
 def _layertrace():

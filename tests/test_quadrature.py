@@ -17,10 +17,13 @@ from shelyap import (
     default_contour_config,
     flatten,
     heat_kernel,
+    sample_matching,
+    solve_gamma1,
     upper_bound_value,
     validate_instance,
 )
 from shelyap.cli import main
+from test_solvers import route1_sum_bound
 
 
 def exact_nu2_moment(T, inst):
@@ -145,7 +148,8 @@ def test_imaginary_residual_is_small():
 def test_default_config_shape():
     inst = validate_instance(1.0, [0.0], [2])
     cfg = default_contour_config(4.0, inst)
-    # route-1 minimizer (0.5, -0.5) centres the ladder at 0 with gap 1.5
+    # -sum(u)/(nu t) = 0, the route-1 minimizer (0.5, -0.5)'s mean, centres
+    # the ladder with gap 1.5
     assert cfg.offsets == pytest.approx((0.75, -0.75))
     assert cfg.truncation == pytest.approx(4.0)
     assert cfg.points == 200
@@ -153,6 +157,26 @@ def test_default_config_shape():
     cfg3 = default_contour_config(1.0, validate_instance(1.0, [0.0], [3]))
     assert cfg3.points == 96
     assert len(cfg3.offsets) == 3
+
+
+def test_default_centre_is_route_one_mean():
+    # pooling keeps sums, so the route-1 minimizer's mean is -sum(u)/(nu t)
+    rng = np.random.default_rng(5)
+    for inst in sample_matching(rng, lambda i: i.nu <= 3, 500):
+        cfg = default_contour_config(1.0, inst)
+        a = solve_gamma1(inst).values
+        bound = route1_sum_bound(inst, a) / inst.nu
+        assert abs(sum(cfg.offsets) / inst.nu - np.mean(a)) <= bound, inst
+
+
+@pytest.mark.parametrize("t, x, m", [
+    (1.0, [1e308, 1.7e308], [1, 1]),  # the sum of u overflows
+    (1e-300, [1e10], [3]),  # the sum is finite, its ratio to t is not
+])
+def test_nonfinite_default_centre_is_named(t, x, m):
+    inst = validate_instance(t, x, m)
+    with pytest.raises(NonFiniteResult, match="centre"), np.errstate(over="ignore"):
+        default_contour_config(1.0, inst)
 
 
 def test_upper_bound_dominates_moment():

@@ -9,15 +9,18 @@ from shelyap import (
     LengthMismatch,
     bruteforce_chain_qp,
     check_minimizer_structure,
+    flatten,
     gamma2_objective,
     isotonic_nonincreasing,
     oracle_gamma1,
     oracle_gamma2,
+    random_instance,
     simulate_inertia,
     solve_gamma1,
     solve_gamma2,
     validate_instance,
 )
+from test_cluster_equivalence import random_shape
 from test_instance import gamma1_objective
 from test_structure_equivalence import reference_active
 
@@ -127,6 +130,53 @@ def test_isotonic_kkt_certificate():
             assert np.all(prefix >= -1e-9)
             assert abs(prefix[-1]) <= 1e-9
             i = j + 1
+
+
+# Pooling keeps every block's weighted sum, so the fit keeps sum w c = sum w z.
+# Route 1 has uniform weights and targets z_k = k - u_k/t, so its minimizer
+# a = c - k sums to -sum(u)/t: the mean the default contour is centred on.
+# PAVA_SUM_C bounds the rounding of both identities. The route-1 bound carries
+# the chain shift's scale nu (nu + 1)/2 as well as sum |a| + sum |u|/t: the
+# reduction adds k to each target and takes it off again, so the error is at
+# that scale. Without it the bound fails at nu = 1 with u near 0, where
+# sum |a| + sum |u|/t is near 0 and the error is not. Worst measured ratio of
+# error to bound / PAVA_SUM_C on these corpora: 1.79 for the fit sums, 1.71 for
+# route 1, and 0.91 for the default contour centre (tests/test_quadrature.py).
+PAVA_SUM_C = 8.0
+EPS = np.finfo(float).eps
+
+
+def route1_sum_bound(inst, a):
+    """PAVA_SUM_C eps (sum |a| + sum |u|/t + nu (nu + 1)/2)."""
+    scale = np.sum(np.abs(a)) + np.sum(np.abs(flatten(inst))) / inst.t
+    return PAVA_SUM_C * EPS * (scale + inst.nu * (inst.nu + 1) / 2.0)
+
+
+def high_nu_instance(rng):
+    """gamma-high-nu's shape: n in 2..8, m log-uniform in [10^3, 4 10^4]."""
+    n = int(rng.integers(2, 9))
+    m = np.rint(1000.0 * 40.0 ** rng.random(n)).astype(int).tolist()
+    t = float(0.1 * 50.0 ** rng.random())
+    return validate_instance(t, np.sort(rng.uniform(-3.0, 3.0, size=n)), m)
+
+
+def test_pooling_keeps_sums_so_route_one_sums_to_minus_u_over_t():
+    rng = np.random.default_rng(18)
+    insts = [random_instance(rng) for _ in range(2000)]
+    insts += [high_nu_instance(rng) for _ in range(12)]
+    insts.append(validate_instance(0.5, [-2.0, -1.0, 0.0, 1.0, 2.0], [20000] * 5))
+    insts += [random_shape(rng, 3000) for _ in range(3)]
+    assert max(inst.nu for inst in insts) >= 100000
+    for inst in insts:
+        u, m = flatten(inst), np.asarray(inst.m, dtype=float)
+        shift2 = np.concatenate([[0.0], np.cumsum((m[:-1] + m[1:]) / 2.0)])
+        for z, w in ((np.arange(1, inst.nu + 1) - u / inst.t, np.full(inst.nu, inst.t)),
+                     (shift2 - np.asarray(inst.x) / inst.t, m * inst.t)):
+            wc, wz = w * isotonic_nonincreasing(z, w), w * z
+            bound = PAVA_SUM_C * EPS * (np.sum(np.abs(wc)) + np.sum(np.abs(wz)))
+            assert abs(np.sum(wc) - np.sum(wz)) <= bound, inst
+        a = solve_gamma1(inst).values
+        assert abs(np.sum(a) + np.sum(u) / inst.t) <= route1_sum_bound(inst, a), inst
 
 
 def test_solve_gamma1_two_point_example():
