@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,16 +75,221 @@ def _check_finite(values: np.ndarray) -> None:
     """Raise NonFiniteResult naming the first non-finite entry, if any."""
     finite = np.isfinite(values)
     if not finite.all():
-        format_float(float(values[finite.argmin()]))
+        format_float(float(values.ravel()[finite.argmin()]))
+
+
+# --- bulk %.17g ------------------------------------------------------------------
+#
+# Float arrays print through a whole-array kernel that gives "%.17g" % v byte
+# for byte. Each value becomes six NUL-padded uint64 words of ASCII text:
+#
+#   word 0     sign, "0.000" (the leading zeros of fixed notation below 1),
+#              the first digit and a point slot
+#   words 1-4  the other 16 digits, each followed by a point slot
+#   word 5     the exponent "e+XX" of scientific notation, else NUL
+#
+# and a keep mask, chosen by the notation and the number of digits left once
+# trailing zeros go, NULs every byte that "%.17g" does not print. Rows of
+# such words sit beside separator words, and translate() drops the NULs.
+
+_CHUNK = 8192  # values per kernel pass; bounds the kernel's scratch memory
+_K0 = -294  # 10^k is tabled for k in [_K0, 342], the range of 16 - X
+_E0 = -325  # exponent words are tabled for X in [_E0, 309]
+
+
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """10^k = (H + L) 2^B, H an integer in [2^52, 2^53) and 0 <= L < 1 rounded.
+
+    Also H's Veltkamp split into two halves of at most 26 bits, so that the
+    four partial products of Dekker's exact product fit a double.
+    """
+    H, L, B, tens = [], [], [], [1]
+    while len(tens) < 343:
+        tens.append(tens[-1] * 10)
+    for k in range(_K0, 343):
+        p = tens[abs(k)]
+        b = p.bit_length() - 53 if k >= 0 else -(p.bit_length() + 52)
+        # q = floor(10^k 2^(64 - b)): H, then 64 bits below H's unit
+        if k < 0:
+            q = (1 << 64 - b) // p
+        else:
+            q = p << 64 - b if b <= 64 else p >> b - 64
+        H.append(float(q >> 64))
+        L.append(math.ldexp(float(q & (2**64 - 1)), -64))
+        B.append(b)
+    h = np.array(H)
+    c = h * 134217729.0
+    hh = c - (c - h)
+    return h, hh, h - hh, np.array(L), np.array(B, np.int32)
+
+
+def _words(texts: Sequence[bytes], width: int = 1) -> np.ndarray:
+    """Each text NUL-padded into width uint64 words."""
+    return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width)
+
+
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """Digit words, last-nonzero positions, keep masks and exponent words."""
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)  # row j: digit j of 0..9999
+    # "d.d.d.d." for every 4-digit chunk; the mask keeps the points it needs
+    octs = np.full((10_000, 8), 46, np.uint8)
+    octs[:, ::2] = digits.T + 48
+    # row j: 4j + the position of a chunk's last nonzero digit, 0 if none
+    pos = np.max((digits > 0) * np.arange(1, 5, dtype=np.uint8)[:, None], axis=0)
+    last = (pos + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (pos > 0)
+    # form 0 and 22 are scientific notation; form f in 1..21 is fixed
+    # notation at exponent f - 5. nd digits are left after trailing zeros go.
+    f, nd, i = np.ix_(range(23), range(18), range(17))
+    x = f - 5
+    sci = (f == 0) | (f == 22)
+    below_one = (x < 0) & ~sci
+    shown = np.where(sci | below_one, nd, np.maximum(nd, x + 1))
+    point = np.where(sci, 0, x)  # the digit the point follows
+    keep = np.zeros((23, 18, 48), np.uint8)
+    keep[..., 0] = keep[..., 40:] = 1
+    keep[..., 1:6] = below_one & (np.arange(1, 6) <= 1 - x)
+    keep[..., 6:40:2] = i < shown
+    keep[..., 7:40:2] = (i == point) & (nd > point + 1)
+    masks = (keep * 255).view(np.uint64).reshape(-1, 6).T.copy()
+    exps = _words([b"" if -4 <= x <= 16 else b"e%+03d" % x for x in range(_E0, 310)])
+    return octs.view(np.uint64).ravel(), last, masks, exps.ravel()
+
+
+_P10, _P10_HI, _P10_LO, _P10_L, _P10_B = _pow10_table()
+_OCTS, _LAST, _MASKS, _EXPS = _layout_tables()
+_HEAD = int(_words([b"\x000.0000."])[0, 0])  # word 0 with a zero first digit
+
+
+def _scaled(m, mh, ml, e2, X):
+    """q = m 2^e2 10^(16 - X) as a double-double (hi, lo), by Dekker's product.
+
+    m and the table's H are split into halves (mh + ml and hh + hl), so
+    every partial product is exact; only the L terms round, by a few parts
+    in 2^104 of q.
+    """
+    k = (16 - _K0) - X
+    h = _P10.take(k)
+    p = m * h
+    lo = mh * _P10_HI.take(k) - p
+    lo += mh * _P10_LO.take(k)
+    lo += ml * _P10_HI.take(k)
+    lo += ml * _P10_LO.take(k)
+    lo += m * _P10_L.take(k)
+    hi = p + lo
+    lo -= hi - p
+    s = _P10_B.take(k) + e2
+    return np.ldexp(hi, s, out=hi), np.ldexp(lo, s, out=lo)
+
+
+def _float_words(v: np.ndarray, out: np.ndarray) -> None:
+    """Write "%.17g" % x for each finite x in v into out, six words each.
+
+    |x| = m 2^e2 with m an integer below 2^53. With X = floor(log10 |x|),
+    q = |x| 10^(16 - X) lies in [10^16, 10^17): X is moved by one where
+    log10 rounding put q outside. q rounded to nearest is the 17 digits, and
+    a carry to 10^17 bumps X. q's error is below 2^-45, so a value whose
+    fraction of q is within 2^-30 of 1/2 (every exact decimal tie, which
+    %.17g rounds half-even) is printed by "%.17g" itself.
+    """
+    a = np.abs(v)
+    zero = a == 0.0
+    a[zero] = 1.0
+    m, e2 = np.frexp(a)
+    m = np.ldexp(m, 53, out=m)
+    e2 -= 53
+    c = m * 134217729.0
+    mh = c - (c - m)
+    ml = m - mh
+    X = np.floor(np.log10(a, out=a), out=a).astype(np.int32)
+    hi, lo = _scaled(m, mh, ml, e2, X)
+    step = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.int32)
+    step -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    fix = np.flatnonzero(step)
+    if len(fix):
+        X[fix] += step[fix]
+        hi[fix], lo[fix] = _scaled(m[fix], mh[fix], ml[fix], e2[fix], X[fix])
+    whole = np.floor(lo)
+    lo -= whole
+    r = hi.astype(np.int64) + whole.astype(np.int64) + (lo > 0.5)
+    carry = r == 10**17
+    r[carry] = 10**16
+    X += carry
+    r[zero] = 0
+    X[zero] = 0
+    # the first digit, then four chunks of four digits
+    lead = r // 10**16
+    rest = r - lead * 10**16
+    chunks = []
+    for unit in (10**12, 10**8, 10**4):
+        chunks.append(rest // unit)
+        rest -= chunks[-1] * unit
+    chunks.append(rest)
+    nd = np.maximum.reduce([last.take(c) for last, c in zip(_LAST, chunks)]) + 1
+    form = (np.clip(X, -5, 17) + 5) * 18 + nd
+    head = (lead.view(np.uint64) << 48) + _HEAD + (v.view(np.uint64) >> 63) * 45
+    np.bitwise_and(head, _MASKS[0].take(form), out=out[:, 0])
+    for j, c in enumerate(chunks, 1):
+        np.bitwise_and(_OCTS.take(c), _MASKS[j].take(form), out=out[:, j])
+    out[:, 5] = _EXPS.take(X - _E0)
+    for i in np.flatnonzero(np.abs(lo - 0.5) < 2.0**-30):
+        out[i] = _printf_words(v[i])
+
+
+def _printf_words(x: float) -> np.ndarray:
+    """"%.17g" % x itself, as six words: the kernel's path for decimal ties."""
+    return np.frombuffer((b"%.17g" % x).ljust(48, b"\0"), np.uint64)
+
+
+def _text(n: int, columns) -> Iterator[str]:
+    """n rows of text, at most _CHUNK at a time; columns(a, b) gives rows a..b.
+
+    A column is a float array, printed %.17g (callers check it is finite), a
+    (rows, width) uint64 array of NUL-padded text words, or a bytes constant
+    repeated on every row.
+    """
+    buf = None
+    for a in range(0, n, _CHUNK):
+        b = min(n, a + _CHUNK)
+        cols = [_words([c], -(-len(c) // 8)) if isinstance(c, bytes) else c
+                for c in columns(a, b)]
+        widths = [6 if c.dtype.kind == "f" else c.shape[1] for c in cols]
+        if buf is None:
+            buf = np.empty((min(n, _CHUNK), sum(widths)), np.uint64)
+        rows = buf[: b - a]
+        j = 0
+        for c, w in zip(cols, widths):
+            if c.dtype.kind == "f":
+                _float_words(np.asarray(c, np.float64), rows[:, j : j + w])
+            else:
+                rows[:, j : j + w] = c
+            j += w
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _flat(rows: Sequence[np.ndarray], k: int, a: int, b: int) -> np.ndarray:
+    """Entries a..b of equal-length (k) rows laid end to end."""
+    i = a // k
+    return np.concatenate(rows[i : (b - 1) // k + 1])[a - i * k : b - i * k]
 
 
 def _format_row(values: np.ndarray) -> str:
-    """format_float of every entry of a 1-D float array, joined by ", ".
-
-    One finiteness check and one %-formatting call for the whole row.
-    """
+    """format_float of every entry of a 1-D float array, joined by ", "."""
     _check_finite(values)
-    return ", ".join(["%.17g"] * len(values)) % tuple(values.tolist())
+    return "".join(_text(len(values), lambda a, b: (values[a:b], b", ")))[:-2]
+
+
+def _format_rows(rows: Sequence[np.ndarray]) -> str:
+    """The JSON list of equal-length 1-D float arrays, in one pass over their entries."""
+    k = len(rows[0])
+    tails = np.repeat(_words([b", "]), k, axis=0)
+    tails[-1] = _words([b"], ["])
+
+    def columns(a, b):
+        values = _flat(rows, k, a, b)
+        _check_finite(values)
+        return values, tails.take(np.arange(a, b) % k, axis=0)
+
+    return "[[" + "".join(_text(len(rows) * k, columns))[:-4] + "]]"
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -119,6 +325,10 @@ def dumps_json(obj, indent: int = 0) -> str:
             and all(not isinstance(u, (dict, list, tuple)) for u in v)
             for v in items
         )
+        k = len(items[0]) if items and isinstance(items[0], np.ndarray) else 0
+        if k and all(isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == (k,)
+                     for v in items):
+            return _format_rows(items)
         if flat or flat_rows:
             return "[" + ", ".join(dumps_json(v) for v in items) + "]"
         rows = ",\n".join(f"{sp}  " + dumps_json(v, indent + 1) for v in items)
@@ -208,22 +418,25 @@ def cmd_clusters(args) -> int:
     res = simulate_inertia(inst)
     grid = np.asarray(res.inertia_paths[0].breakpoints)
     if args.format == "csv":
-        s_text = _format_row(grid).split(", ")
-        # each path's zeta and xi interleaved, the order its lines print them
-        rows = [np.column_stack((z.values, x.values)).ravel()
-                for z, x in zip(res.inertia_paths, res.optimal_paths)]
-        for pairs in rows:  # nothing is written before every row has passed
-            _check_finite(pairs)
+        n, k = len(res.inertia_paths), len(grid)
+        zeta = [p.values for p in res.inertia_paths]
+        xi = [p.values for p in res.optimal_paths]
+        _check_finite(grid)
+        for a in range(0, n * k, _CHUNK):  # nothing is written before every line has passed
+            b = min(n * k, a + _CHUNK)
+            _check_finite(np.column_stack((_flat(zeta, k, a, b), _flat(xi, k, a, b))))
+        s = np.empty((k, 6), np.uint64)
+        for a in range(0, k, _CHUNK):
+            _float_words(grid[a : a + _CHUNK], s[a : a + _CHUNK])
+        index = _words([b"%d," % i for i in range(1, n + 1)], len(str(n)) // 8 + 1)
 
-        # %.17g never needs CSV quoting. Lines go out a path at a time: holding
-        # all n * K line strings made peak RSS vary by up to 9 MB between runs
-        def lines():
-            yield "index,s,zeta,xi\n"
-            for i, pairs in enumerate(rows, 1):
-                row = iter(_format_row(pairs).split(", "))
-                yield from [f"{i},{s},{zv},{xv}\n" for s, zv, xv in zip(s_text, row, row)]
+        # %.17g never needs CSV quoting; lines go out a chunk at a time
+        def columns(a, b):
+            i, j = np.divmod(np.arange(a, b), k)
+            return (index.take(i, axis=0), s.take(j, axis=0), b",", _flat(zeta, k, a, b),
+                    b",", _flat(xi, k, a, b), b"\n")
 
-        _emit(lines(), args.output)
+        _emit(itertools.chain(["index,s,zeta,xi\n"], _text(n * k, columns)), args.output)
         return 0
     doc = {
         "partition": [list(b) for b in res.partition],
@@ -398,10 +611,8 @@ def cmd_verify(args) -> int:
 def cmd_moments(args) -> int:
     inst = _load_instance(args)
     T = float(args.T)
-    cfg = default_contour_config(T, inst, args.points, args.truncation_sigmas, args.rule)
-    if args.offsets is not None:
-        offsets = _parse_floats(args.offsets, InvalidContour)
-        cfg = dataclasses.replace(cfg, offsets=tuple(offsets))
+    offsets = None if args.offsets is None else _parse_floats(args.offsets, InvalidContour)
+    cfg = default_contour_config(T, inst, args.points, args.truncation_sigmas, args.rule, offsets)
     val = contour_moment_complex(T, inst, cfg)
     if not math.isfinite(val.real):
         raise NonFiniteResult(f"moment {val.real} is not finite")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,21 +97,29 @@ def default_contour_config(
     points: int | None = None,
     truncation_sigmas: float = DEFAULT_SIGMAS,
     rule: str = "gauss",
+    offsets: Sequence[float] | None = None,
 ) -> ContourConfig:
-    """Offsets with uniform gap 1 + 1/nu, centred on -sum(u)/(nu t).
+    """The given offsets, else uniform gap 1 + 1/nu centred on -sum(u)/(nu t).
 
     That centre, the route-1 minimizer's mean (pooling keeps sums), comes from
-    the instance, not a solver; NonFiniteResult if it is not finite.
+    the instance, not a solver; NonFiniteResult if it is not finite, and
+    InvalidContour if it is so large that float64 loses the gap.
     """
     _check_scale(T, inst.t)
     nu = inst.nu
     if nu > MAX_NU:
         raise NuTooLarge(f"nu={nu} exceeds tensor-grid cap {MAX_NU}")
-    center = -float(np.sum(flatten(inst))) / inst.t / nu
-    if not math.isfinite(center):
-        raise NonFiniteResult(f"contour centre -sum(u)/(nu t) = {center} is not finite")
-    gap = 1.0 + 1.0 / nu
-    offsets = tuple(center + gap * ((nu + 1) / 2.0 - k) for k in range(1, nu + 1))
+    if offsets is None:
+        center = -float(np.sum(flatten(inst))) / inst.t / nu
+        if not math.isfinite(center):
+            raise NonFiniteResult(f"contour centre -sum(u)/(nu t) = {center} is not finite")
+        gap = 1.0 + 1.0 / nu
+        offsets = tuple(center + gap * ((nu + 1) / 2.0 - k) for k in range(1, nu + 1))
+        if any(not hi - lo > 1.0 for hi, lo in zip(offsets, offsets[1:])):
+            raise InvalidContour(
+                f"contour centre -sum(u)/(nu t) = {center} is too large for float64"
+                f" to keep the offset gap 1 + 1/nu = {gap}"
+            )
     if points is None:
         points = 200 if nu <= 2 else 96
     return ContourConfig(

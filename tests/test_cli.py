@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +527,26 @@ def test_moments_solves_route_one_once(monkeypatch, capsys, offsets):
     assert cfg.offsets == (1.5416666666666665, 0.20833333333333334, -1.125)
 
 
+def test_moments_given_offsets_build_no_default_contour(capsys):
+    # the default centre -sum(u)/(nu t) = -8.5e307 would lose its gap in
+    # float64, but the user gave offsets, so only the moment itself fails
+    code, out, err = run(capsys, ["moments", "--t", "1", "--x", "1e200,1.7e308", "--m", "1,1",
+                                  "--T", "1e-300", "--offsets", "1,-1"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "NonPositiveMoment"
+
+
+def test_moments_default_centre_too_large_for_the_gap_exits_one(capsys):
+    # centre -2 / (2 * 1e-17) = -1e17, where a float64 step is 16 > 1 + 1/nu
+    code, out, err = run(capsys, ["moments", "--t", "1e-17", "--x", "1", "--m", "2",
+                                  "--T", "1e17"])
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "InvalidContour"
+    assert "-sum(u)/(nu t) = -1e+17" in doc["message"]
+    assert "gap 1 + 1/nu = 1.5" in doc["message"]
+
+
 def test_gamma_flattens_once(monkeypatch, capsys):
     calls = []
 
@@ -569,14 +591,121 @@ def _formatter_corpus(rng):
     return rng.permutation(corpus)
 
 
-def test_format_row_matches_format_float():
+def _reference_row(values):
+    """The writers' earlier form: one %-formatting call over the whole row."""
+    return ", ".join(["%.17g"] * len(values)) % tuple(values.tolist())
+
+
+def _count_printf(monkeypatch):
+    """The values the kernel hands to "%.17g" itself, collected as it runs."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return printf_words(x)
+
+    printf_words = shelyap.cli._printf_words
+    monkeypatch.setattr("shelyap.cli._printf_words", counted)
+    return calls
+
+
+def _decimal_ties(rng, size):
+    # odd m: m/4 in [1e15, 2.25e15] and m/8 in [1e14, 1e15) have 18
+    # significant digits, the last a 5, so %.17g rounds an exact tie
+    m4 = 2 * rng.integers(2 * 10**15, 45 * 10**14, size) + 1
+    m8 = 2 * rng.integers(4 * 10**14, 4 * 10**15, size) + 1
+    return np.concatenate([m4 / 4.0, m8 / 8.0, -m4 / 4.0])
+
+
+def test_format_row_matches_format_float(monkeypatch):
     corpus = _formatter_corpus(np.random.default_rng(5))
     assert len(corpus) >= 100_000
-    rows = np.split(corpus, np.cumsum([0, 1, 2, 7, 500, 4096])[1:])
+    # lengths 0 to 4096, then around and past the kernel's 8192-value pass
+    rows = np.split(corpus, np.cumsum([0, 1, 2, 7, 500, 4096, 8191, 8192, 8193, 3 * 8192 + 5]))
     for row in rows:
         assert _format_row(row) == ", ".join(format_float(v) for v in row.tolist())
+        assert _format_row(row) == _reference_row(row)
     # the array branch of dumps_json goes through the same helper
     assert dumps_json(rows[3]) == "[" + ", ".join(map(format_float, rows[3].tolist())) + "]"
+
+    # exact decimal ties reach "%.17g" itself, and little else does
+    calls = _count_printf(monkeypatch)
+    ties = _decimal_ties(np.random.default_rng(6), 2000)
+    assert _format_row(ties) == _reference_row(ties)
+    assert len(calls) == len(ties)
+    calls.clear()
+    bits = np.random.default_rng(7).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    assert _format_row(bits) == _reference_row(bits)
+    assert len(calls) < 0.001 * len(bits)
+    for x in calls:  # each one an exact tie: 18 significant digits, the last a 5
+        digits = format(Decimal(float(x)), "f").replace("-", "").replace(".", "").strip("0")
+        assert len(digits) == 18 and digits[-1] == "5"
+
+    # powers of ten and their neighbours, the notation switches at 1e-4 and
+    # 1e16, signed zeros, subnormals and three-digit exponents
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 0.0, -0.0, 5e-324, 2.2250738585072009e-308,
+                      2.2250738585072014e-308, 1e-100, 1e100, 1.7976931348623157e308])
+    special = np.concatenate([tens, edges])
+    big = sys.float_info.max
+    special = np.concatenate([special, np.nextafter(special, big), np.nextafter(special, -big)])
+    special = np.concatenate([special, -special])
+    assert _format_row(special) == _reference_row(special)
+    assert _format_row(np.array([-0.0, 0.0])) == "-0, 0"
+
+
+def _bench_shape(tmp_path, n, t=2.0, seed=0):
+    """x sorted uniform in [-n, n], m uniform in 1..5: the benchmark's instances."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path / f"inst{n}.json"
+    path.write_text(json.dumps({"t": t, "x": np.sort(rng.uniform(-n, n, n)).tolist(),
+                                "m": rng.integers(1, 6, n).tolist()}))
+    return ["--input", str(path)]
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["clusters"], ["clusters", "--format", "csv"]])
+@pytest.mark.parametrize("instance", ["high_nu", "bench", "cascade"])
+def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, command, instance):
+    args = {
+        "high_nu": ["--t", "0.5", "--x=-1,0.3,2", "--m", "40000,35000,25000"],  # nu = 10^5
+        "bench": _bench_shape(tmp_path, 400),
+        "cascade": ["--t", "1", "--x=-2,-1.5,-1,0,1e-300,3", "--m", "1,2,3,1,2,5"],
+    }[instance]
+    code, out, err = run(capsys, [*command, *args])
+    assert (code, err) == (0, "")
+    if command[-1] == "csv":
+        res = shelyap.simulate_inertia(shelyap.cli._load_instance(
+            shelyap.cli.build_parser().parse_args(["clusters", *args])))
+        s = _reference_row(np.asarray(res.inertia_paths[0].breakpoints)).split(", ")
+        want = "index,s,zeta,xi\n" + "".join(
+            f"{i},{sv},{zv},{xv}\n"
+            for i, (z, x) in enumerate(zip(res.inertia_paths, res.optimal_paths), 1)
+            for sv, zv, xv in zip(s, _reference_row(z.values).split(", "),
+                                  _reference_row(x.values).split(", ")))
+    else:
+        # dumps_json with its float rows printed by the reference
+        monkeypatch.setattr("shelyap.cli._format_row", _reference_row)
+        monkeypatch.setattr("shelyap.cli._format_rows", lambda rows: "[" + ", ".join(
+            "[" + _reference_row(r) + "]" for r in rows) + "]")
+        want = run(capsys, [*command, *args])[1]
+    assert out == want
+
+
+def test_clusters_csv_memory_stays_below_the_row_by_row_writer(tmp_path):
+    # clusters --format csv at n = 1500, t = 2 prints 2.25 million lines. Its
+    # tracemalloc peak was 71.1-71.5 MB when the writer held every path's
+    # zeta and xi interleaved (35 MB above the 36 MB of path families) and is
+    # 52.9 MB, set by simulate_inertia, with 8192-line passes (4.9 MB above)
+    argv = ["clusters", *_bench_shape(tmp_path, 1500), "--format", "csv", "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 71 * 2**20
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
