@@ -293,47 +293,33 @@ def _format_rows(rows: Sequence[np.ndarray]) -> str:
 
 
 def dumps_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with %.17g floats (json module can't control that)."""
+    """Deterministic JSON with %.17g floats (json module can't control that).
+
+    One layout rule: a dict, or a list whose items are dicts, puts each entry
+    on its own line at the next indent, and every other value prints on one
+    line. On that line a 1-D float array prints through _format_row, a list
+    of float rows through _format_rows and any other list or tuple as
+    [a, b]. A list's first item stands for all of its items.
+    """
     sp = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, dict) and obj:
+        body = f",\n{sp}  ".join([f"{json.dumps(k)}: {dumps_json(v, indent + 1)}"
+                                  for k, v in obj.items()])
+        return f"{{\n{sp}  {body}\n{sp}}}"
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        body = f",\n{sp}  ".join([dumps_json(v, indent + 1) for v in obj])
+        return f"[\n{sp}  {body}\n{sp}]"
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f":
-            return "[" + _format_row(obj) + "]"
-        return dumps_json(obj.tolist(), indent)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = ",\n".join(
-            f'{sp}  {json.dumps(str(k))}: {dumps_json(v, indent + 1)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + rows + "\n" + sp + "}"
+        return f"[{_format_row(obj)}]"
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in items)
-        flat_rows = not flat and all(
-            isinstance(v, (list, tuple))
-            and all(not isinstance(u, (dict, list, tuple)) for u in v)
-            for v in items
-        )
-        k = len(items[0]) if items and isinstance(items[0], np.ndarray) else 0
-        if k and all(isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == (k,)
-                     for v in items):
-            return _format_rows(items)
-        if flat or flat_rows:
-            return "[" + ", ".join(dumps_json(v) for v in items) + "]"
-        rows = ",\n".join(f"{sp}  " + dumps_json(v, indent + 1) for v in items)
-        return "[\n" + rows + "\n" + sp + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        if obj and isinstance(obj[0], np.ndarray):
+            return _format_rows(obj)
+        return f"[{', '.join([dumps_json(v) for v in obj])}]"
+    return json.dumps(obj)  # None, a bool or a str
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
@@ -344,10 +330,9 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
         sys.stdout.writelines(lines)
 
 
-def _fail(exc: BaseException) -> int:
-    sys.stderr.write(
-        dumps_json({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-    )
+def _fail(name: str, message: str) -> int:
+    """Write the error object {"error": name, "message": message} to stderr."""
+    sys.stderr.write(f"{dumps_json({'error': name, 'message': message})}\n")
     return 1
 
 
@@ -403,7 +388,17 @@ def cmd_gamma(args) -> int:
         raise ShelyapError(f"tolerance {args.tolerance} must be >= 0")
     inst = _load_instance(args)
     rep = gamma_report(inst)
-    _emit([dumps_json(rep.to_json_dict()), "\n"], args.output)
+    doc = {
+        "gamma1": rep.gamma1,
+        "gamma2": rep.gamma2,
+        "gamma3": rep.gamma3,
+        "max_dev": rep.max_pairwise_dev,
+        "partition": rep.partition,
+        "a": rep.minimizer_a,
+        "b": rep.minimizer_b,
+        "structure_ok": rep.structure_ok,
+    }
+    _emit([dumps_json(doc), "\n"], args.output)
     ok = (
         rep.max_pairwise_dev <= args.tolerance * (1.0 + abs(rep.gamma3))
         and rep.structure_ok
@@ -439,16 +434,13 @@ def cmd_clusters(args) -> int:
         _emit(itertools.chain(["index,s,zeta,xi\n"], _text(n * k, columns)), args.output)
         return 0
     doc = {
-        "partition": [list(b) for b in res.partition],
+        "partition": res.partition,
         "q_hat": res.q_hat,
-        "cluster_masses": list(res.cluster_masses),
-        "terminal_positions": list(res.terminal_positions),
-        "drifts": list(res.drifts),
-        "events": [
-            {"time": e.time, "merged": [list(iv) for iv in e.merged],
-             "position": e.position}
-            for e in res.events
-        ],
+        "cluster_masses": res.cluster_masses,
+        "terminal_positions": res.terminal_positions,
+        "drifts": res.drifts,
+        "events": [{"time": e.time, "merged": e.merged, "position": e.position}
+                   for e in res.events],
         "breakpoints": grid,
         "zeta": [p.values for p in res.inertia_paths],
         "xi": [p.values for p in res.optimal_paths],
@@ -626,7 +618,7 @@ def cmd_moments(args) -> int:
         "gamma": gamma,
         "gap": rate - gamma,
         "imag_residual": abs(val.imag) / max(abs(val.real), 1e-300),
-        "offsets": list(cfg.offsets),
+        "offsets": cfg.offsets,
         "points": cfg.points,
         "truncation": cfg.truncation,
     }
@@ -702,10 +694,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        sys.stderr.write(
-            dumps_json({"error": "UsageError", "message": message}) + "\n"
-        )
-        raise SystemExit(1)
+        raise SystemExit(_fail("UsageError", message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -762,14 +751,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # carries only the error object
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ShelyapError as e:
-        return _fail(e)
-    except (OSError, json.JSONDecodeError, ValueError, OverflowError) as e:
-        return _fail(e)
+    except (ShelyapError, OSError, json.JSONDecodeError, ValueError, OverflowError) as e:
+        return _fail(type(e).__name__, str(e))
     except MemoryError as e:
         # a grid too large to allocate; numpy raises a private subclass, so
         # every such failure is reported under the one name
-        return _fail(MemoryError(str(e) or "cannot allocate the requested size"))
+        return _fail("MemoryError", str(e) or "cannot allocate the requested size")
 
 
 if __name__ == "__main__":

@@ -114,18 +114,6 @@ class GammaReport:
     minimizer_b: np.ndarray
     structure_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "gamma3": self.gamma3,
-            "max_dev": self.max_pairwise_dev,
-            "partition": [list(b) for b in self.partition],
-            "a": self.minimizer_a,
-            "b": self.minimizer_b,
-            "structure_ok": self.structure_ok,
-        }
-
 
 def gamma_report(inst: MomentInstance) -> GammaReport:
     """Compute the exponent by all three routes and cross-check structure."""

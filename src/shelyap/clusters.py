@@ -149,7 +149,8 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
             zeta[i - 1 : j, a] = z
     terminal = zeta[[b[0] - 1 for b in partition], -1]
     drift = terminal / t
-    xi = zeta - np.repeat(drift, [len(b) for b in partition])[:, None] * g
+    xi = np.repeat(drift, [len(b) for b in partition])[:, None] * g
+    np.subtract(zeta, xi, out=xi)
     # rows are shared views, so keep them immutable like the frozen result
     zeta.flags.writeable = xi.flags.writeable = False
     return ClusterResult(

@@ -160,11 +160,7 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
         raise LengthMismatch(f"{len(cfg.offsets)} offsets for nu={nu}")
     y, w = _grid(cfg)
     t = inst.t
-    axes = []
-    for j in range(nu):
-        shape = [1] * nu
-        shape[j] = cfg.points
-        axes.append(cfg.offsets[j] + 1j * y.reshape(shape))
+    axes = np.ix_(*[a + 1j * y for a in cfg.offsets])
     val = np.exp(sum(
         0.5 * T * t * z * z + T * uj * z for z, uj in zip(axes, u)
     ))
@@ -172,10 +168,8 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
         for b in range(a + 1, nu):
             diff = axes[a] - axes[b]
             val = val * (diff / (diff - 1.0))
-    for j in range(nu):
-        shape = [1] * nu
-        shape[j] = cfg.points
-        val = val * w.reshape(shape)
+    for wj in np.ix_(*[w] * nu):
+        val = val * wj
     return complex(val.sum() / (2.0 * math.pi) ** nu)
 
 

@@ -43,10 +43,38 @@ def test_gamma_report_exit_zero(capsys):
     assert doc["structure_ok"] is True
 
 
-def test_gamma_json_reserializes_byte_identically(capsys):
+def test_gamma_report_json_keys(capsys):
     code, out, _ = run(capsys, ["gamma", *PAIR])
     assert code == 0
-    assert dumps_json(json.loads(out)) + "\n" == out
+    doc = json.loads(out)
+    assert sorted(doc) == [
+        "a", "b", "gamma1", "gamma2", "gamma3", "max_dev", "partition",
+        "structure_ok",
+    ]
+    assert doc["partition"] == [[1, 2]]
+    assert doc["structure_ok"] is True
+
+
+@pytest.mark.parametrize("argv,code,holds", [
+    (["gamma", *PAIR], 0, lambda doc: doc["partition"] == [[1, 2]]),
+    (["clusters", "--t", "1", "--x=-2,-1.5,-1,0,1e-300,3", "--m", "1,2,3,1,2,5"], 0,
+     lambda doc: len(doc["events"]) > 1),
+    (["clusters", "--t", "1", "--x", "0", "--m", "2"], 0, lambda doc: doc["events"] == []),
+    (["moments", *PAIR, "--T", "2"], 0, lambda doc: len(doc["offsets"]) == 2),
+    (["sweep", *PAIR, "--param", "x2", "--grid", "0.5:5:3", "--format", "json"], 0,
+     lambda doc: doc[-1]["s0"] is None),
+    (["gamma", "--t", "0", "--x", "0", "--m", "1"], 1,
+     lambda doc: doc["error"] == "NonPositiveTime"),
+    (["gamma", "--frobnicate"], 1, lambda doc: doc["error"] == "UsageError"),
+], ids=["gamma", "clusters", "clusters-no-events", "moments", "sweep", "typed-error",
+        "usage-error"])
+def test_json_reserializes_byte_identically(capsys, argv, code, holds):
+    # every document, and the stderr error object, follows dumps_json's layout
+    got, out, err = run(capsys, argv)
+    text = out if code == 0 else err
+    assert got == code
+    assert holds(json.loads(text))
+    assert dumps_json(json.loads(text)) + "\n" == text
 
 
 def test_gamma_impossible_tolerance_exits_two(capsys):
@@ -695,8 +723,9 @@ def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, comma
 def test_clusters_csv_memory_stays_below_the_row_by_row_writer(tmp_path):
     # clusters --format csv at n = 1500, t = 2 prints 2.25 million lines. Its
     # tracemalloc peak was 71.1-71.5 MB when the writer held every path's
-    # zeta and xi interleaved (35 MB above the 36 MB of path families) and is
-    # 52.9 MB, set by simulate_inertia, with 8192-line passes (4.9 MB above)
+    # zeta and xi interleaved (35 MB above the 36 MB of path families). With
+    # 8192-line passes it is 40.8 MB, 4.7 MB above; it read 52.9 MB while
+    # simulate_inertia built xi through a third (n, K) temporary
     argv = ["clusters", *_bench_shape(tmp_path, 1500), "--format", "csv", "--output", os.devnull]
     tracemalloc.start()
     try:

@@ -303,16 +303,6 @@ def test_minimizers_are_read_only_arrays():
     assert report != gamma_report(inst)
 
 
-def test_gamma_report_json_keys():
-    doc = gamma_report(validate_instance(1.0, [0.0, 0.5], [1, 1])).to_json_dict()
-    assert sorted(doc) == [
-        "a", "b", "gamma1", "gamma2", "gamma3", "max_dev", "partition",
-        "structure_ok",
-    ]
-    assert doc["partition"] == [[1, 2]]
-    assert doc["structure_ok"] is True
-
-
 @pytest.mark.parametrize("n", [200, 1000])
 @pytest.mark.parametrize("t", [0.3, 2.0])
 def test_three_routes_agree_far_beyond_generator(n, t):

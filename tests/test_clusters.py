@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,23 @@ def block_loop_margins(inst, partition):
     for k in range(len(coms) - 1):
         out.append(coms[k + 1] - coms[k] - (masses[k] + masses[k + 1]) * inst.t / 2.0)
     return np.asarray(out)
+
+
+def test_simulate_inertia_peak_is_its_two_path_families():
+    # n = 1500, t = 2 in the benchmark's shape: zeta and xi hold 36 MB. The
+    # tracemalloc peak was 52.7 MB while xi = zeta - drift * s made a third
+    # (n, K) array, and is 36.1 MB with the subtraction in place
+    rng = np.random.default_rng(0)
+    n = 1500
+    inst = validate_instance(2.0, np.sort(rng.uniform(-n, n, n)).tolist(),
+                             rng.integers(1, 6, n).tolist())
+    tracemalloc.start()
+    try:
+        simulate_inertia(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20
 
 
 def test_separation_margins_match_block_loop():
