@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from typing import Iterable, Iterator, Sequence
@@ -65,7 +66,11 @@ QUAD_REL_TOL = 1e-8
 
 
 def format_float(v: float) -> str:
-    """%.17g; every printed float passes here, so NaN and inf never print."""
+    """%.17g of one finite value; NaN and inf raise NonFiniteResult.
+
+    Scalars print here; whole arrays print through the bulk kernel below,
+    after _check_finite has passed them.
+    """
     if not math.isfinite(v):
         raise NonFiniteResult(f"computed value {v} is not finite")
     return f"{v:.17g}"
@@ -326,8 +331,16 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
             fh.writelines(lines)
-    else:
+        return
+    try:
         sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe and wants no more; that is not an error.
+        # fd 1 goes to devnull so the exit flush of what is buffered succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _fail(name: str, message: str) -> int:
@@ -594,7 +607,7 @@ def cmd_verify(args) -> int:
         lines.append(f"{name}: {passed}/{len(results)} pass{note}")
         all_ok = all_ok and passed == len(results)
     lines.append("VERIFY PASS" if all_ok else "VERIFY FAIL")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(["\n".join(lines), "\n"], None)
     return 0 if all_ok else 2
 
 
@@ -652,7 +665,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     param = args.param
     if param != "t":
-        if not (param.startswith("x") and param[1:].isdigit()):
+        if not re.fullmatch(r"x[0-9]+", param):
             raise ShelyapError(f"param {param!r} must be 't' or 'x<i>'")
         loc = int(param[1:])
         if not 1 <= loc <= base.n:

@@ -10,19 +10,17 @@ solved exactly (up to rounding) by weighted pool-adjacent-violators.
 PAVA walks runs, not coordinates. In a non-increasing weighted fit, two
 adjacent targets with z_i < z_{i+1} always end in the same block (Barlow,
 Bartholomew, Bremner & Brunk, Statistical Inference under Order Restrictions,
-1972; Best & Chakravarti, Math. Programming 47, 1990). So once the first
-target of a maximal strictly increasing run (an equal pair starts a new run)
-is placed, the rest of the run joins the last block target after target, and
-a long tail does so in one cumsum pass. The pass stops at the first target
-that would not pool into the block or that would make the block pool into its
-left neighbour; the per-target step takes that one and the pass resumes.
-Sums stay left to right one target at a time, so every comparison and every
-block is the one a plain per-target loop makes, rounding included. Pooling a
-whole run at once with pairwise sums (np.add.reduceat) rounds differently and
-splits exact ties, such as (x_{j+1} - x_j)/t = (m_j + m_{j+1})/2, the other
-way. The rule reads only the targets, so route 1 still shares nothing with
-route 2 or the cluster route. Route-1 targets rise by 1 within a location, so
-no location is split between runs, and the Python work grows with n, not nu.
+1972; Best & Chakravarti, Math. Programming 47, 1990). So each maximal
+strictly increasing run of targets (an equal pair starts a new run) enters
+the fit as one block, its sums taken by np.add.reduceat, and blocks pool
+leftward while the left neighbour's mean is smaller. The blocks are the
+exact ones unless two block means differ by about the rounding of their
+sums; there rounding decides the split, in this order as in any other, and
+the fit stays within a few times 2^-52 mean|z| of the exact rational fit
+either way. The rule reads only the targets, so route 1 still shares
+nothing with route 2 or the cluster route. Route-1 targets rise by 1 within
+a location, so no location is split between runs, and the Python work grows
+with n, not nu.
 
 The reductions absorb each chain margin into a running shift:
 
@@ -69,9 +67,6 @@ if TYPE_CHECKING:
 
 STRUCTURE_TOL_SCALE = 1e-9
 BOUNDARY_TOL = 1e-6
-# a run tail this long joins its block in one NumPy pass; a shorter one goes
-# target by target, where the pass would cost more than it saves
-_TAIL_PASS_MIN = 16
 # the exhaustive oracle solves this many active sets per array pass, which
 # bounds its memory at the d = 20 cap (2^19 sets)
 _ORACLE_BLOCK = 1 << 12
@@ -103,41 +98,21 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
     if np.isnan(z).any() or not np.all(w > 0):
         raise InvalidFitInput("targets must not be NaN and weights must be > 0")
     wz = w * z
-    lone = wz / w  # mean of each target as a block of its own
-    # ends of the maximal strictly increasing runs
-    ends = (np.flatnonzero(z[1:] <= z[:-1]) + 1).tolist() + [len(z)]
-    # blocks as (start, weight sum, weighted target sum); every sum is taken
-    # left to right one target at a time, so every comparison below is the one
-    # the per-target loop made, rounding included
+    # each maximal strictly increasing run enters as one block; blocks pool
+    # leftward while the left neighbour's mean is smaller
+    runs = np.flatnonzero(np.concatenate(([len(z) > 0], z[1:] <= z[:-1])))
     starts: list[int] = []
     wsum: list[float] = []
     wzsum: list[float] = []
-    for i, hi in zip([0] + ends, ends):
-        while i < hi:
-            starts.append(i)
-            wsum.append(w.item(i))
-            wzsum.append(wz.item(i))
-            while len(starts) > 1 and wzsum[-2] / wsum[-2] < wzsum[-1] / wsum[-1]:
-                tz, tw = wzsum.pop(), wsum.pop()
-                starts.pop()
-                wzsum[-1] += tz
-                wsum[-1] += tw
-            i += 1
-            if hi - i < _TAIL_PASS_MIN:
-                continue
-            # the rest of the run joins the last block in one cumsum pass, up
-            # to the first target that would not pool into it or that would
-            # make it pool into its left neighbour; that target goes round the
-            # loop above
-            ws = np.cumsum(np.concatenate(([wsum[-1]], w[i:hi])))
-            wzs = np.cumsum(np.concatenate(([wzsum[-1]], wz[i:hi])))
-            means = wzs / ws
-            quiet = means[:-1] < lone[i:hi]
-            if len(starts) > 1:
-                quiet &= ~(wzsum[-2] / wsum[-2] < means[1:])
-            k = hi - i if quiet.all() else int(quiet.argmin())
-            wsum[-1], wzsum[-1] = ws.item(k), wzs.item(k)
-            i += k
+    for i, ws, wzs in zip(runs.tolist(), np.add.reduceat(w, runs).tolist(),
+                          np.add.reduceat(wz, runs).tolist()):
+        while starts and wzsum[-1] / wsum[-1] < wzs / ws:
+            i = starts.pop()
+            ws += wsum.pop()
+            wzs += wzsum.pop()
+        starts.append(i)
+        wsum.append(ws)
+        wzsum.append(wzs)
     out = np.empty_like(z)
     bounds = starts + [len(z)]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -295,10 +270,9 @@ def check_minimizer_structure(
     a = np.asarray(sol.values)
     dev = np.abs((a[:-1] - a[1:]) - 1.0)
     x, m, t = np.asarray(inst.x), np.asarray(inst.m), inst.t
-    # terminal block of each location
-    block_of = np.empty(inst.n, dtype=int)
-    for bi, block in enumerate(res.partition):
-        block_of[np.asarray(block) - 1] = bi
+    # terminal block of each location; blocks are consecutive runs in order
+    sizes = [len(block) for block in res.partition]
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
     # gap cross[j] runs from location j + 1 to j + 2; every other gap lies
     # inside one location, so in one block and clear of any location pair
     cross = np.cumsum(m)[:-1] - 1

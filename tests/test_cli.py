@@ -401,6 +401,37 @@ def test_sweep_unknown_param_exits_one(capsys):
     assert "out of range" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("param", ["x", "y1", "x\u00b2", "x\u0661"])
+def test_sweep_malformed_param_exits_one(capsys, param):
+    # a superscript two passes str.isdigit, an Arabic-Indic one passes int()
+    code, out, err = run(
+        capsys, ["sweep", *PAIR, "--param", param, "--grid", "0:1:2"]
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ShelyapError",
+        "message": f"param {param!r} must be 't' or 'x<i>'",
+    }
+
+
+def test_closed_pipe_is_not_an_error():
+    # the reader takes one line of a 556 kB CSV and closes the pipe
+    x = ",".join(repr(0.37 * i + 0.011 * (i % 7)) for i in range(1, 301))
+    m = ",".join(str(1 + i % 5) for i in range(1, 301))
+    env = dict(os.environ, PYTHONPATH=str(Path(shelyap.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shelyap.cli", "clusters", "--t", "2", "--x", x,
+         "--m", m, "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"index,s,zeta,xi\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (code, err) == (0, b"")
+
+
 def test_usage_error_exits_one(capsys):
     code, _, err = run(capsys, ["gamma", "--bogus"])
     assert code == 1

@@ -1,28 +1,55 @@
-"""PAVA over increasing runs against the per-target loop it replaced.
+"""PAVA over increasing runs against the per-target loop it replaced and
+against an exact rational PAVA.
 
-The reference below is the earlier isotonic_nonincreasing: one block per
-target, pooled with its left neighbour while the neighbour's mean is smaller.
-The package places the first target of each strictly increasing run the same
-way and lets a long run tail join the last block in one cumsum pass, with
-every sum still taken left to right. It must pick the same blocks, rounding
-included, and each final block mean is computed the same way, so the fits
-are compared as bytes.
+The reference loop below is the earlier isotonic_nonincreasing: one block
+per target, pooled with its left neighbour while the neighbour's mean is
+smaller, every sum taken left to right. The package lets each maximal
+strictly increasing run enter as one block summed by np.add.reduceat, then
+pools the same way; each final block mean is computed the same way, so the
+fits are compared as bytes. Two classes of input may differ, because there
+the two summation orders can pick different blocks:
+
+- route-1 draws with a location pair within 1e-12 relative of its merge
+  threshold (x_{j+1} - x_j)/t = (m_j + m_{j+1})/2, where two block means
+  agree to rounding. On the seeded corpus 8 of 82 such draws differ. By
+  where the fit changes value, the exact fit matches the loop in 4 of them,
+  the runs in 4 (one matches both) and neither in 1.
+- inputs where a product w z overflows at a finite target. Both fits then
+  hold a NaN or an inf, which the command line reports as NonFiniteResult;
+  the runs must be non-finite wherever the loop is. Of the 80 draws at
+  extreme horizons 24 differ, all in this class. In 4 of them an infinite
+  weight shares an increasing run with a target that the loop left finite
+  in a block of its own.
+
+The exact reference runs the per-target loop in Fractions on the float
+inputs. Every case with finite w z (route 1 up to nu = 3000) must lie within
+C_EXACT * EPS * mean|z| of it, EPS = 2^-52. The worst measured, in units of
+EPS * mean|z|, are 2.13 (random), 0.59 (lattice), 0.83 (route-2 threshold),
+0.84 (finite draws of the infinite-target group) and 3.13 (route 1), the same
+for the loop and for the runs.
 
 The corpus covers empty and one-target fits, equal-mean ties on integer
 lattices, route-1 targets k - u_k/t with nu up to 10^5 at short horizons
 (blocks pool across locations), a quarter of them with one location pair
-exactly on its merge threshold (x_{j+1} - x_j)/t = (m_j + m_{j+1})/2, where
-the two block means tie and only rounding decides, route-2 targets on a
+exactly on its merge threshold in floating point, route-2 targets on a
 lattice with spacing exactly t (m_i + m_{i+1})/2, infinite targets, and
 horizons t = 5e-324, 1e-310, 1e307 and 1e308, where x/t or w z overflows.
 A NaN target is rejected instead.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shelyap import InvalidFitInput, flatten, validate_instance
 from shelyap.solvers import isotonic_nonincreasing
+
+EPS = 2.0**-52
+# fits lie within C_EXACT * EPS * mean|z| of the exact fit; worst seen 3.13
+C_EXACT = 6
+# route-1 draws up to this nu are checked against the exact fit
+EXACT_NU_MAX = 3000
 
 
 def reference_isotonic(z, w):
@@ -112,7 +139,8 @@ def extreme_horizon(rng):
         return shift - x / t, m * t
 
 
-def test_runs_match_coordinate_loop_bytewise():
+def corpus():
+    """Target/weight pairs and route-1 instances from one seeded stream."""
     rng = np.random.default_rng(20261018)
     cases = [(np.empty(0), np.empty(0)), (np.array([2.5]), np.array([0.7]))]
     cases += [random_targets(rng) for _ in range(500)]
@@ -124,21 +152,79 @@ def test_runs_match_coordinate_loop_bytewise():
     route1 += [route1_shape(rng, 12000) for _ in range(6)]
     route1.append(validate_instance(0.01, [0.0, 60.0, 130.0, 400.0],
                                     [30000, 25000, 20000, 25000]))
+    return cases, route1
+
+
+def near_threshold(inst):
+    """Some location pair lies within 1e-12 relative of its merge threshold."""
+    x, m = np.asarray(inst.x), np.asarray(inst.m, dtype=float)
+    margin = (m[:-1] + m[1:]) / 2.0
+    return bool((np.abs((x[1:] - x[:-1]) / inst.t - margin) <= 1e-12 * margin).any())
+
+
+def exact_isotonic(z, w):
+    """The per-target loop in Fractions: the exact fit of the float inputs."""
+    starts, wsum, wzsum = [], [], []
+    for i, (zi, wi) in enumerate(zip(z.tolist(), w.tolist())):
+        starts.append(i)
+        wsum.append(Fraction(wi))
+        wzsum.append(Fraction(wi) * Fraction(zi))
+        while len(starts) > 1 and wzsum[-2] * wsum[-1] < wzsum[-1] * wsum[-2]:
+            tz, tw = wzsum.pop(), wsum.pop()
+            starts.pop()
+            wzsum[-1] += tz
+            wsum[-1] += tw
+    out = []
+    bounds = starts + [len(z)]
+    for lo, hi, num, den in zip(bounds, bounds[1:], wzsum, wsum):
+        out += [num / den] * (hi - lo)
+    return out
+
+
+def test_runs_match_coordinate_loop_bytewise():
+    cases, route1 = corpus()
     assert len(cases) + len(route1) >= 2000
     assert max(inst.nu for inst in route1) == 100000
+    overflowed = 0
     for z, w in cases:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
             got, want = isotonic_nonincreasing(z, w), reference_isotonic(z, w)
-        assert got.tobytes() == want.tobytes(), (z, w)
-    pooled = 0
+            over = (np.isfinite(z) & ~np.isfinite(w * z)).any()
+        if over:
+            lost = ~np.isfinite(want)
+            assert lost.any() and not np.isfinite(got[lost]).any(), (z, w)
+            overflowed += 1
+        else:
+            assert got.tobytes() == want.tobytes(), (z, w)
+    assert overflowed >= 20
+    pooled = near = 0
     for inst in route1:
         z, w = route1_targets(inst)
         got, want = isotonic_nonincreasing(z, w), reference_isotonic(z, w)
-        assert got.tobytes() == want.tobytes(), inst
+        if near_threshold(inst):
+            # each fit is within C_EXACT * EPS * mean|z| of the exact one
+            bound = 2 * C_EXACT * EPS * np.mean(np.abs(z))
+            assert np.abs(got - want).max() <= bound, inst
+            near += 1
+        else:
+            assert got.tobytes() == want.tobytes(), inst
         # a location's targets rise by 1, so it never splits; fewer blocks
         # than locations means some block spans several of them
         pooled += len(np.unique(got)) < inst.n
     assert pooled >= 100
+    assert near >= 50
+
+
+def test_runs_within_exact_rational_fit():
+    cases, route1 = corpus()
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = [(z, w) for z, w in cases if len(z) and np.isfinite(w * z).all()]
+    finite += [route1_targets(inst) for inst in route1 if inst.nu <= EXACT_NU_MAX]
+    assert len(finite) >= 1750
+    for z, w in finite:
+        got = isotonic_nonincreasing(z, w).tolist()
+        err = max(abs(Fraction(g) - e) for g, e in zip(got, exact_isotonic(z, w)))
+        assert err <= C_EXACT * EPS * Fraction(np.mean(np.abs(z))), (z, w)
 
 
 def test_rejects_nan_targets_and_weights_not_positive():
