@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clusters import _forest, _simulate, event_tolerance, separation_margins, simulate_inertia
+from .clusters import (_simulate, event_tolerance, initial_speeds, separation_margins,
+                       simulate_inertia)
 from .closedform import gamma3, gamma_report, verify_recursion_identity
 from .errors import (
     InvalidContour,
@@ -302,9 +303,9 @@ def dumps_json(obj, indent: int = 0) -> str:
 
     One layout rule: a dict, or a list whose items are dicts, puts each entry
     on its own line at the next indent, and every other value prints on one
-    line. On that line a 1-D float array prints through _format_row, a list
-    of float rows through _format_rows and any other list or tuple as
-    [a, b]. A list's first item stands for all of its items.
+    line. There a float prints through format_float, a 1-D float array through
+    _format_row, a list of float rows through _format_rows, any other list
+    holding a float as [a, b], and the rest by one json.dumps call.
     """
     sp = "  " * indent
     if isinstance(obj, dict) and obj:
@@ -316,15 +317,22 @@ def dumps_json(obj, indent: int = 0) -> str:
         return f"[\n{sp}  {body}\n{sp}]"
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return str(obj)
     if isinstance(obj, np.ndarray):
         return f"[{_format_row(obj)}]"
-    if isinstance(obj, (list, tuple)):
-        if obj and isinstance(obj[0], np.ndarray):
-            return _format_rows(obj)
+    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], np.ndarray):
+        return _format_rows(obj)
+    if isinstance(obj, (list, tuple)) and _has_float(obj):
         return f"[{', '.join([dumps_json(v) for v in obj])}]"
-    return json.dumps(obj)  # None, a bool or a str
+    return json.dumps(obj)
+
+
+def _has_float(items: list | tuple) -> bool:
+    """Whether a float sits in a list or tuple, at any depth."""
+    while items:
+        if any(issubclass(k, float) for k in set(map(type, items))):
+            return True
+        items = [w for v in items if isinstance(v, (list, tuple)) for w in v]
+    return False
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
@@ -498,7 +506,8 @@ def _check_recursion(inst: MomentInstance) -> bool:
 
 def _check_physics(inst: MomentInstance) -> bool:
     run = _simulate(inst)
-    lo, hi, mass, birth, position, speed, parent = _forest(inst, run.events)
+    lo, mass, birth, position, speed, parent = map(
+        np.array, (run.lo, run.mass, run.birth, run.position, run.speed, run.parent))
     n, t = inst.n, inst.t
     kid = np.flatnonzero(parent >= 0)
     up = parent[kid]
@@ -515,8 +524,8 @@ def _check_physics(inst: MomentInstance) -> bool:
         return False
     # each block moves at its locations' mean initial speed; blocks end apart
     root = np.flatnonzero(parent < 0)[np.argsort(lo[parent < 0])]
-    cum_p = np.cumsum([0.0, *(mass[:n] * speed[:n])])
-    psi = (cum_p[hi[root]] - cum_p[lo[root] - 1]) / mass[root]
+    m = np.asarray(inst.m, dtype=float)
+    psi = np.add.reduceat(m * initial_speeds(m), lo[root] - 1) / np.add.reduceat(m, lo[root] - 1)
     if np.any(np.abs(speed[root] - psi) > COM_TOL * (1.0 + np.abs(psi))):
         return False
     terminal = position[root] + speed[root] * (t - birth[root])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/test_harness.py checks that the tracer wraps simulate_inertia here too
-from .clusters import ClusterResult, _forest, _simulate, simulate_inertia  # noqa: F401
+from .clusters import ClusterResult, _simulate, simulate_inertia  # noqa: F401
 from .instance import MomentInstance
 from .solvers import check_minimizer_structure, solve_gamma1, solve_gamma2
 
@@ -85,7 +85,8 @@ def verify_recursion_identity(inst: MomentInstance) -> RecursionCheck:
     partition, in O(n + events) memory, and neither touches route 1 or 2.
     """
     run = _simulate(inst)
-    lo, _, mass, birth, position, speed, parent = _forest(inst, run.events)
+    lo, mass, birth, position, speed, parent = map(
+        np.array, (run.lo, run.mass, run.birth, run.position, run.speed, run.parent))
     t = inst.t
     root = parent < 0
     death = np.where(root, t, birth[parent])

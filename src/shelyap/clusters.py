@@ -11,11 +11,11 @@ is included. The surviving clusters at time t define the optimal partition
 B_1, ..., B_qhat into contiguous index blocks, each with terminal position
 zeta_B(t) and drift v_j = zeta_B(t)/t.
 
-All the run keeps is its merge forest: the locations are its leaves, and
-each MergeEvent is a node with a birth time, children (the member intervals
-it merged), a birth position and a speed, at which it moves until it merges
-again. A node's position at time s is its birth position + speed * (s - birth),
-so the forest fixes every position.
+The run's only record is its merge forest, which the event loop writes: the
+locations are its leaves and each merge group a node (see _Run), which sits
+at birth position + speed * (s - birth) until it merges again. Every value is
+the loop's own, a leaf's speed (m_i phi_i)/m_i included; each MergeEvent
+repeats a node's birth, position and speed, with its children.
 
 simulate_inertia alone, for `clusters`, expands it into two read-only (n, K)
 path families on the breakpoints {0, merge times, t}; row i is index i's
@@ -26,14 +26,13 @@ path families on the breakpoints {0, merge times, t}; row i is index i's
 
 gamma, sweep and the verify checks read the forest, in O(n + events) memory.
 
-The event loop keeps the live clusters in a doubly linked list, keyed by
-their first index, each with its mass, momentum, speed, birth time and birth
-position; nothing moves per event. A min-heap holds one collision candidate
-per adjacent pair, computed once, when the pair becomes adjacent: at
-s0 = max(birth_L, birth_R) the candidate is s0 + gap(s0) / closing speed, and
-a pair that does not close in has none. Every merge retires its clusters'
-forest nodes, and an entry counts only while both of its nodes are live, so
-stale entries are dropped as they reach the top. Each event costs O(log n).
+The event loop keeps the live nodes in a doubly linked list; nothing moves
+per event. A min-heap holds one collision candidate per adjacent pair,
+computed once, when the pair becomes adjacent: at s0 = max(birth_L, birth_R)
+the candidate is s0 + gap(s0) / closing speed, and a pair that does not
+close in has none. An entry counts only while its left node is live and
+still followed by its right one, so stale entries are dropped as they reach
+the top. Each event costs O(log n).
 
 Ties: the earliest live candidate c sets the batch time s = min(c, t), and
 the loop ends once c > t + event_tolerance(t), so a merge at s = t counts.
@@ -108,10 +107,19 @@ class ClusterResult:
 
 
 class _Run(NamedTuple):
-    """A run's partition and merge log."""
+    """A run's partition, merge log and merge forest: lists by node (the n locations, then
+    one per event); column is the grid column of the birth, parent -1 for a root."""
 
     partition: tuple[tuple[int, ...], ...]
     events: tuple[MergeEvent, ...]
+    lo: list[int]
+    hi: list[int]
+    mass: list[float]
+    birth: list[float]
+    column: list[int]
+    position: list[float]
+    speed: list[float]
+    parent: list[int]
 
 
 @dataclass(frozen=True)
@@ -133,20 +141,20 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     with birth position + speed * (s - birth), the loop's own arithmetic; at
     its birth it holds its birth position exactly.
     """
-    partition, events = _simulate(inst)
-    lo, hi, _, birth, position, speed, parent = _forest(inst, events)
+    run = _simulate(inst)
+    partition, column, parent = run.partition, np.array(run.column), np.array(run.parent)
     n, t = inst.n, inst.t
-    times = sorted({e.time for e in events})
-    grid = (0.0, *times, *([t] if not times or times[-1] < t else []))
-    g = np.array(grid)
-    first = np.concatenate((np.zeros(n, dtype=np.intp), np.searchsorted(times, birth[n:]) + 1))
-    stop = np.where(parent < 0, len(grid), first[parent])
-    zeta = np.empty((n, len(grid)))
-    for a, b, i, j, z, v, s in zip(first.tolist(), stop.tolist(), lo.tolist(), hi.tolist(),
-                                   position.tolist(), speed.tolist(), birth.tolist()):
+    g = np.empty(column[-1] + 1)
+    g[column] = run.birth
+    g = np.append(g, t) if g[-1] < t else g
+    stop = np.where(parent < 0, len(g), column[parent])
+    zeta = np.empty((n, len(g)))
+    for a, b, i, j, z, v, s in zip(run.column, stop.tolist(), run.lo, run.hi,
+                                   run.position, run.speed, run.birth):
         if a < b:
             zeta[i - 1 : j, a:b] = z + v * (g[a:b] - s)
             zeta[i - 1 : j, a] = z
+    grid = tuple(g.tolist())
     terminal = zeta[[b[0] - 1 for b in partition], -1]
     drift = terminal / t
     xi = np.repeat(drift, [len(b) for b in partition])[:, None] * g
@@ -158,7 +166,7 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
         cluster_masses=tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in partition),
         terminal_positions=tuple(terminal.tolist()),
         drifts=tuple(drift.tolist()),
-        events=events,
+        events=run.events,
         inertia_paths=tuple(PiecewiseLinearPath(grid, row) for row in zeta),
         optimal_paths=tuple(PiecewiseLinearPath(grid, row) for row in xi),
     )
@@ -166,111 +174,88 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
 
 def _simulate(inst: MomentInstance) -> _Run:
     """The event loop, in O(n + events) memory and O((n + events) log n) time."""
-    t, n = inst.t, inst.n
-    tol = event_tolerance(t)
-    # live clusters keyed by their first index j (0-based) in a doubly linked
-    # list, n being the sentinel past the last one; cluster j ends at index
-    # last[j], sits at anchor + v * (s - birth) and is forest node node[j],
-    # -1 once merged into a left neighbour
-    prv = list(range(-1, n))
-    nxt = list(range(1, n + 1))
-    last = list(range(n))
-    mass = list(map(float, inst.m))
-    mom = (np.array(mass) * initial_speeds(inst.m)).tolist()
-    v = (np.array(mom) / np.array(mass)).tolist()
-    birth = [0.0] * n
-    anchor = list(inst.x)
-    node = [*range(n), -1]
-    heap: list[tuple[float, int, int, int]] = []
+    t, n, tol = inst.t, inst.n, event_tolerance(inst.t)
+    # the forest's 2n - 1 node slots, the locations first. The live nodes form
+    # a doubly linked list through prv and nxt, whose last slot (-1) is a
+    # sentinel before the first node and after the last
+    m = np.array(inst.m, dtype=float)
+    p = m * initial_speeds(inst.m)
+    free = [0] * (n - 1)
+    lo, hi, mass, mom, speed, position = ([*c, *free] for c in (
+        range(1, n + 1), range(1, n + 1), m.tolist(), p.tolist(), (p / m).tolist(), inst.x))
+    birth, column, parent = [0.0] * (2 * n - 1), [0] * (2 * n - 1), [-1] * (2 * n - 1)
+    prv = [*range(-1, n - 1), *free, n - 1]
+    nxt = [*range(1, n), -1, *free, 0]
+    heap: list[tuple[float, int, int]] = []
 
-    def push(j: int) -> None:
-        """Queue the pair (j, nxt[j]) once, at the time it would collide."""
-        k = nxt[j]
-        closing = v[j] - v[k]
+    def push(a: int) -> None:
+        """Queue the pair (a, nxt[a]) once, at the time it would collide."""
+        b = nxt[a]
+        closing = speed[a] - speed[b]
         if closing > 0.0:
-            s0 = max(birth[j], birth[k])
-            gap = anchor[k] + v[k] * (s0 - birth[k]) - (anchor[j] + v[j] * (s0 - birth[j]))
-            heapq.heappush(heap, (s0 + gap / closing, j, node[j], node[k]))
+            s0 = max(birth[a], birth[b])
+            gap = (position[b] + speed[b] * (s0 - birth[b])
+                   - (position[a] + speed[a] * (s0 - birth[a])))
+            heapq.heappush(heap, (s0 + gap / closing, a, b))
 
     def pop_due(limit: float) -> list[int]:
-        """Left keys of the live pairs whose candidate is <= limit, in order."""
+        """Left nodes of the live pairs whose candidate is <= limit, in index order."""
         due = []
         while heap and heap[0][0] <= limit:
-            _, j, a, b = heapq.heappop(heap)
-            if node[j] == a and node[nxt[j]] == b:
-                due.append(j)
-        return sorted(due)
+            _, a, b = heapq.heappop(heap)
+            if parent[a] < 0 and nxt[a] == b:
+                due.append(a)
+        due.sort(key=lo.__getitem__)
+        return due
 
-    for j in range(n - 1):
-        push(j)
-    events: list[MergeEvent] = []
+    for a in range(n - 1):
+        push(a)
+    events, k, col = [], n, 0  # the merge log, the next free node slot, the last grid column
     while heap:
-        c, j, a, b = heap[0]
-        if node[j] != a or node[nxt[j]] != b:
+        c, a, b = heap[0]
+        if parent[a] >= 0 or nxt[a] != b:
             heapq.heappop(heap)  # a stale entry: a merge has changed the pair
             continue
         if not c <= t + tol:
             break
-        # the earliest live candidate sets the batch time
-        s = min(c, t)
-        due = pop_due(s + tol)
-        while due:
+        # the earliest live candidate sets the batch time and its grid column
+        s, col = min(c, t), col + 1
+        while due := pop_due(s + tol):
             # one cascade pass: merge every run of adjacent due pairs; group
             # sums stay Python sums, left to right
             runs: list[list[int]] = []
-            for j in due:
-                if runs and nxt[runs[-1][-1]] == j:
-                    runs[-1].append(j)
+            for a in due:
+                if runs and nxt[runs[-1][-1]] == a:
+                    runs[-1].append(a)
                 else:
-                    runs.append([j])
+                    runs.append([a])
             for run in runs:
                 group = [*run, nxt[run[-1]]]
-                ms = [mass[k] for k in group]
-                xs = [anchor[k] + v[k] * (s - birth[k]) for k in group]
+                ms = [mass[g] for g in group]
+                xs = [position[g] + speed[g] * (s - birth[g]) for g in group]
                 total = sum(ms)
-                com = sum(mk * xk for mk, xk in zip(ms, xs)) / total
-                p = sum(mom[k] for k in group)
-                events.append(MergeEvent(
-                    time=s,
-                    merged=tuple((k + 1, last[k] + 1) for k in group),
-                    position=com,
-                    speed=p / total,
-                ))
-                j0, k1 = group[0], group[-1]
-                mass[j0], mom[j0], v[j0], birth[j0], anchor[j0] = total, p, p / total, s, com
-                last[j0], nxt[j0] = last[k1], nxt[k1]
-                prv[nxt[k1]] = j0
-                node[j0] = n + len(events) - 1
-                for k in group[1:]:
-                    node[k] = -1
+                com = sum(mg * xg for mg, xg in zip(ms, xs)) / total
+                p = sum(mom[g] for g in group)
+                v = p / total
+                events.append(MergeEvent(s, tuple((lo[g], hi[g]) for g in group), com, v))
+                first, last = group[0], group[-1]
+                left, right = prv[first], nxt[last]
+                lo[k], hi[k], mass[k], mom[k], speed[k] = lo[first], hi[last], total, p, v
+                birth[k], column[k], position[k], prv[k], nxt[k] = s, col, com, left, right
+                nxt[left] = prv[right] = k
+                for g in group:
+                    parent[g] = k
+                k += 1
             # each merged cluster forms new pairs with its neighbours
-            for j in {k for run in runs for k in (prv[run[0]], run[0])}:
-                if j >= 0 and nxt[j] < n:
-                    push(j)
-            due = pop_due(s + tol)
-    partition = tuple(tuple(range(j + 1, last[j] + 2)) for j in range(n) if node[j] >= 0)
-    return _Run(partition, tuple(events))
-
-
-def _forest(inst: MomentInstance, events: Sequence[MergeEvent]) -> tuple[np.ndarray, ...]:
-    """The merge forest as columns, the n leaves first, then one node per event:
-    index range (lo, hi), mass, birth time, birth position, speed, and the node
-    it merged into (-1 for a root). A range names one node, as live clusters
-    are disjoint and a merge widens them."""
-    n = inst.n
-    lo = [*range(1, n + 1), *(e.merged[0][0] for e in events)]
-    hi = [*range(1, n + 1), *(e.merged[-1][1] for e in events)]
-    node = {iv: k for k, iv in enumerate(zip(lo, hi))}
-    parent = [-1] * len(lo)
-    for k, e in enumerate(events, n):
-        for iv in e.merged:
-            parent[node[iv]] = k
-    lo, hi = np.array(lo), np.array(hi)
-    cum = np.cumsum([0.0, *inst.m])
-    birth = np.array([0.0] * n + [e.time for e in events])
-    position = np.array([*inst.x, *(e.position for e in events)], dtype=float)
-    speed = np.concatenate((initial_speeds(inst.m), [e.speed for e in events]))
-    return lo, hi, cum[hi] - cum[lo - 1], birth, position, speed, np.array(parent)
+            for a in {g for new in range(k - len(runs), k) for g in (prv[new], new)}:
+                if a >= 0 and nxt[a] >= 0:
+                    push(a)
+    partition, a = [], nxt[-1]
+    while a >= 0:
+        partition.append(tuple(range(lo[a], hi[a] + 1)))
+        a = nxt[a]
+    forest = (lo, hi, mass, birth, column, position, speed, parent)
+    return _Run(tuple(partition), tuple(events), *(c[:k] for c in forest))
 
 
 def first_optimal_merge(res: ClusterResult, inst: MomentInstance) -> FirstMerge:

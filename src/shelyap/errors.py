@@ -57,7 +57,7 @@ class NonPositiveMoment(ShelyapError):
 
 
 class InvalidFitInput(ShelyapError, ValueError):
-    """A fit got a weight that is not > 0 or data it cannot use.
+    """A fit got a weight that is not finite and > 0 or data it cannot use.
 
     That is a NaN isotonic target or a non-finite datum of the exhaustive
     oracle.

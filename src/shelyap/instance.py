@@ -17,6 +17,7 @@ gamma2_objective evaluates route 2 here verbatim:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -94,9 +95,9 @@ def validate_instance(t: float, x: Sequence[float], m: Sequence[int]) -> MomentI
     (t,) = _reals((t,), NonPositiveTime, "t")
     if not t > 0.0:
         raise NonPositiveTime(f"t={t} must be > 0")
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise NonPositiveTime(f"t={t} must be finite")
-    if any(not np.isfinite(v) for v in x):
+    if not all(map(math.isfinite, x)):
         raise UnsortedLocations("locations must be finite")
     for a, b in zip(x, x[1:]):
         if not a < b:

@@ -88,15 +88,18 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
 
     Returns the unique minimizer of sum w_i (c_i - z_i)^2 over non-increasing
     c. Pooled values are recomputed per final block as exact weighted means.
-    Targets may be infinite but not NaN, and every weight must be > 0;
-    anything else raises InvalidFitInput.
+    Targets may be infinite but not NaN, and every weight must be finite and
+    > 0; anything else raises InvalidFitInput.
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     if len(z) != len(w):
         raise LengthMismatch("targets and weights differ in length")
-    if np.isnan(z).any() or not np.all(w > 0):
-        raise InvalidFitInput("targets must not be NaN and weights must be > 0")
+    if np.isnan(z).any():
+        raise InvalidFitInput("targets must not be NaN")
+    bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
+    if len(bad):
+        raise InvalidFitInput(f"weight {w[bad[0]]} at position {bad[0]} must be finite and > 0")
     wz = w * z
     # each maximal strictly increasing run enters as one block; blocks pool
     # leftward while the left neighbour's mean is smaller

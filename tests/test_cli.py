@@ -821,7 +821,6 @@ def test_moments_kernel_time_out_of_range_exits_one(capsys, t, m, T, offsets):
 
 @pytest.mark.parametrize("argv", [
     ["gamma", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
-    ["gamma", "--t", "1e308", "--x", "0,1", "--m", "1000,1000"],
     ["clusters", "--t", "5e-324", "--x", "0,1", "--m", "1,1"],
     ["clusters", "--t", "5e-324", "--x", "0,1", "--m", "1,1", "--format", "csv"],
     ["sweep", "--t", "1", "--x", "0,1", "--m", "1,1", "--param", "t",
@@ -841,6 +840,16 @@ def test_non_finite_result_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "NonFiniteResult"
+
+
+@pytest.mark.parametrize("m", ["1000,1000", "2,3"])
+def test_infinite_pava_weight_exits_one(capsys, m):
+    # route 2's PAVA weights m t overflow to inf, which PAVA rejects
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, ["gamma", "--t", "1e308", "--x", "0,1", "--m", m])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "InvalidFitInput",
+                               "message": "weight inf at position 0 must be finite and > 0"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,12 +28,13 @@ inputs, so the bound separates the two.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from shelyap import gamma3, simulate_inertia, validate_instance
-from shelyap.clusters import _Run, _simulate
+from shelyap.clusters import _simulate
 from test_golden import BIG, CASCADE, FIVE, ROUTE1_POOLED, ROUTE1_TIE, ROUTE1_TIES
 
 EPS = Fraction(1, 2**52)
@@ -190,7 +191,7 @@ def test_ten_thousand_within_exact_bound(t):
     if t == 2.0:
         # the sticky run ends in one block here; gamma3 reads only the
         # partition, so it is given directly rather than simulated
-        part = _Run(partition=(tuple(range(1, n + 1)),), events=())
+        part = SimpleNamespace(partition=(tuple(range(1, n + 1)),))
     else:
         part = _simulate(inst)
         assert len(part.partition) > 0.9 * n

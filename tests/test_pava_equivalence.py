@@ -14,12 +14,15 @@ the two summation orders can pick different blocks:
   agree to rounding. On the seeded corpus 8 of 82 such draws differ. By
   where the fit changes value, the exact fit matches the loop in 4 of them,
   the runs in 4 (one matches both) and neither in 1.
-- inputs where a product w z overflows at a finite target. Both fits then
-  hold a NaN or an inf, which the command line reports as NonFiniteResult;
-  the runs must be non-finite wherever the loop is. Of the 80 draws at
-  extreme horizons 24 differ, all in this class. In 4 of them an infinite
-  weight shares an increasing run with a target that the loop left finite
-  in a block of its own.
+- inputs where a product w z overflows at a finite target and finite
+  weight. Both fits then hold a NaN or an inf, which the command line
+  reports as NonFiniteResult; the runs must be non-finite wherever the loop
+  is. Of the 64 finite-weight draws at extreme horizons 18 differ, all in
+  this class.
+
+The other 16 extreme-horizon draws have a route-2 weight m t that overflows
+to inf; the package rejects them with InvalidFitInput, as it does a NaN
+target.
 
 The exact reference runs the per-target loop in Fractions on the float
 inputs. Every case with finite w z (route 1 up to nu = 3000) must lie within
@@ -33,8 +36,8 @@ lattices, route-1 targets k - u_k/t with nu up to 10^5 at short horizons
 (blocks pool across locations), a quarter of them with one location pair
 exactly on its merge threshold in floating point, route-2 targets on a
 lattice with spacing exactly t (m_i + m_{i+1})/2, infinite targets, and
-horizons t = 5e-324, 1e-310, 1e307 and 1e308, where x/t or w z overflows.
-A NaN target is rejected instead.
+horizons t = 5e-324, 1e-310, 1e307 and 1e308, where x/t, m t or w z
+overflows.
 """
 
 from fractions import Fraction
@@ -185,8 +188,13 @@ def test_runs_match_coordinate_loop_bytewise():
     cases, route1 = corpus()
     assert len(cases) + len(route1) >= 2000
     assert max(inst.nu for inst in route1) == 100000
-    overflowed = 0
+    overflowed = infinite = 0
     for z, w in cases:
+        if not np.isfinite(w).all():
+            with pytest.raises(InvalidFitInput, match="must be finite"):
+                isotonic_nonincreasing(z, w)
+            infinite += 1
+            continue
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
             got, want = isotonic_nonincreasing(z, w), reference_isotonic(z, w)
             over = (np.isfinite(z) & ~np.isfinite(w * z)).any()
@@ -196,7 +204,8 @@ def test_runs_match_coordinate_loop_bytewise():
             overflowed += 1
         else:
             assert got.tobytes() == want.tobytes(), (z, w)
-    assert overflowed >= 20
+    assert overflowed >= 15
+    assert infinite >= 12
     pooled = near = 0
     for inst in route1:
         z, w = route1_targets(inst)
@@ -230,7 +239,7 @@ def test_runs_within_exact_rational_fit():
 def test_rejects_nan_targets_and_weights_not_positive():
     nan = float("nan")
     for z, w in (([1.0, nan], [1.0, 1.0]), ([1.0, 2.0], [1.0, nan]),
-                 ([1.0], [0.0]), ([1.0, 2.0], [1.0, -2.0])):
+                 ([1.0], [0.0]), ([1.0, 2.0], [1.0, -2.0]), ([1.0, 2.0], [1.0, np.inf])):
         with pytest.raises(InvalidFitInput):
             isotonic_nonincreasing(z, w)
     assert issubclass(InvalidFitInput, ValueError)
