@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -27,8 +28,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clusters import (_simulate, event_tolerance, initial_speeds, separation_margins,
-                       simulate_inertia)
+from .clusters import (MergeEvent, _simulate, event_tolerance, initial_speeds,
+                       separation_margins, simulate_inertia)
 from .closedform import gamma3, gamma_report, verify_recursion_identity
 from .errors import (
     InvalidContour,
@@ -303,9 +304,11 @@ def dumps_json(obj, indent: int = 0) -> str:
 
     One layout rule: a dict, or a list whose items are dicts, puts each entry
     on its own line at the next indent, and every other value prints on one
-    line. There a float prints through format_float, a 1-D float array through
-    _format_row, a list of float rows through _format_rows, any other list
-    holding a float as [a, b], and the rest by one json.dumps call.
+    line. A merge log prints as the list of its events' {time, merged,
+    position} dicts, through _format_events. A float prints through
+    format_float, a 1-D float array through _format_row, a list of float
+    rows through _format_rows, any other list holding a float as [a, b], and
+    the rest by one json.dumps call.
     """
     sp = "  " * indent
     if isinstance(obj, dict) and obj:
@@ -315,6 +318,8 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, list) and obj and isinstance(obj[0], dict):
         body = f",\n{sp}  ".join([dumps_json(v, indent + 1) for v in obj])
         return f"[\n{sp}  {body}\n{sp}]"
+    if isinstance(obj, tuple) and obj and isinstance(obj[0], MergeEvent):
+        return _format_events(obj, indent)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, np.ndarray):
@@ -333,6 +338,23 @@ def _has_float(items: list | tuple) -> bool:
             return True
         items = [w for v in items if isinstance(v, (list, tuple)) for w in v]
     return False
+
+
+def _format_events(events: Sequence[MergeEvent], indent: int) -> str:
+    """A merge log as dumps_json lays out the list of its {time, merged, position}
+    dicts, byte for byte, in one pass over the events.
+
+    Times and positions print through the bulk kernel, in document order so
+    that the first non-finite value is the one named; merged prints its ints
+    with %d.
+    """
+    sp = "  " * (indent + 1)
+    floats = _format_row(np.array([(e.time, e.position) for e in events]).ravel()).split(", ")
+    merged = ["[" + ", ".join(["[%d, %d]" % iv for iv in e.merged]) + "]" for e in events]
+    body = f",\n{sp}".join([
+        f'{{\n{sp}  "time": {s},\n{sp}  "merged": {ivs},\n{sp}  "position": {z}\n{sp}}}'
+        for s, ivs, z in zip(floats[::2], merged, floats[1::2])])
+    return f"[\n{sp}{body}\n{'  ' * indent}]"
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
@@ -460,8 +482,7 @@ def cmd_clusters(args) -> int:
         "cluster_masses": res.cluster_masses,
         "terminal_positions": res.terminal_positions,
         "drifts": res.drifts,
-        "events": [{"time": e.time, "merged": e.merged, "position": e.position}
-                   for e in res.events],
+        "events": res.events,
         "breakpoints": grid,
         "zeta": [p.values for p in res.inertia_paths],
         "xi": [p.values for p in res.optimal_paths],
@@ -665,7 +686,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _sweep_row(inst: MomentInstance, value: float) -> tuple:
     run = _simulate(inst)
-    s0 = run.events[0].time if run.events else None
+    s0 = run.birth[inst.n] if len(run.birth) > inst.n else None
     return value, gamma3(inst, run), len(run.partition), s0
 
 
@@ -719,7 +740,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_fail("UsageError", message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared after."""
     p = _Parser(prog="shelyap", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

@@ -11,11 +11,13 @@ is included. The surviving clusters at time t define the optimal partition
 B_1, ..., B_qhat into contiguous index blocks, each with terminal position
 zeta_B(t) and drift v_j = zeta_B(t)/t.
 
-The run's only record is its merge forest, which the event loop writes: the
-locations are its leaves and each merge group a node (see _Run), which sits
-at birth position + speed * (s - birth) until it merges again. Every value is
-the loop's own, a leaf's speed (m_i phi_i)/m_i included; each MergeEvent
-repeats a node's birth, position and speed, with its children.
+The run's only record is its merge forest, and the event loop writes only
+the forest: the locations are its leaves and each merge group a node (see
+_Run), which sits at birth position + speed * (s - birth) until it merges
+again. Every value is the loop's own, a leaf's speed (m_i phi_i)/m_i
+included. The merge log (one MergeEvent per node after the leaves: its
+birth, position and speed, with its children) is read off the forest on
+demand; of the commands, only `clusters` asks for it.
 
 simulate_inertia alone, for `clusters`, expands it into two read-only (n, K)
 path families on the breakpoints {0, merge times, t}; row i is index i's
@@ -49,6 +51,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -107,11 +110,10 @@ class ClusterResult:
 
 
 class _Run(NamedTuple):
-    """A run's partition, merge log and merge forest: lists by node (the n locations, then
-    one per event); column is the grid column of the birth, parent -1 for a root."""
+    """A run's partition and merge forest: lists by node (the n locations, then one per
+    event); column is the grid column of the birth, parent -1 for a root."""
 
     partition: tuple[tuple[int, ...], ...]
-    events: tuple[MergeEvent, ...]
     lo: list[int]
     hi: list[int]
     mass: list[float]
@@ -120,6 +122,18 @@ class _Run(NamedTuple):
     position: list[float]
     speed: list[float]
     parent: list[int]
+
+    @property
+    def events(self) -> tuple[MergeEvent, ...]:
+        """The merge log, read off the forest: node k >= n gives the event at
+        birth[k], position[k] and speed[k] merging its children, in index order."""
+        n = self.partition[-1][-1]  # the locations are nodes 0..n-1
+        merged: list[list[tuple[int, int]]] = [[] for _ in range(len(self.lo) - n)]
+        for j in sorted(range(len(self.lo)), key=self.lo.__getitem__):
+            if self.parent[j] >= 0:
+                merged[self.parent[j] - n].append((self.lo[j], self.hi[j]))
+        return tuple(MergeEvent(self.birth[k], tuple(c), self.position[k], self.speed[k])
+                     for k, c in enumerate(merged, n))
 
 
 @dataclass(frozen=True)
@@ -186,7 +200,12 @@ def _simulate(inst: MomentInstance) -> _Run:
     birth, column, parent = [0.0] * (2 * n - 1), [0] * (2 * n - 1), [-1] * (2 * n - 1)
     prv = [*range(-1, n - 1), *free, n - 1]
     nxt = [*range(1, n), -1, *free, 0]
-    heap: list[tuple[float, int, int]] = []
+    # the locations' candidates in one pass: at s0 = 0, push's gap is
+    # x_{a+1} - x_a and its candidate 0.0 + gap / closing is gap / closing
+    x = inst.x
+    heap = [((x[a + 1] - x[a]) / closing, a, a + 1)
+            for a, closing in enumerate(map(sub, speed[: n - 1], speed[1:n])) if closing > 0.0]
+    heapq.heapify(heap)
 
     def push(a: int) -> None:
         """Queue the pair (a, nxt[a]) once, at the time it would collide."""
@@ -205,12 +224,11 @@ def _simulate(inst: MomentInstance) -> _Run:
             _, a, b = heapq.heappop(heap)
             if parent[a] < 0 and nxt[a] == b:
                 due.append(a)
-        due.sort(key=lo.__getitem__)
+        if len(due) > 1:
+            due.sort(key=lo.__getitem__)
         return due
 
-    for a in range(n - 1):
-        push(a)
-    events, k, col = [], n, 0  # the merge log, the next free node slot, the last grid column
+    k, col = n, 0  # the next free node slot, the last grid column
     while heap:
         c, a, b = heap[0]
         if parent[a] >= 0 or nxt[a] != b:
@@ -237,7 +255,6 @@ def _simulate(inst: MomentInstance) -> _Run:
                 com = sum(mg * xg for mg, xg in zip(ms, xs)) / total
                 p = sum(mom[g] for g in group)
                 v = p / total
-                events.append(MergeEvent(s, tuple((lo[g], hi[g]) for g in group), com, v))
                 first, last = group[0], group[-1]
                 left, right = prv[first], nxt[last]
                 lo[k], hi[k], mass[k], mom[k], speed[k] = lo[first], hi[last], total, p, v
@@ -246,8 +263,13 @@ def _simulate(inst: MomentInstance) -> _Run:
                 for g in group:
                     parent[g] = k
                 k += 1
-            # each merged cluster forms new pairs with its neighbours
-            for a in {g for new in range(k - len(runs), k) for g in (prv[new], new)}:
+            # each merged cluster forms new pairs with its neighbours; two of
+            # them may be neighbours, so a pass of several pushes each pair once
+            if len(runs) == 1:
+                lefts = (prv[k - 1], k - 1)
+            else:
+                lefts = {g for j in range(k - len(runs), k) for g in (prv[j], j)}
+            for a in lefts:
                 if a >= 0 and nxt[a] >= 0:
                     push(a)
     partition, a = [], nxt[-1]
@@ -255,7 +277,7 @@ def _simulate(inst: MomentInstance) -> _Run:
         partition.append(tuple(range(lo[a], hi[a] + 1)))
         a = nxt[a]
     forest = (lo, hi, mass, birth, column, position, speed, parent)
-    return _Run(tuple(partition), tuple(events), *(c[:k] for c in forest))
+    return _Run(tuple(partition), *(c[:k] for c in forest))
 
 
 def first_optimal_merge(res: ClusterResult, inst: MomentInstance) -> FirstMerge:

@@ -22,6 +22,14 @@ nothing with route 2 or the cluster route. Route-1 targets rise by 1 within
 a location, so no location is split between runs, and the Python work grows
 with n, not nu.
 
+Each final block holds np.sum(w z) / np.sum(w) over its entries, computed one
+length class at a time: a block alone in its length reduces its own slice,
+and the blocks of a length shared by several are gathered as the rows of one
+C-contiguous array and reduced along each row by np.add.reduce. NumPy sums
+each such row with the same pairwise loop (8-wide unrolled, in 128-element
+blocks) that np.sum runs over a contiguous slice, so every mean keeps
+np.sum's bits; the oracle's run table below relies on the same property.
+
 The reductions absorb each chain margin into a running shift:
 
 route 1: constraints a_k - a_{k+1} >= 1. Put c_k = a_k + k, so the chain
@@ -87,7 +95,8 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
     """Weighted PAVA for a non-increasing fit.
 
     Returns the unique minimizer of sum w_i (c_i - z_i)^2 over non-increasing
-    c. Pooled values are recomputed per final block as exact weighted means.
+    c. Each final block's value is its weighted mean np.sum(w z) / np.sum(w),
+    bit for bit, computed for all blocks of one length at once.
     Targets may be infinite but not NaN, and every weight must be finite and
     > 0; anything else raises InvalidFitInput.
     """
@@ -116,10 +125,18 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
         starts.append(i)
         wsum.append(ws)
         wzsum.append(wzs)
+    # the final means, one length class at a time (see the module docstring)
+    classes: dict[int, list[int]] = {}
+    for lo, hi in zip(starts, starts[1:] + [len(z)]):
+        classes.setdefault(hi - lo, []).append(lo)
     out = np.empty_like(z)
-    bounds = starts + [len(z)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        out[lo:hi] = np.sum(wz[lo:hi]) / np.sum(w[lo:hi])
+    for length, los in classes.items():
+        if len(los) == 1:
+            rows = slice(los[0], los[0] + length)
+            out[rows] = np.add.reduce(wz[rows]) / np.add.reduce(w[rows])
+        else:
+            rows = np.add.outer(los, np.arange(length))
+            out[rows] = (np.add.reduce(wz[rows], axis=1) / np.add.reduce(w[rows], axis=1))[:, None]
     return out
 
 
@@ -267,8 +284,10 @@ def check_minimizer_structure(
     classify reliably are flagged boundary instead of asserted either way:
     the location-pair margin test |(x_{j+1}-x_j)/t - (m_j+m_{j+1})/2| <= 1e-6,
     a cross-block gap within 1e-6 of 1, or any merge within 1e-6*(1+t) of t.
-    Only res.partition and res.events are read, so the event loop's _Run
-    works too.
+    Only the partition and the last merge time are read, so the event loop's
+    _Run works too: merge times never decrease nor pass t, so the last merge
+    is the one nearest t, and a _Run holds it as the birth of its last node
+    past the n locations, without a merge log.
     """
     a = np.asarray(sol.values)
     dev = np.abs((a[:-1] - a[1:]) - 1.0)
@@ -285,7 +304,12 @@ def check_minimizer_structure(
     # location pairs on the merge threshold
     near[cross] = np.abs((x[1:] - x[:-1]) / t - (m[:-1] + m[1:]) / 2.0) <= BOUNDARY_TOL
     near |= ~same & (dev <= BOUNDARY_TOL)
-    near_t = any(abs(e.time - t) <= BOUNDARY_TOL * (1.0 + t) for e in res.events)
+    birth = getattr(res, "birth", None)
+    if birth is not None:
+        last = birth[-1] if len(birth) > len(x) else None
+    else:
+        last = res.events[-1].time if res.events else None
+    near_t = last is not None and abs(last - t) <= BOUNDARY_TOL * (1.0 + t)
     return StructureReport(
         tight=dev <= 2.0 * STRUCTURE_TOL_SCALE,  # scale * (1 + margin 1)
         same_block=same,

@@ -586,6 +586,52 @@ def test_moments_solves_route_one_once(monkeypatch, capsys, offsets):
     assert cfg.offsets == (1.5416666666666665, 0.20833333333333334, -1.125)
 
 
+def fresh_run(capsys, argv):
+    """run() with a parser built for this call alone."""
+    shelyap.cli.build_parser.cache_clear()
+    return run(capsys, argv)
+
+
+@pytest.mark.parametrize("first, second", [
+    (["gamma", "--t", "2", "--x=-1.5,-0.2,0.4,2.5", "--m", "2,1,3,1", "--tolerance", "0"],
+     ["gamma", "--t", "2", "--x=-1.5,-0.2,0.4,2.5", "--m", "2,1,3,1"]),
+    (["clusters", *PAIR, "--format", "csv"], ["clusters", *PAIR]),
+    (["gamma", "--frobnicate"], ["gamma", *PAIR]),
+], ids=["tolerance-then-default", "csv-then-default", "usage-error-then-valid"])
+def test_shared_parser_leaks_no_state_between_calls(capsys, first, second):
+    # main builds its parser once per process; each call must still give
+    # the exit code and bytes that a parser built for it alone gives
+    want = [fresh_run(capsys, argv) for argv in (first, second)]
+    shelyap.cli.build_parser.cache_clear()
+    got = [run(capsys, argv) for argv in (first, second)]
+    assert got == want
+    assert got[0] != got[1]
+
+
+def test_only_clusters_builds_the_merge_log(monkeypatch, capsys):
+    # gamma, sweep and every verify suite read the merge forest; only
+    # clusters asks for the MergeEvent log. The parser is built once
+    class Built(Exception):
+        pass
+
+    def refuse(*args):
+        raise Built("a MergeEvent was built")
+
+    monkeypatch.setattr("shelyap.clusters.MergeEvent", refuse)
+    shelyap.cli.build_parser.cache_clear()
+    cascade = ["--t", "1", "--x=-2,-1.5,-1,0,1e-300,3", "--m", "1,2,3,1,2,5"]
+    for argv in (["gamma", *cascade],
+                 ["sweep", *cascade, "--param", "t", "--grid", "0.5:2:4"],
+                 ["sweep", *cascade, "--param", "x2", "--grid=-1.9:-1.2:3", "--format", "json"],
+                 ["verify", "--seed", "0", "--count", "5"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+    assert out.endswith("VERIFY PASS\n") and out.count("5/5") >= 4
+    with pytest.raises(Built):
+        main(["clusters", *cascade])
+    assert shelyap.cli.build_parser.cache_info().misses == 1
+
+
 def test_moments_given_offsets_build_no_default_contour(capsys):
     # the default centre -sum(u)/(nu t) = -8.5e307 would lose its gap in
     # float64, but the user gave offsets, so only the moment itself fails

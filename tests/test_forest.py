@@ -1,14 +1,16 @@
-"""The merge forest the event loop writes, against the merge log it keeps.
+"""The merge forest the event loop writes, against one rebuilt from a merge log
+the package never sees.
 
 The loop records each node's index range, mass, birth time and grid column,
-birth position, speed and parent as it merges. The package once rebuilt
-those columns after the run from the MergeEvent log: an interval -> node
-dict for the parents, cumulative masses, the initial speeds for the leaves
-and a search of the sorted merge times for the grid columns. That rebuild is
-the reference here. On the equivalence corpus (m <= 5) a leaf's loop speed
-(m phi)/m is phi exactly, so every column must agree bit for bit. At
-multiplicities near 1e8 the two leaf speeds part, and the paths of
-simulate_inertia must follow the loop's.
+birth position, speed and parent as it merges, and the package reads its
+merge log off those columns. So the reference here rebuilds the columns from
+the merge log of the object-per-cluster reference in
+test_cluster_equivalence: an interval -> node dict for the parents,
+cumulative masses, the initial speeds for the leaves and a search of the
+sorted merge times for the grid columns. On the equivalence corpus (m <= 5)
+a leaf's loop speed (m phi)/m is phi exactly, so every column must agree bit
+for bit. At multiplicities near 1e8 the two leaf speeds part, and the paths
+of simulate_inertia must follow the loop's.
 """
 
 from bisect import bisect_right
@@ -17,27 +19,28 @@ import numpy as np
 
 from shelyap import initial_speeds, simulate_inertia, validate_instance
 from shelyap.clusters import _simulate
-from test_cluster_equivalence import equal_line, integer_lattice, near_contact, random_shape
+from test_cluster_equivalence import (equal_line, integer_lattice, near_contact, random_shape,
+                                      reference_simulate)
 
 FLOAT_COLUMNS = ("mass", "birth", "position", "speed")
 INT_COLUMNS = ("lo", "hi", "column", "parent")
 
 
 def rebuild_forest(inst, events):
-    """The forest's columns rebuilt from the merge log, leaves first."""
+    """The forest's columns rebuilt from (time, merged, position, speed) events, leaves first."""
     n = inst.n
-    lo = [*range(1, n + 1), *(e.merged[0][0] for e in events)]
-    hi = [*range(1, n + 1), *(e.merged[-1][1] for e in events)]
+    lo = [*range(1, n + 1), *(merged[0][0] for _, merged, _, _ in events)]
+    hi = [*range(1, n + 1), *(merged[-1][1] for _, merged, _, _ in events)]
     # a range names one node, as live clusters are disjoint and a merge widens them
     node = {iv: k for k, iv in enumerate(zip(lo, hi))}
     parent = [-1] * len(lo)
-    for k, e in enumerate(events, n):
-        for iv in e.merged:
+    for k, (_, merged, _, _) in enumerate(events, n):
+        for iv in merged:
             parent[node[iv]] = k
     lo, hi = np.array(lo), np.array(hi)
     cum = np.cumsum([0.0, *inst.m])
-    birth = np.array([0.0] * n + [e.time for e in events])
-    times = sorted({e.time for e in events})
+    birth = np.array([0.0] * n + [s for s, _, _, _ in events])
+    times = sorted({s for s, _, _, _ in events})
     return {
         "lo": lo,
         "hi": hi,
@@ -45,8 +48,8 @@ def rebuild_forest(inst, events):
         "birth": birth,
         "column": np.concatenate((np.zeros(n, dtype=np.intp),
                                   np.searchsorted(times, birth[n:]) + 1)),
-        "position": np.array([*inst.x, *(e.position for e in events)], dtype=float),
-        "speed": np.concatenate((initial_speeds(inst.m), [e.speed for e in events])),
+        "position": np.array([*inst.x, *(z for _, _, z, _ in events)], dtype=float),
+        "speed": np.concatenate((initial_speeds(inst.m), [v for _, _, _, v in events])),
         "parent": np.array(parent),
     }
 
@@ -59,7 +62,7 @@ def test_loop_forest_matches_rebuild_from_merge_log():
         n = int(rng.integers(200, 261)) if k % 40 < 4 else int(rng.integers(1, 25))
         inst = make(rng, n)
         run = _simulate(inst)
-        ref = rebuild_forest(inst, run.events)
+        ref = rebuild_forest(inst, reference_simulate(inst)["events"])
         for name in FLOAT_COLUMNS:
             got = getattr(run, name)
             assert all(type(v) is float for v in got), (name, inst)

@@ -47,6 +47,7 @@ import pytest
 
 from shelyap import InvalidFitInput, flatten, validate_instance
 from shelyap.solvers import isotonic_nonincreasing
+from test_cluster_equivalence import random_shape
 
 EPS = 2.0**-52
 # fits lie within C_EXACT * EPS * mean|z| of the exact fit; worst seen 3.13
@@ -245,3 +246,50 @@ def test_rejects_nan_targets_and_weights_not_positive():
     assert issubclass(InvalidFitInput, ValueError)
     fit = isotonic_nonincreasing([np.inf, 0.0, -np.inf], [1.0] * 3)
     assert fit.tolist() == [np.inf, 0.0, -np.inf]
+
+
+def designed_blocks(rng, lengths, uniform):
+    """Targets whose fit has exactly these blocks, in this order, and their weights.
+
+    Each block is one strictly increasing run whose level sits far below the
+    block before it, so no two blocks pool. Uniform weights are route 1's t,
+    the others route 2's m t.
+    """
+    t = float(rng.uniform(0.2, 2.0))
+    z, w = [], []
+    for j, length in enumerate(lengths):
+        z.append(-10.0 * j + np.sort(rng.uniform(0.0, 1.0, size=length)))
+        w.append(np.full(length, t) if uniform else t * rng.integers(1, 6, size=length))
+    return np.concatenate(z), np.concatenate(w)
+
+
+def assert_block_means(z, w, blocks):
+    """The fit holds np.sum(wz[lo:hi]) / np.sum(w[lo:hi]) on each block, bit for bit."""
+    got = isotonic_nonincreasing(z, w)
+    wz = w * z
+    for lo, hi in blocks:
+        want = np.sum(wz[lo:hi]) / np.sum(w[lo:hi])
+        assert got[lo:hi].tobytes() == np.full(hi - lo, want).tobytes(), (lo, hi)
+
+
+def test_length_class_means_match_per_block_sums():
+    # lengths 1..300 cross numpy's 8-wide unrolled sum and its 128-element
+    # pairwise block; a class holds one block or several, and lengths 1e4
+    # and 1e5 come alone and in classes of several
+    rng = np.random.default_rng(20261019)
+    for uniform in (True, False):
+        for lengths in ([*range(1, 301), *range(1, 301, 2), *range(1, 301, 3)],
+                        [10**4, 10**5, 10**4, 10**4], [10**5, 10**5, 7]):
+            lengths = rng.permutation(lengths).tolist()
+            z, w = designed_blocks(rng, lengths, uniform)
+            ends = np.cumsum(lengths).tolist()
+            assert_block_means(z, w, zip([0, *ends[:-1]], ends))
+    # both routes' targets on the benchmark shape, the blocks read off the fit
+    for k in range(40):
+        inst = random_shape(rng, int(rng.integers(100, 1001)))
+        m = np.asarray(inst.m, dtype=float)
+        shift = np.concatenate([[0.0], np.cumsum((m[:-1] + m[1:]) / 2.0)])
+        for z, w in (route1_targets(inst), (shift - np.asarray(inst.x) / inst.t, m * inst.t)):
+            fit = isotonic_nonincreasing(z, w)
+            ends = [*np.flatnonzero(fit[1:] != fit[:-1]) + 1, len(z)]
+            assert_block_means(z, w, zip([0, *ends[:-1]], ends))
