@@ -28,7 +28,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clusters import (MergeEvent, _simulate, event_tolerance, initial_speeds,
+# perfbench/test_harness.py checks that the tracer wraps simulate_inertia here too
+from .clusters import (MergeEvent, _Paths, _simulate, event_tolerance, initial_speeds,  # noqa: F401
                        separation_margins, simulate_inertia)
 from .closedform import gamma3, gamma_report, verify_recursion_identity
 from .errors import (
@@ -273,30 +274,10 @@ def _text(n: int, columns) -> Iterator[str]:
         yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _flat(rows: Sequence[np.ndarray], k: int, a: int, b: int) -> np.ndarray:
-    """Entries a..b of equal-length (k) rows laid end to end."""
-    i = a // k
-    return np.concatenate(rows[i : (b - 1) // k + 1])[a - i * k : b - i * k]
-
-
 def _format_row(values: np.ndarray) -> str:
     """format_float of every entry of a 1-D float array, joined by ", "."""
     _check_finite(values)
     return "".join(_text(len(values), lambda a, b: (values[a:b], b", ")))[:-2]
-
-
-def _format_rows(rows: Sequence[np.ndarray]) -> str:
-    """The JSON list of equal-length 1-D float arrays, in one pass over their entries."""
-    k = len(rows[0])
-    tails = np.repeat(_words([b", "]), k, axis=0)
-    tails[-1] = _words([b"], ["])
-
-    def columns(a, b):
-        values = _flat(rows, k, a, b)
-        _check_finite(values)
-        return values, tails.take(np.arange(a, b) % k, axis=0)
-
-    return "[[" + "".join(_text(len(rows) * k, columns))[:-4] + "]]"
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -306,9 +287,8 @@ def dumps_json(obj, indent: int = 0) -> str:
     on its own line at the next indent, and every other value prints on one
     line. A merge log prints as the list of its events' {time, merged,
     position} dicts, through _format_events. A float prints through
-    format_float, a 1-D float array through _format_row, a list of float
-    rows through _format_rows, any other list holding a float as [a, b], and
-    the rest by one json.dumps call.
+    format_float, a 1-D float array through _format_row, any other list
+    holding a float as [a, b], and the rest by one json.dumps call.
     """
     sp = "  " * indent
     if isinstance(obj, dict) and obj:
@@ -324,8 +304,6 @@ def dumps_json(obj, indent: int = 0) -> str:
         return format_float(obj)
     if isinstance(obj, np.ndarray):
         return f"[{_format_row(obj)}]"
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], np.ndarray):
-        return _format_rows(obj)
     if isinstance(obj, (list, tuple)) and _has_float(obj):
         return f"[{', '.join([dumps_json(v) for v in obj])}]"
     return json.dumps(obj)
@@ -451,43 +429,102 @@ def cmd_gamma(args) -> int:
 
 # --- clusters ----------------------------------------------------------------
 
-def cmd_clusters(args) -> int:
-    inst = _load_instance(args)
-    res = simulate_inertia(inst)
-    grid = np.asarray(res.inertia_paths[0].breakpoints)
-    if args.format == "csv":
-        n, k = len(res.inertia_paths), len(grid)
-        zeta = [p.values for p in res.inertia_paths]
-        xi = [p.values for p in res.optimal_paths]
-        _check_finite(grid)
-        for a in range(0, n * k, _CHUNK):  # nothing is written before every line has passed
-            b = min(n * k, a + _CHUNK)
-            _check_finite(np.column_stack((_flat(zeta, k, a, b), _flat(xi, k, a, b))))
-        s = np.empty((k, 6), np.uint64)
-        for a in range(0, k, _CHUNK):
-            _float_words(grid[a : a + _CHUNK], s[a : a + _CHUNK])
-        index = _words([b"%d," % i for i in range(1, n + 1)], len(str(n)) // 8 + 1)
+def _float_word_rows(values: np.ndarray) -> np.ndarray:
+    """The six text words of each (finite) value, by the bulk kernel."""
+    out = np.empty((len(values), 6), np.uint64)
+    for a in range(0, len(values), _CHUNK):
+        _float_words(values[a : a + _CHUNK], out[a : a + _CHUNK])
+    return out
 
-        # %.17g never needs CSV quoting; lines go out a chunk at a time
+
+def _check_paths(paths: _Paths, interleave: bool) -> None:
+    """Raise NonFiniteResult naming the first non-finite path value in print
+    order, before any is printed: every row of zeta, then every row of xi,
+    or with interleave row by row, each column's zeta then its xi."""
+    for families in [(1, 2)] if interleave else [(1,), (2,)]:
+        for _, _, nodes, where in paths.chunks():
+            spans = paths.spans(nodes)
+            if not all(np.isfinite(spans[f]).all() for f in families):
+                cells = paths.cells(nodes, where)
+                _check_finite(np.column_stack([spans[f][cells] for f in families]))
+
+
+# a span value's separator in a JSON row: inside its span, after a root's
+# span, after another's; "|" marks where the spans' text is split
+_JSON_TAILS = _words([b", ", b"], [|", b", |"])
+
+
+def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
+    """The JSON list of zeta's rows (family 1) or xi's (2), a chunk of rows at a time.
+
+    Each span prints once in a chunk, by the bulk kernel, ending in its
+    separator in a row; a row's text is then its spans' texts.
+    """
+    yield "[["
+    for r0, r1, nodes, where in paths.chunks():
+        values = paths.spans(nodes)[family]
+        tail = np.zeros(len(values), np.intp)
+        tail[np.cumsum(paths.size[nodes]) - 1] = np.where(paths.up[nodes] < 0, 1, 2)
+        text = "".join(_text(len(values), lambda a, b: (
+            values[a:b], _JSON_TAILS.take(tail[a:b], axis=0))))
+        texts = np.array(text.split("|")[:-1], dtype=object)
+        text = "".join(texts[where].tolist())
+        yield text if r1 < paths.n else text[:-4] + "]]"
+
+
+_COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)  # a word's last byte
+
+
+def _csv_lines(paths: _Paths) -> Iterator[str]:
+    """The CSV lines index,s,zeta,xi, a chunk of rows at a time.
+
+    Each span value prints once in a chunk, by the bulk kernel, as words,
+    and each line gathers the words of its index, s and value; a value's
+    exponent word keeps its last byte for the separator that follows it.
+    Joining span texts per row, as the JSON rows do, was faster, but its
+    many mid-sized strings raised the peak RSS of a run over instances of
+    n = 100..400 by up to 14 MB, through the heap's layout.
+    """
+    n, k = paths.n, len(paths.grid)
+    index = _words([b"%d," % i for i in range(1, n + 1)], len(str(n)) // 8 + 1)
+    s = _float_word_rows(paths.grid)
+    s[:, 5] |= _COMMA
+    for r0, r1, nodes, where in paths.chunks():
+        _, zeta, xi = paths.spans(nodes)
+        values = np.hstack((_float_word_rows(zeta), _float_word_rows(xi)))
+        values[:, 5] |= _COMMA
+        values[:, 11] |= _NEWLINE
+        cells = paths.cells(nodes, where)
+
         def columns(a, b):
             i, j = np.divmod(np.arange(a, b), k)
-            return (index.take(i, axis=0), s.take(j, axis=0), b",", _flat(zeta, k, a, b),
-                    b",", _flat(xi, k, a, b), b"\n")
+            return index.take(i + r0, axis=0), s.take(j, axis=0), values.take(cells[a:b], axis=0)
 
-        _emit(itertools.chain(["index,s,zeta,xi\n"], _text(n * k, columns)), args.output)
+        yield from _text((r1 - r0) * k, columns)
+
+
+def cmd_clusters(args) -> int:
+    inst = _load_instance(args)
+    run = _simulate(inst)
+    paths = _Paths(run, inst.t)
+    if args.format == "csv":
+        _check_finite(paths.grid)
+        # nothing is written before every line has passed; %.17g never needs CSV quoting
+        _check_paths(paths, interleave=True)
+        _emit(itertools.chain(["index,s,zeta,xi\n"], _csv_lines(paths)), args.output)
         return 0
-    doc = {
-        "partition": res.partition,
-        "q_hat": res.q_hat,
-        "cluster_masses": res.cluster_masses,
-        "terminal_positions": res.terminal_positions,
-        "drifts": res.drifts,
-        "events": res.events,
-        "breakpoints": grid,
-        "zeta": [p.values for p in res.inertia_paths],
-        "xi": [p.values for p in res.optimal_paths],
-    }
-    _emit([dumps_json(doc), "\n"], args.output)
+    head = dumps_json({
+        "partition": run.partition,
+        "q_hat": len(run.partition),
+        "cluster_masses": tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in run.partition),
+        "terminal_positions": tuple(paths.terminal.tolist()),
+        "drifts": tuple(paths.drift.tolist()),
+        "events": run.events,
+        "breakpoints": paths.grid,
+    })
+    _check_paths(paths, interleave=False)
+    _emit(itertools.chain([head[:-2], ',\n  "zeta": '], _json_rows(paths, 1),
+                          [',\n  "xi": '], _json_rows(paths, 2), ["\n}\n"]), args.output)
     return 0
 
 

@@ -19,13 +19,16 @@ included. The merge log (one MergeEvent per node after the leaves: its
 birth, position and speed, with its children) is read off the forest on
 demand; of the commands, only `clusters` asks for it.
 
-simulate_inertia alone, for `clusters`, expands it into two read-only (n, K)
-path families on the breakpoints {0, merge times, t}; row i is index i's
+Each index has two paths on the breakpoints {0, merge times, t}:
 
     inertia path   zeta_i(s): the simulated trajectory;
     optimal path   xi_i(s) = zeta_i(s) - v_j s, the drift-removed trajectory,
                    which returns to zero at s = t.
 
+Indices that share a forest node share their paths from its birth on, so
+_Paths evaluates them by node, one span per node, a chunk of rows at a time;
+`clusters` prints them that way. simulate_inertia, the library's dense
+expansion, fills two read-only (n, K) path families from the same spans.
 gamma, sweep and the verify checks read the forest, in O(n + events) memory.
 
 The event loop keeps the live nodes in a doubly linked list; nothing moves
@@ -150,40 +153,112 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     """Run the sticky dynamics to time t and expand the paths of every index.
 
     The grid is 0, then each merge time once, then t. Column 0 holds the
-    locations, and a merge time's column the state after all its merges. Each
-    forest node fills its index rows from its birth column up to its parent's
-    with birth position + speed * (s - birth), the loop's own arithmetic; at
-    its birth it holds its birth position exactly.
+    locations, and a merge time's column the state after all its merges.
+    Each forest node's span (see _Paths) fills its index rows from its birth
+    column up to its parent's, a chunk of rows at a time.
     """
     run = _simulate(inst)
-    partition, column, parent = run.partition, np.array(run.column), np.array(run.parent)
-    n, t = inst.n, inst.t
-    g = np.empty(column[-1] + 1)
-    g[column] = run.birth
-    g = np.append(g, t) if g[-1] < t else g
-    stop = np.where(parent < 0, len(g), column[parent])
-    zeta = np.empty((n, len(g)))
-    for a, b, i, j, z, v, s in zip(run.column, stop.tolist(), run.lo, run.hi,
-                                   run.position, run.speed, run.birth):
-        if a < b:
-            zeta[i - 1 : j, a:b] = z + v * (g[a:b] - s)
-            zeta[i - 1 : j, a] = z
-    grid = tuple(g.tolist())
-    terminal = zeta[[b[0] - 1 for b in partition], -1]
-    drift = terminal / t
-    xi = np.repeat(drift, [len(b) for b in partition])[:, None] * g
-    np.subtract(zeta, xi, out=xi)
+    paths = _Paths(run, inst.t)
+    zeta = np.empty((inst.n, len(paths.grid)))
+    xi = np.empty_like(zeta)
+    for r0, r1, nodes, where in paths.chunks():
+        _, z, x = paths.spans(nodes)
+        cells = paths.cells(nodes, where)
+        zeta[r0:r1] = z[cells].reshape(r1 - r0, -1)
+        xi[r0:r1] = x[cells].reshape(r1 - r0, -1)
+    grid = tuple(paths.grid.tolist())
     # rows are shared views, so keep them immutable like the frozen result
     zeta.flags.writeable = xi.flags.writeable = False
     return ClusterResult(
-        partition=partition,
-        cluster_masses=tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in partition),
-        terminal_positions=tuple(terminal.tolist()),
-        drifts=tuple(drift.tolist()),
+        partition=run.partition,
+        cluster_masses=tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in run.partition),
+        terminal_positions=tuple(paths.terminal.tolist()),
+        drifts=tuple(paths.drift.tolist()),
         events=run.events,
         inertia_paths=tuple(PiecewiseLinearPath(grid, row) for row in zeta),
         optimal_paths=tuple(PiecewiseLinearPath(grid, row) for row in xi),
     )
+
+
+class _Paths:
+    """A run's two path families by forest node, evaluated a chunk of rows at a time.
+
+    Node j's span is its stretch of path: its value at the size[j] grid
+    columns from start[j], its birth column, up to its parent's (to the
+    grid's end for a root), which all its index rows share. Row i's path is
+    its leaf's span, then each ancestor's, in column order; a node that
+    merges again in its birth column has an empty span. A span holds
+
+        zeta = position + speed * (s - birth), the loop's own arithmetic,
+               and exactly position at its birth column;
+        xi   = zeta - d_B s, with d_B = zeta_B(t)/t the drift of the node's
+               terminal block B.
+    """
+
+    ROWS = 16  # the fewest rows in a chunk
+    VALUES = 1 << 16  # the most path values in a chunk of more rows
+
+    def __init__(self, run: _Run, t: float):
+        column, parent = np.array(run.column), np.array(run.parent)
+        g = np.empty(column[-1] + 1)
+        g[column] = run.birth
+        self.grid = np.append(g, t) if g[-1] < t else g
+        self.start = column
+        self.size = np.where(parent < 0, len(self.grid), column[parent]) - column
+        self.n, lo, hi = run.partition[-1][-1], np.array(run.lo), np.array(run.hi)
+        self.position, self.speed, self.birth = map(
+            np.array, (run.position, run.speed, run.birth))
+        # up[j]: j's nearest proper ancestor with a non-empty span, -1 past a
+        # root; the last slot, -1, maps -1 to itself
+        up = [*run.parent, -1]
+        for j in reversed(range(len(column))):
+            if up[j] >= 0 and self.size[up[j]] == 0:
+                up[j] = up[up[j]]
+        self.up = np.array(up)
+        # a block's terminal position is the last value of its root's span
+        root = np.flatnonzero(parent < 0)
+        root = root[np.argsort(lo[root])]
+        self.terminal = self._zeta(root, np.full(len(root), len(self.grid) - 1))
+        self.drift = self.terminal / t
+        self.node_drift = np.repeat(self.drift, hi[root] - lo[root] + 1)[lo - 1]
+
+    def _zeta(self, node: np.ndarray, col: np.ndarray) -> np.ndarray:
+        z = self.position[node]
+        zeta = z + self.speed[node] * (self.grid[col] - self.birth[node])
+        born = col == self.start[node]
+        zeta[born] = z[born]
+        return zeta
+
+    def spans(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid column, zeta and xi of the values of the nodes' spans, laid end to end."""
+        size = self.size[nodes]
+        node = np.repeat(nodes, size)
+        col = np.arange(len(node)) + np.repeat(self.start[nodes] - (np.cumsum(size) - size), size)
+        zeta = self._zeta(node, col)
+        return col, zeta, zeta - self.node_drift[node] * self.grid[col]
+
+    def chunks(self):
+        """Rows r0..r1 - 1 a chunk at a time, with the nodes whose spans make
+        them up, in node order, and where: the positions in nodes of each
+        row's spans, row by row in column order. A span is evaluated once in
+        each chunk that it meets."""
+        rows = max(self.ROWS, self.VALUES // len(self.grid))
+        for r0 in range(0, self.n, rows):
+            r1 = min(self.n, r0 + rows)
+            level = np.arange(r0, r1)
+            table = [level]
+            while (level := self.up[level]).max() >= 0:
+                table.append(level)
+            table = np.stack(table, axis=1)
+            nodes, where = np.unique(table[table >= 0], return_inverse=True)
+            yield r0, r1, nodes, where
+
+    def cells(self, nodes: np.ndarray, where: np.ndarray) -> np.ndarray:
+        """For each cell of a chunk's rows, row-major, its value's position in
+        the nodes' spans laid end to end: a row's spans cover its columns."""
+        size = self.size[nodes]
+        first, size = (np.cumsum(size) - size)[where], size[where]
+        return np.arange(size.sum()) + np.repeat(first - (np.cumsum(size) - size), size)
 
 
 def _simulate(inst: MomentInstance) -> _Run:

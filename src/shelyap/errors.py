@@ -23,7 +23,8 @@ class UnsortedLocations(ShelyapError):
 class NonPositiveMultiplicity(ShelyapError):
     """Multiplicities must be integers >= 1 that can be flattened.
 
-    Their total must fit an int64 index, and the flattened coordinates memory.
+    Their total must fit an int64 index, and be at most 2^24 where the
+    coordinates are flattened (route 1).
     """
 
 

@@ -34,6 +34,11 @@ from .errors import (
 # flatten repeats each location by its multiplicity, so nu must be an int64
 # array length
 _MAX_NU = int(np.iinfo(np.int64).max)
+# and flatten takes at most 2^24 coordinates. Route 1 holds several nu-length
+# arrays at once, 48 bytes per coordinate at its tracemalloc peak (nu = 10^6),
+# so gamma stays under 1 GiB at the cap; past it, arrays that each fit in
+# memory could together exceed it, and the process be killed
+_MAX_FLAT_NU = 2**24
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,13 @@ def flatten(inst: MomentInstance) -> np.ndarray:
     """The nu flat coordinates u, each location repeated by its multiplicity.
 
     u is a read-only, non-decreasing float64 array. Raises
-    NonPositiveMultiplicity if it cannot be allocated.
+    NonPositiveMultiplicity, before allocating anything, if nu exceeds 2^24,
+    or if u cannot be allocated.
     """
+    if inst.nu > _MAX_FLAT_NU:
+        raise NonPositiveMultiplicity(
+            f"total multiplicity {inst.nu} exceeds the {_MAX_FLAT_NU} coordinates flatten takes"
+        )
     try:
         u = np.repeat(np.asarray(inst.x, dtype=float), inst.m)
     except MemoryError:

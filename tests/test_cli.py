@@ -115,6 +115,24 @@ def test_gamma_multiplicity_beyond_int64_exits_one(capsys, x, m):
     assert json.loads(err)["error"] == "NonPositiveMultiplicity"
 
 
+def test_gamma_multiplicity_beyond_the_flatten_cap_exits_one(capsys):
+    # 2e9 flat coordinates: each of route 1's arrays alone may be granted
+    # memory that together they exceed, and the process be killed; flatten
+    # refuses any nu above 2^24 before it allocates
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["gamma", "--t", "1", "--x", "0,1",
+                                      "--m", "1000000000,1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "NonPositiveMultiplicity",
+        "message": "total multiplicity 2000000000 exceeds the 16777216 coordinates flatten takes"}
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("m", ["[1, 1e400]", "[1, NaN]"])
 def test_gamma_file_non_integer_multiplicity_exits_one(tmp_path, capsys, m):
     path = tmp_path / "inst.json"
@@ -770,29 +788,45 @@ def _bench_shape(tmp_path, n, t=2.0, seed=0):
 
 
 @pytest.mark.parametrize("command", [["gamma"], ["clusters"], ["clusters", "--format", "csv"]])
-@pytest.mark.parametrize("instance", ["high_nu", "bench", "cascade"])
+@pytest.mark.parametrize("instance", ["high_nu", "bench", "cascade", "contact_at_0", "merge_at_t"])
 def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, command, instance):
     args = {
         "high_nu": ["--t", "0.5", "--x=-1,0.3,2", "--m", "40000,35000,25000"],  # nu = 10^5
         "bench": _bench_shape(tmp_path, 400),
         "cascade": ["--t", "1", "--x=-2,-1.5,-1,0,1e-300,3", "--m", "1,2,3,1,2,5"],
+        # every location merges at s = 0: the gaps over the closing speeds underflow
+        "contact_at_0": ["--t", "1", "--x", "0,5e-324,1e-323", "--m", "3,3,3"],
+        # (1, 2) merges at s = t, so that root's span is the last column alone
+        "merge_at_t": ["--t", "1", "--x", "0,1,10", "--m", "1,1,1"],
     }[instance]
     code, out, err = run(capsys, [*command, *args])
     assert (code, err) == (0, "")
-    if command[-1] == "csv":
+    if command[0] == "clusters":
+        # the paths as simulate_inertia expands them, every row printed by the reference
         res = shelyap.simulate_inertia(shelyap.cli._load_instance(
             shelyap.cli.build_parser().parse_args(["clusters", *args])))
-        s = _reference_row(np.asarray(res.inertia_paths[0].breakpoints)).split(", ")
+        s = _reference_row(np.asarray(res.inertia_paths[0].breakpoints))
+    if command[-1] == "csv":
+        s = s.split(", ")
         want = "index,s,zeta,xi\n" + "".join(
             f"{i},{sv},{zv},{xv}\n"
             for i, (z, x) in enumerate(zip(res.inertia_paths, res.optimal_paths), 1)
             for sv, zv, xv in zip(s, _reference_row(z.values).split(", "),
                                   _reference_row(x.values).split(", ")))
+    elif command[0] == "clusters":
+        monkeypatch.setattr("shelyap.cli._format_row", _reference_row)
+        head = dumps_json({"partition": res.partition, "q_hat": res.q_hat,
+                           "cluster_masses": res.cluster_masses,
+                           "terminal_positions": res.terminal_positions, "drifts": res.drifts,
+                           "events": res.events})
+        want = "".join([
+            head[:-2], f',\n  "breakpoints": [{s}]',
+            *(f',\n  "{name}": [' + ", ".join(f"[{_reference_row(p.values)}]" for p in paths) + "]"
+              for name, paths in (("zeta", res.inertia_paths), ("xi", res.optimal_paths))),
+            "\n}\n"])
     else:
         # dumps_json with its float rows printed by the reference
         monkeypatch.setattr("shelyap.cli._format_row", _reference_row)
-        monkeypatch.setattr("shelyap.cli._format_rows", lambda rows: "[" + ", ".join(
-            "[" + _reference_row(r) + "]" for r in rows) + "]")
         want = run(capsys, [*command, *args])[1]
     assert out == want
 
@@ -812,6 +846,57 @@ def test_clusters_csv_memory_stays_below_the_row_by_row_writer(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 71 * 2**20
+
+
+def test_clusters_json_memory_holds_one_chunk_of_rows(tmp_path):
+    # clusters --format json at n = 1500, t = 2 prints 4.5 million path values.
+    # Its tracemalloc peak was 211 MiB when the writer built the whole document
+    # from the two (n, K) path families; printed from the merge forest a chunk
+    # of rows at a time it is 6.5 MiB. The CSV writer's peak above is 13.8 MiB
+    argv = ["clusters", *_bench_shape(tmp_path, 1500), "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_clusters_prints_without_expanding_paths(monkeypatch, capsys, fmt):
+    def expanded(*args):
+        raise AssertionError("clusters expanded a path")
+
+    argv = ["clusters", "--t", "1", "--x", "0,0.3,0.6,3.0,3.3", "--m", "1,2,1,3,1",
+            "--format", fmt]
+    want = run(capsys, argv)
+    monkeypatch.setattr("shelyap.clusters.PiecewiseLinearPath", expanded)
+    assert run(capsys, argv) == want
+    assert want[0] == 0
+
+
+def test_clusters_span_holds_its_birth_position_exactly(capsys):
+    # location 2 sits at -0.0 with speed 0; -0.0 + 0.0 * (s - 0) is +0.0 at
+    # s = 0, but a span's birth column holds the birth position itself
+    argv = ["clusters", "--t", "0.5", "--x=-1,-0,1", "--m", "1,1,1"]
+    out = run(capsys, argv)[1]
+    assert '"zeta": [[-1, -0.5], [-0, 0], [1, 0.5]]' in out
+    assert '"xi": [[-1, 0], [-0, 0], [1, 0]]' in out
+    assert run(capsys, [*argv, "--format", "csv"])[1].splitlines()[3] == "2,0,-0,-0"
+
+
+def test_clusters_json_names_first_non_finite_xi(capsys):
+    # zeta and every value before it are finite, but d_B * t overflows where
+    # d_B = zeta_B(t) / t rounded up: xi(t) is inf in row 1 and -inf in row 2
+    argv = ["clusters", "--t", "3", "--x=-1.7976931348623157e308,1.7976931348623157e308",
+            "--m", "1,1"]
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "NonFiniteResult",
+                               "message": "computed value inf is not finite"}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

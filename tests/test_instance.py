@@ -83,6 +83,11 @@ def test_flatten_examples():
     assert not u.flags.writeable
 
 
+def test_flatten_refuses_nu_above_its_cap():
+    with pytest.raises(NonPositiveMultiplicity, match="16777217 exceeds the 16777216"):
+        flatten(validate_instance(1.0, [0.0, 1.0], [2**23, 2**23 + 1]))
+
+
 def test_flatten_roundtrip_recovers_instance():
     rng = np.random.default_rng(11)
     for _ in range(100):

@@ -129,13 +129,18 @@ def test_layertrace_traces_the_commands(tmp_path, capsys):
         for k, argv in enumerate(ops):
             tracer.op = k
             codes.append(shelyap.cli.main(argv))
+        # no command expands the paths, clusters included: it prints them from
+        # the forest, so the library's expansion is traced as a fifth op
+        tracer.op = len(ops)
+        shelyap.simulate_inertia(shelyap.validate_instance(1.0, [0.0, 0.3, 0.6, 3.0, 3.3],
+                                                           [1, 2, 1, 3, 1]))
     finally:
         wall = time.perf_counter_ns() - start
         tracer.uninstall()
     out = capsys.readouterr().out.encode()
     assert codes == [0] * len(ops)
-    layers = layertrace.summarize(tracer.spans, len(ops), wall, len(out), overhead=1.0)
-    # only the two clusters ops expand paths; gamma and verify read the forest
-    assert layers["clusters.simulate_inertia.calls"] == 2 / len(ops)
+    layers = layertrace.summarize(tracer.spans, len(ops) + 1, wall, len(out), overhead=1.0)
+    assert layers["clusters.simulate_inertia.calls"] == 1 / (len(ops) + 1)
     assert layers["clusters.simulate_inertia.path_values"] > 0
-    assert layers["closedform.verify_recursion_identity.calls"] == 2 / len(ops)
+    assert layers["clusters.simulate_inertia.events"] > 0
+    assert layers["closedform.verify_recursion_identity.calls"] == 2 / (len(ops) + 1)
