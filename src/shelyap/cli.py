@@ -440,13 +440,20 @@ def _float_word_rows(values: np.ndarray) -> np.ndarray:
 def _check_paths(paths: _Paths, interleave: bool) -> None:
     """Raise NonFiniteResult naming the first non-finite path value in print
     order, before any is printed: every row of zeta, then every row of xi,
-    or with interleave row by row, each column's zeta then its xi."""
-    for families in [(1, 2)] if interleave else [(1,), (2,)]:
-        for _, _, nodes, where in paths.chunks():
-            spans = paths.spans(nodes)
-            if not all(np.isfinite(spans[f]).all() for f in families):
-                cells = paths.cells(nodes, where)
-                _check_finite(np.column_stack([spans[f][cells] for f in families]))
+    or with interleave row by row, each column's zeta then its xi. A chunk is
+    clean when its xi is finite, for a non-finite zeta makes its xi so."""
+    first_xi = None
+    for _, _, nodes, where, zeta, xi in paths.chunks():
+        if np.isfinite(xi).all():
+            continue
+        cells = paths.cells(nodes, where)
+        if interleave:
+            _check_finite(np.column_stack((zeta[cells], xi[cells])))
+        _check_finite(zeta[cells])
+        if first_xi is None:
+            first_xi = xi[cells]
+    if first_xi is not None:
+        _check_finite(first_xi)
 
 
 # a span value's separator in a JSON row: inside its span, after a root's
@@ -455,16 +462,16 @@ _JSON_TAILS = _words([b", ", b"], [|", b", |"])
 
 
 def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
-    """The JSON list of zeta's rows (family 1) or xi's (2), a chunk of rows at a time.
+    """The JSON list of zeta's rows (family 0) or xi's (1), a chunk of rows at a time.
 
     Each span prints once in a chunk, by the bulk kernel, ending in its
     separator in a row; a row's text is then its spans' texts.
     """
     yield "[["
-    for r0, r1, nodes, where in paths.chunks():
-        values = paths.spans(nodes)[family]
+    for r0, r1, nodes, where, *families in paths.chunks():
+        values = families[family]
         tail = np.zeros(len(values), np.intp)
-        tail[np.cumsum(paths.size[nodes]) - 1] = np.where(paths.up[nodes] < 0, 1, 2)
+        tail[np.cumsum(paths.size[nodes]) - 1] = np.where(paths.parent[nodes] < 0, 1, 2)
         text = "".join(_text(len(values), lambda a, b: (
             values[a:b], _JSON_TAILS.take(tail[a:b], axis=0))))
         texts = np.array(text.split("|")[:-1], dtype=object)
@@ -489,8 +496,7 @@ def _csv_lines(paths: _Paths) -> Iterator[str]:
     index = _words([b"%d," % i for i in range(1, n + 1)], len(str(n)) // 8 + 1)
     s = _float_word_rows(paths.grid)
     s[:, 5] |= _COMMA
-    for r0, r1, nodes, where in paths.chunks():
-        _, zeta, xi = paths.spans(nodes)
+    for r0, r1, nodes, where, zeta, xi in paths.chunks():
         values = np.hstack((_float_word_rows(zeta), _float_word_rows(xi)))
         values[:, 5] |= _COMMA
         values[:, 11] |= _NEWLINE
@@ -517,14 +523,14 @@ def cmd_clusters(args) -> int:
         "partition": run.partition,
         "q_hat": len(run.partition),
         "cluster_masses": tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in run.partition),
-        "terminal_positions": tuple(paths.terminal.tolist()),
-        "drifts": tuple(paths.drift.tolist()),
+        "terminal_positions": paths.terminal,
+        "drifts": paths.drift,
         "events": run.events,
         "breakpoints": paths.grid,
     })
     _check_paths(paths, interleave=False)
-    _emit(itertools.chain([head[:-2], ',\n  "zeta": '], _json_rows(paths, 1),
-                          [',\n  "xi": '], _json_rows(paths, 2), ["\n}\n"]), args.output)
+    _emit(itertools.chain([head[:-2], ',\n  "zeta": '], _json_rows(paths, 0),
+                          [',\n  "xi": '], _json_rows(paths, 1), ["\n}\n"]), args.output)
     return 0
 
 

@@ -27,8 +27,8 @@ Each index has two paths on the breakpoints {0, merge times, t}:
 
 Indices that share a forest node share their paths from its birth on, so
 _Paths evaluates them by node, one span per node, a chunk of rows at a time;
-`clusters` prints them that way. simulate_inertia, the library's dense
-expansion, fills two read-only (n, K) path families from the same spans.
+`clusters` checks and prints each chunk's spans, and simulate_inertia, the
+library's dense expansion, fills two read-only (n, K) path families from them.
 gamma, sweep and the verify checks read the forest, in O(n + events) memory.
 
 The event loop keeps the live nodes in a doubly linked list; nothing moves
@@ -161,8 +161,7 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     paths = _Paths(run, inst.t)
     zeta = np.empty((inst.n, len(paths.grid)))
     xi = np.empty_like(zeta)
-    for r0, r1, nodes, where in paths.chunks():
-        _, z, x = paths.spans(nodes)
+    for r0, r1, nodes, where, z, x in paths.chunks():
         cells = paths.cells(nodes, where)
         zeta[r0:r1] = z[cells].reshape(r1 - r0, -1)
         xi[r0:r1] = x[cells].reshape(r1 - r0, -1)
@@ -186,8 +185,9 @@ class _Paths:
     Node j's span is its stretch of path: its value at the size[j] grid
     columns from start[j], its birth column, up to its parent's (to the
     grid's end for a root), which all its index rows share. Row i's path is
-    its leaf's span, then each ancestor's, in column order; a node that
-    merges again in its birth column has an empty span. A span holds
+    its leaf's span, then each ancestor's, in column order, up its parent
+    links; a node that merges again in its birth column has an empty span,
+    which drops out. A span holds
 
         zeta = position + speed * (s - birth), the loop's own arithmetic,
                and exactly position at its birth column;
@@ -204,17 +204,12 @@ class _Paths:
         g[column] = run.birth
         self.grid = np.append(g, t) if g[-1] < t else g
         self.start = column
-        self.size = np.where(parent < 0, len(self.grid), column[parent]) - column
+        # one slot past the nodes, -1 with an empty span, ends each climb
+        self.parent = np.append(parent, -1)
+        self.size = np.append(np.where(parent < 0, len(self.grid), column[parent]) - column, 0)
         self.n, lo, hi = run.partition[-1][-1], np.array(run.lo), np.array(run.hi)
         self.position, self.speed, self.birth = map(
             np.array, (run.position, run.speed, run.birth))
-        # up[j]: j's nearest proper ancestor with a non-empty span, -1 past a
-        # root; the last slot, -1, maps -1 to itself
-        up = [*run.parent, -1]
-        for j in reversed(range(len(column))):
-            if up[j] >= 0 and self.size[up[j]] == 0:
-                up[j] = up[up[j]]
-        self.up = np.array(up)
         # a block's terminal position is the last value of its root's span
         root = np.flatnonzero(parent < 0)
         root = root[np.argsort(lo[root])]
@@ -229,29 +224,26 @@ class _Paths:
         zeta[born] = z[born]
         return zeta
 
-    def spans(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid column, zeta and xi of the values of the nodes' spans, laid end to end."""
-        size = self.size[nodes]
-        node = np.repeat(nodes, size)
-        col = np.arange(len(node)) + np.repeat(self.start[nodes] - (np.cumsum(size) - size), size)
-        zeta = self._zeta(node, col)
-        return col, zeta, zeta - self.node_drift[node] * self.grid[col]
-
     def chunks(self):
         """Rows r0..r1 - 1 a chunk at a time, with the nodes whose spans make
-        them up, in node order, and where: the positions in nodes of each
-        row's spans, row by row in column order. A span is evaluated once in
-        each chunk that it meets."""
+        them up, in node order; where, the positions in nodes of each row's
+        spans, row by row in column order; and zeta and xi of the nodes'
+        spans laid end to end. A span is evaluated once in each chunk that it meets."""
         rows = max(self.ROWS, self.VALUES // len(self.grid))
         for r0 in range(0, self.n, rows):
             r1 = min(self.n, r0 + rows)
             level = np.arange(r0, r1)
             table = [level]
-            while (level := self.up[level]).max() >= 0:
+            while (level := self.parent[level]).max() >= 0:
                 table.append(level)
             table = np.stack(table, axis=1)
-            nodes, where = np.unique(table[table >= 0], return_inverse=True)
-            yield r0, r1, nodes, where
+            nodes, where = np.unique(table[self.size[table] > 0], return_inverse=True)
+            size = self.size[nodes]
+            node = np.repeat(nodes, size)
+            col = np.repeat(self.start[nodes] - (np.cumsum(size) - size), size)
+            col += np.arange(len(node))
+            zeta = self._zeta(node, col)
+            yield r0, r1, nodes, where, zeta, zeta - self.node_drift[node] * self.grid[col]
 
     def cells(self, nodes: np.ndarray, where: np.ndarray) -> np.ndarray:
         """For each cell of a chunk's rows, row-major, its value's position in

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
+from .errors import ShelyapError
 from .instance import MomentInstance, validate_instance
 
 MIN_GAP = 1e-3
@@ -32,12 +34,9 @@ def sample_matching(
     want: Callable[[MomentInstance], bool],
     count: int,
 ) -> list[MomentInstance]:
-    """Rejection-sample `count` instances satisfying `want` in MAX_DRAWS draws."""
-    out: list[MomentInstance] = []
-    for _ in range(MAX_DRAWS):
-        if len(out) == count:
-            return out
-        inst = random_instance(rng)
-        if want(inst):
-            out.append(inst)
-    raise RuntimeError(f"only {len(out)}/{count} matching instances in {MAX_DRAWS} draws")
+    """Rejection-sample `count` instances satisfying `want` in at most MAX_DRAWS
+    draws, the last the one that completes them; ShelyapError if too few match."""
+    out = list(islice(filter(want, (random_instance(rng) for _ in range(MAX_DRAWS))), count))
+    if len(out) < count:
+        raise ShelyapError(f"only {len(out)}/{count} matching instances in {MAX_DRAWS} draws")
+    return out

@@ -788,7 +788,8 @@ def _bench_shape(tmp_path, n, t=2.0, seed=0):
 
 
 @pytest.mark.parametrize("command", [["gamma"], ["clusters"], ["clusters", "--format", "csv"]])
-@pytest.mark.parametrize("instance", ["high_nu", "bench", "cascade", "contact_at_0", "merge_at_t"])
+@pytest.mark.parametrize("instance", ["high_nu", "bench", "cascade", "contact_at_0", "merge_at_t",
+                                      "empty_span"])
 def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, command, instance):
     args = {
         "high_nu": ["--t", "0.5", "--x=-1,0.3,2", "--m", "40000,35000,25000"],  # nu = 10^5
@@ -798,6 +799,9 @@ def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, comma
         "contact_at_0": ["--t", "1", "--x", "0,5e-324,1e-323", "--m", "3,3,3"],
         # (1, 2) merges at s = t, so that root's span is the last column alone
         "merge_at_t": ["--t", "1", "--x", "0,1,10", "--m", "1,1,1"],
+        # (1, 2) merges at s = 0, and only then does (1..2, 3) close within the
+        # tolerance: node (1, 2) merges again in its birth column, an empty span
+        "empty_span": ["--t", "1", "--x", "0,1e-14,2.51e-12", "--m", "1,1,1"],
     }[instance]
     code, out, err = run(capsys, [*command, *args])
     assert (code, err) == (0, "")
@@ -917,6 +921,31 @@ def test_clusters_csv_names_first_non_finite_in_line_order(capsys):
         code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert json.loads(err)["message"] == "computed value nan is not finite"
+
+
+def test_check_paths_names_first_non_finite_across_chunks(monkeypatch):
+    # one row a chunk: row 1's xi is nan at s = 0 (x - inf * 0), and row 5's
+    # zeta is inf. JSON prints every zeta before any xi, CSV row by row
+    monkeypatch.setattr(shelyap.clusters._Paths, "ROWS", 1)
+    monkeypatch.setattr(shelyap.clusters._Paths, "VALUES", 1)
+    inst = shelyap.validate_instance(1.0, [0.0, 1.0, 2.0, 3.0, 10.0, 20.0], [1] * 6)
+    paths = shelyap.clusters._Paths(shelyap.clusters._simulate(inst), inst.t)
+    paths.node_drift[0] = np.inf
+    paths.position[4] = np.inf
+    for interleave, name in ((False, "inf"), (True, "nan")):
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteResult, match=f"^computed value {name} is not finite$"):
+            shelyap.cli._check_paths(paths, interleave)
+
+
+def test_verify_exits_one_when_too_few_instances_match(monkeypatch, capsys):
+    # the oracle suite's nu <= 10 matches about half the draws
+    monkeypatch.setattr("shelyap.sampling.MAX_DRAWS", 10)
+    code, out, err = run(capsys, ["verify", "--suites", "oracle", "--count", "11"])
+    assert (code, out) == (1, "")
+    # json.loads takes one object and nothing else: no traceback, no second object
+    assert json.loads(err) == {"error": "ShelyapError",
+                               "message": "only 5/11 matching instances in 10 draws"}
 
 
 def test_float_formatting_round_trips():

@@ -7,10 +7,12 @@ from shelyap import (
     LengthMismatch,
     NonPositiveMultiplicity,
     NonPositiveTime,
+    ShelyapError,
     UnsortedLocations,
     flatten,
     gamma2_objective,
     random_instance,
+    sample_matching,
     validate_instance,
 )
 
@@ -152,3 +154,15 @@ def test_objectives_strictly_convex():
         mid = gamma2_objective(inst, lam * b1 + (1 - lam) * b2)
         chord = lam * gamma2_objective(inst, b1) + (1 - lam) * gamma2_objective(inst, b2)
         assert mid < chord
+
+
+def test_sample_matching_stops_at_the_draw_that_completes_the_count(monkeypatch):
+    monkeypatch.setattr("shelyap.sampling.MAX_DRAWS", 20)
+    # the 20th and last allowed draw completes the count, and draws stop
+    # there: the generator is where 20 plain draws leave it
+    rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+    assert sample_matching(rng, lambda i: True, 20) == [random_instance(plain) for _ in range(20)]
+    assert rng.bit_generator.state == plain.bit_generator.state
+    assert sample_matching(np.random.default_rng(0), lambda i: True, 0) == []
+    with pytest.raises(ShelyapError, match="only 20/21 matching instances in 20 draws"):
+        sample_matching(np.random.default_rng(0), lambda i: True, 21)
