@@ -570,16 +570,16 @@ def _check_recursion(inst: MomentInstance) -> bool:
 
 def _check_physics(inst: MomentInstance) -> bool:
     run = _simulate(inst)
-    lo, mass, birth, position, speed, parent = map(
-        np.array, (run.lo, run.mass, run.birth, run.position, run.speed, run.parent))
-    n, t = inst.n, inst.t
+    paths = _Paths(run, inst.t)
+    mass, birth, position, speed = paths.mass, paths.birth, paths.position, paths.speed
+    parent, root, n, t = paths.parent[:-1], paths.root, inst.n, inst.t
     kid = np.flatnonzero(parent >= 0)
     up = parent[kid]
     # each merge group carries its members' momentum and is born where they
     # meet, up to gaps that close within event_tolerance(t)
     p = mass * speed
-    inflow = np.bincount(up, weights=p[kid], minlength=len(lo))[n:]
-    scale = np.bincount(up, weights=np.abs(p[kid]), minlength=len(lo))[n:]
+    inflow = np.bincount(up, weights=p[kid], minlength=len(mass))[n:]
+    scale = np.bincount(up, weights=np.abs(p[kid]), minlength=len(mass))[n:]
     if np.any(np.abs(p[n:] - inflow) > MOMENTUM_TOL * (1.0 + scale)):
         return False
     meet = position[kid] + speed[kid] * (birth[up] - birth[kid])
@@ -587,13 +587,12 @@ def _check_physics(inst: MomentInstance) -> bool:
     if np.any(np.abs(meet - position[up]) > window):
         return False
     # each block moves at its locations' mean initial speed; blocks end apart
-    root = np.flatnonzero(parent < 0)[np.argsort(lo[parent < 0])]
     m = np.asarray(inst.m, dtype=float)
-    psi = np.add.reduceat(m * initial_speeds(m), lo[root] - 1) / np.add.reduceat(m, lo[root] - 1)
+    start = paths.lo[root] - 1
+    psi = np.add.reduceat(m * initial_speeds(m), start) / np.add.reduceat(m, start)
     if np.any(np.abs(speed[root] - psi) > COM_TOL * (1.0 + np.abs(psi))):
         return False
-    terminal = position[root] + speed[root] * (t - birth[root])
-    if np.any(np.diff(terminal) <= 0.0):
+    if np.any(np.diff(paths.terminal) <= 0.0):
         return False
     return len(root) == 1 or bool(np.all(separation_margins(inst, run.partition) > 0.0))
 

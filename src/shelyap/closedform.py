@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/test_harness.py checks that the tracer wraps simulate_inertia here too
-from .clusters import ClusterResult, _simulate, simulate_inertia  # noqa: F401
+from .clusters import ClusterResult, _Paths, _simulate, simulate_inertia  # noqa: F401
 from .instance import MomentInstance
 from .solvers import check_minimizer_structure, solve_gamma1, solve_gamma2
 
@@ -81,20 +81,15 @@ def verify_recursion_identity(inst: MomentInstance) -> RecursionCheck:
         lhs = sum_C [(M_C^3 - M_C)/24 - M_C (v_C - d_B)^2 / 2] (death_C - birth_C)
 
     and rhs = gamma3; d_B is not B's speed. A node that merges again at its
-    birth, as at s = 0, holds no action. lhs reads the forest and rhs only the
-    partition, in O(n + events) memory, and neither touches route 1 or 2.
+    birth, as at s = 0, holds no action. lhs reads the forest through _Paths,
+    the drifts that `clusters` prints, and rhs only the partition, in
+    O(n + events) memory; neither touches route 1 or 2.
     """
     run = _simulate(inst)
-    lo, mass, birth, position, speed, parent = map(
-        np.array, (run.lo, run.mass, run.birth, run.position, run.speed, run.parent))
-    t = inst.t
-    root = parent < 0
-    death = np.where(root, t, birth[parent])
-    # a node's terminal block is the one holding its first index
-    block = np.searchsorted([b[0] for b in run.partition], lo, side="right") - 1
-    drift = np.empty(len(run.partition))
-    drift[block[root]] = (position[root] + speed[root] * (t - birth[root])) / t
-    action = (mass**3 - mass) / 24.0 - mass * (speed - drift[block]) ** 2 / 2.0
+    paths = _Paths(run, inst.t)
+    mass, speed, birth, parent = paths.mass, paths.speed, paths.birth, paths.parent[:-1]
+    death = np.where(parent < 0, inst.t, birth[parent])
+    action = (mass**3 - mass) / 24.0 - mass * (speed - paths.node_drift) ** 2 / 2.0
     lhs = float(np.sum(action * (death - birth)))
     return RecursionCheck(lhs=lhs, rhs=gamma3(inst, run))
 

@@ -29,7 +29,8 @@ Indices that share a forest node share their paths from its birth on, so
 _Paths evaluates them by node, one span per node, a chunk of rows at a time;
 `clusters` checks and prints each chunk's spans, and simulate_inertia, the
 library's dense expansion, fills two read-only (n, K) path families from them.
-gamma, sweep and the verify checks read the forest, in O(n + events) memory.
+The recursion and physics checks read the forest through _Paths; gamma, sweep
+and the structure check read it bare, all in O(n + events) memory.
 
 The event loop keeps the live nodes in a doubly linked list; nothing moves
 per event. A min-heap holds one collision candidate per adjacent pair,
@@ -180,7 +181,8 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
 
 
 class _Paths:
-    """A run's two path families by forest node, evaluated a chunk of rows at a time.
+    """A run's forest as arrays (root: the block roots in block order), and its
+    two path families by forest node, evaluated a chunk of rows at a time.
 
     Node j's span is its stretch of path: its value at the size[j] grid
     columns from start[j], its birth column, up to its parent's (to the
@@ -199,23 +201,23 @@ class _Paths:
     VALUES = 1 << 16  # the most path values in a chunk of more rows
 
     def __init__(self, run: _Run, t: float):
-        column, parent = np.array(run.column), np.array(run.parent)
+        self.lo, hi, column, parent = np.array((run.lo, run.hi, run.column, run.parent))
+        self.position, self.speed, self.birth, self.mass = np.array(
+            (run.position, run.speed, run.birth, run.mass))
         g = np.empty(column[-1] + 1)
-        g[column] = run.birth
+        g[column] = self.birth
         self.grid = np.append(g, t) if g[-1] < t else g
         self.start = column
         # one slot past the nodes, -1 with an empty span, ends each climb
         self.parent = np.append(parent, -1)
         self.size = np.append(np.where(parent < 0, len(self.grid), column[parent]) - column, 0)
-        self.n, lo, hi = run.partition[-1][-1], np.array(run.lo), np.array(run.hi)
-        self.position, self.speed, self.birth = map(
-            np.array, (run.position, run.speed, run.birth))
+        self.n = run.partition[-1][-1]
         # a block's terminal position is the last value of its root's span
         root = np.flatnonzero(parent < 0)
-        root = root[np.argsort(lo[root])]
+        self.root = root = root[np.argsort(self.lo[root])]
         self.terminal = self._zeta(root, np.full(len(root), len(self.grid) - 1))
         self.drift = self.terminal / t
-        self.node_drift = np.repeat(self.drift, hi[root] - lo[root] + 1)[lo - 1]
+        self.node_drift = np.repeat(self.drift, hi[root] - self.lo[root] + 1)[self.lo - 1]
 
     def _zeta(self, node: np.ndarray, col: np.ndarray) -> np.ndarray:
         z = self.position[node]

@@ -432,6 +432,19 @@ def test_sweep_malformed_param_exits_one(capsys, param):
     }
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", *PAIR, "--param", "t", "--grid", "1:x:3"], "malformed grid '1:x:3': "),
+    (["sweep", *PAIR, "--param", "t", "--grid", "1:2:-1"], "grid count -1 must be >= 0"),
+    (["gamma", "--t", "1", "--x", "0"], "need --input FILE or all of --t/--x/--m"),
+], ids=["grid-not-a-number", "grid-negative-count", "instance-without-m"])
+def test_malformed_grid_or_partial_instance_exits_one(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ShelyapError"
+    assert doc["message"].startswith(message)
+
+
 def test_closed_pipe_is_not_an_error():
     # the reader takes one line of a 556 kB CSV and closes the pipe
     x = ",".join(repr(0.37 * i + 0.011 * (i % 7)) for i in range(1, 301))

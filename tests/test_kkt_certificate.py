@@ -34,6 +34,8 @@ grows like t / |x| at one location, and an instance with |x| far below t
 exceeds any fixed C; the seeded draws here do not come near that.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from shelyap import flatten, random_instance, solve_gamma1, solve_gamma2, validate_instance
@@ -132,3 +134,69 @@ def test_certificate_rejects_a_perturbed_minimizer():
     assert route1_ratio(inst, a) <= C and route2_ratio(inst, b) <= C
     assert route1_ratio(inst, a * (1 + 1e-9)) > 1e3 * C
     assert route2_ratio(inst, b * (1 + 1e-9)) > 1e3 * C
+
+
+def exact_route1(inst):
+    """Route 1's minimizer a and minimum in Fractions, on the float inputs:
+    with c_k = a_k + k the constraints read c_k >= c_{k+1}, and c is the
+    equal-weight non-increasing fit of z_k = k - u_k / t. Also returns the
+    error scales: K = max_k (k + |u_k| / t) for a, and
+    S = sum |t a_k^2 / 2| + |u_k a_k| for the minimum."""
+    u, t = [Fraction(v) for v in flatten(inst).tolist()], Fraction(inst.t)
+    z = [k - uk / t for k, uk in enumerate(u, 1)]
+    blocks = []  # [sum of z, count], block means strictly decreasing
+    for zk in z:
+        blocks.append([zk, 1])
+        while len(blocks) > 1 and blocks[-2][0] * blocks[-1][1] <= blocks[-1][0] * blocks[-2][1]:
+            total, count = blocks.pop()
+            blocks[-1][0] += total
+            blocks[-1][1] += count
+    c = [total / count for total, count in blocks for _ in range(count)]
+    a = [ck - k for k, ck in enumerate(c, 1)]
+    terms = [(t * ak * ak / 2, uk * ak) for ak, uk in zip(a, u)]
+    shift = max(k + abs(uk) / t for k, uk in enumerate(u, 1))
+    return a, sum(p + q for p, q in terms), shift, sum(abs(p) + abs(q) for p, q in terms)
+
+
+# one location, m = 1, t = 5: a = -x/t, far below the shift k = 1 as x -> 0
+ONE_LOCATION = [validate_instance(5.0, [x], [1]) for x in (-0.06, -1e-3, -1e-6, -1e-12)]
+
+
+def _route1_corpus():
+    yield from ONE_LOCATION
+    rng = np.random.default_rng(3)
+    yield from (random_instance(rng) for _ in range(200))
+    for n in (20, 60):  # the benchmark shape; |u_k| / t reaches 1200 at t = 0.05
+        for t in (2.0, 0.05):
+            r = np.random.default_rng(n)
+            yield validate_instance(t, np.sort(r.uniform(-n, n, n)), r.integers(1, 6, n))
+    yield validate_instance(0.5, [-1.0, 0.3, 2.0], [1200, 900, 700])
+
+
+def test_route1_error_scales_with_the_shift_not_with_a():
+    """PAVA fits c = a + k to z_k = k - u_k / t, and a pooled block's mean
+    rounds at the size of its largest target, so a carries an absolute error
+    of order EPS * K, K = max_k (k + |u_k| / t), not EPS * |a_k|: at one
+    location its relative error reads 9.3e-16, 1.1e-13, 5.3e-10 and 3.1e-4 as
+    x goes -0.06, -1e-3, -1e-6, -1e-12. gamma1 does not move with it, since
+    the objective is stationary at its minimizer: its error is of order
+    t (EPS K)^2 / 2 plus the rounding of its own sum.
+
+    Worst measured over this corpus: max_k |a_k - exact| / (EPS K) = 1.0.
+    EPS * k, coordinate by coordinate, does not bound it: that ratio reads
+    299 where |u_k| / t is far above k (t = 0.05), and 497 at the first
+    coordinate of a pooled block of nu = 2800. gamma1's error over
+    EPS * (1 + S) reads 0.65, while over EPS * (1 + |gamma|) it reads 4.3
+    on draws whose terms cancel (nu = 5, gamma = 1.46, S = 42)."""
+    worst_a = worst_gamma = 0.0
+    for inst in _route1_corpus():
+        sol = solve_gamma1(inst)
+        a, gamma, K, S = exact_route1(inst)
+        err = max(abs(Fraction(v) - e) for v, e in zip(sol.values.tolist(), a))
+        worst_a = max(worst_a, float(err / K) / EPS)
+        worst_gamma = max(worst_gamma, float(abs(Fraction(sol.objective) - gamma) / (1 + S)) / EPS)
+    assert worst_a <= 4 and worst_gamma <= 4, (worst_a, worst_gamma)
+    for inst in ONE_LOCATION:
+        _, gamma, _, _ = exact_route1(inst)
+        err = abs(Fraction(solve_gamma1(inst).objective) - gamma)
+        assert err <= 4 * Fraction(EPS) * (1 + abs(gamma))

@@ -1,0 +1,119 @@
+"""Mutation runner: how many one-operator mutants of a function does verify kill?
+
+    python tools/mutate.py clusters:_Paths.__init__ clusters:_Paths._zeta
+
+Each TARGET is MODULE:QUALNAME, a function of src/shelyap/MODULE.py. In its
+body, one mutant at a time swaps + and -, * and /, < and <=, or > and >=, or
+adds 1 to a number literal. Each mutant is written into a temporary copy of
+src/ (src/ itself is never edited) and judged by one run of
+
+    python -m shelyap.cli verify --seed 0 --count 60
+
+with a 60 s timeout, since a mutated event loop can spin forever. A mutant
+is killed when that run exits non-zero, times out, or does not end in the
+line VERIFY PASS. The runner prints each survivor, then killed/total per
+target. It uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+COMMAND = [sys.executable, "-m", "shelyap.cli", "verify", "--seed", "0", "--count", "60"]
+TIMEOUT = 60.0
+SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
+         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+           ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+
+
+def find_function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    scope: ast.AST = tree
+    for name in qualname.split("."):
+        scope = next((node for node in ast.iter_child_nodes(scope)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name),
+                     None)
+        if scope is None:
+            raise SystemExit(f"no {qualname} in the module")
+    return scope
+
+
+def sites(func: ast.FunctionDef) -> list[tuple[ast.AST, int | None]]:
+    """The mutable places in func's body, in source order: (node, comparison index)."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+            found.append((node, None))
+        elif isinstance(node, ast.Compare):
+            found += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            found.append((node, None))
+    return sorted(found, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+
+
+def mutate(node: ast.AST, index: int | None) -> str:
+    """Apply one mutation in place; return what it did."""
+    if isinstance(node, ast.Compare):
+        old = type(node.ops[index])
+        node.ops[index] = SWAPS[old]()
+    elif isinstance(node, ast.Constant):
+        old_value = node.value
+        node.value += 1
+        return f"{old_value!r} -> {node.value!r}"
+    else:
+        old = type(node.op)
+        node.op = SWAPS[old]()
+    return f"{SYMBOLS[old]} -> {SYMBOLS[SWAPS[old]]}"
+
+
+def killed(workdir: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(workdir), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(COMMAND, cwd=workdir, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return True
+    lines = proc.stdout.splitlines()
+    return proc.returncode != 0 or not lines or lines[-1] != "VERIFY PASS"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("targets", nargs="+", metavar="MODULE:QUALNAME")
+    parser.add_argument("--src", type=Path, default=SRC, help="the tree to mutate a copy of")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "src"
+        shutil.copytree(args.src, work, ignore=shutil.ignore_patterns("__pycache__"))
+        if killed(work):
+            raise SystemExit("verify fails on the unmutated tree")
+        for target in args.targets:
+            module, qualname = target.split(":")
+            path = work / "shelyap" / f"{module}.py"
+            original = path.read_text()
+            count = len(sites(find_function(ast.parse(original), qualname)))
+            dead = 0
+            for k in range(count):
+                tree = ast.parse(original)
+                node, index = sites(find_function(tree, qualname))[k]
+                what = mutate(node, index)
+                path.write_text(ast.unparse(tree))
+                if killed(work):
+                    dead += 1
+                else:
+                    print(f"survived {target} line {node.lineno}: {what}", flush=True)
+            path.write_text(original)
+            print(f"{target}: {dead}/{count} killed", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
