@@ -28,9 +28,10 @@ Each index has two paths on the breakpoints {0, merge times, t}:
 Indices that share a forest node share their paths from its birth on, so
 _Paths evaluates them by node, one span per node, a chunk of rows at a time;
 `clusters` checks and prints each chunk's spans, and simulate_inertia, the
-library's dense expansion, fills two read-only (n, K) path families from them.
-The recursion and physics checks read the forest through _Paths; gamma, sweep
-and the structure check read it bare, all in O(n + events) memory.
+library's dense expansion, fills one read-only (n, K) family, zeta, from them.
+The recursion and physics checks and first_optimal_merge read the forest
+through _Paths; gamma, sweep and the structure check read it bare, all in
+O(n + events) memory.
 
 The event loop keeps the live nodes in a doubly linked list; nothing moves
 per event. A min-heap holds one collision candidate per adjacent pair,
@@ -53,7 +54,6 @@ one or more merge groups at one timestamp.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from operator import sub
 from typing import NamedTuple, Sequence
@@ -98,7 +98,7 @@ class PiecewiseLinearPath:
 
 @dataclass(frozen=True, eq=False)
 class ClusterResult:
-    """Terminal partition, per-block data, merge log and the expanded paths."""
+    """Terminal partition, per-block data, merge log and the expanded inertia paths."""
 
     partition: tuple[tuple[int, ...], ...]
     cluster_masses: tuple[float, ...]
@@ -106,7 +106,6 @@ class ClusterResult:
     drifts: tuple[float, ...]
     events: tuple[MergeEvent, ...]
     inertia_paths: tuple[PiecewiseLinearPath, ...]
-    optimal_paths: tuple[PiecewiseLinearPath, ...]
 
     @property
     def q_hat(self) -> int:
@@ -151,24 +150,22 @@ class FirstMerge:
 
 
 def simulate_inertia(inst: MomentInstance) -> ClusterResult:
-    """Run the sticky dynamics to time t and expand the paths of every index.
+    """Run the sticky dynamics to time t and expand the inertia path of every index.
 
     The grid is 0, then each merge time once, then t. Column 0 holds the
     locations, and a merge time's column the state after all its merges.
     Each forest node's span (see _Paths) fills its index rows from its birth
-    column up to its parent's, a chunk of rows at a time.
+    column up to its parent's, a chunk of rows at a time. Row i's optimal
+    path is zeta.values - drift * breakpoints, with drift its block's.
     """
     run = _simulate(inst)
     paths = _Paths(run, inst.t)
     zeta = np.empty((inst.n, len(paths.grid)))
-    xi = np.empty_like(zeta)
-    for r0, r1, nodes, where, z, x in paths.chunks():
-        cells = paths.cells(nodes, where)
-        zeta[r0:r1] = z[cells].reshape(r1 - r0, -1)
-        xi[r0:r1] = x[cells].reshape(r1 - r0, -1)
+    for r0, r1, nodes, where, z, _ in paths.chunks():
+        zeta[r0:r1] = z[paths.cells(nodes, where)].reshape(r1 - r0, -1)
     grid = tuple(paths.grid.tolist())
     # rows are shared views, so keep them immutable like the frozen result
-    zeta.flags.writeable = xi.flags.writeable = False
+    zeta.flags.writeable = False
     return ClusterResult(
         partition=run.partition,
         cluster_masses=tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in run.partition),
@@ -176,7 +173,6 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
         drifts=tuple(paths.drift.tolist()),
         events=run.events,
         inertia_paths=tuple(PiecewiseLinearPath(grid, row) for row in zeta),
-        optimal_paths=tuple(PiecewiseLinearPath(grid, row) for row in xi),
     )
 
 
@@ -349,35 +345,31 @@ def _simulate(inst: MomentInstance) -> _Run:
     return _Run(tuple(partition), *(c[:k] for c in forest))
 
 
-def first_optimal_merge(res: ClusterResult, inst: MomentInstance) -> FirstMerge:
+def first_optimal_merge(inst: MomentInstance) -> FirstMerge:
     """Collapse the instance at the first merge time s0.
 
     Locations sharing a cluster at s0 collapse to one location at their common
     drift-removed position xi(s0); the reduced instance (t - s0, x', m') has
-    strictly fewer locations. Raises NoMerge if nothing merges before t.
+    strictly fewer locations. Raises NoMerge if nothing merges by t.
+    The clusters alive at s0 are the nodes whose span covers c0, the grid
+    column where every merge at s0 lands; x' is their xi there, as printed.
     """
-    if not res.events:
+    run = _simulate(inst)
+    if len(run.lo) == inst.n:
         raise NoMerge("no merge event in [0, t]")
-    s0 = res.events[0].time
-    # the last column at s0, after its merges; a grid opens (0, 0) if s0 = 0
-    k = bisect_right(res.inertia_paths[0].breakpoints, s0) - 1
-    zeta0 = [float(p.values[k]) for p in res.inertia_paths]
-    xi0 = [float(p.values[k]) for p in res.optimal_paths]
-    x_prime: list[float] = []
-    m_prime: list[int] = []
-    for i in range(inst.n):
-        if i > 0 and zeta0[i] == zeta0[i - 1]:
-            m_prime[-1] += inst.m[i]
-        else:
-            x_prime.append(xi0[i])
-            m_prime.append(inst.m[i])
-    if len(x_prime) >= inst.n:
-        raise NoMerge("first event collapsed nothing")
+    paths = _Paths(run, inst.t)
+    c0 = run.column[inst.n]
+    node = np.flatnonzero((paths.start <= c0) & (c0 < paths.start + paths.size[:-1]))
+    node = node[np.argsort(paths.lo[node])]
+    lo = paths.lo[node]
+    x_prime = paths._zeta(node, np.full(len(node), c0)) - paths.node_drift[node] * paths.grid[c0]
+    # exact integer masses: float sums round once nu passes 2^53
+    m_prime = np.add.reduceat(np.asarray(inst.m, dtype=np.int64), lo - 1)
     return FirstMerge(
-        s0=s0,
-        x_prime=tuple(x_prime),
-        m_prime=tuple(m_prime),
-        xi_at_s0=tuple(xi0),
+        s0=run.birth[inst.n],
+        x_prime=tuple(x_prime.tolist()),
+        m_prime=tuple(m_prime.tolist()),
+        xi_at_s0=tuple(np.repeat(x_prime, np.diff(lo, append=inst.n + 1)).tolist()),
     )
 
 

@@ -30,6 +30,7 @@ from shelyap import (
     validate_instance,
 )
 from test_closedform import one_level_recursion, one_point_gamma, two_point_gamma
+from test_cluster_equivalence import optimal_paths
 from test_clusters import block_com_speed, merge_momentum_defects
 from test_quadrature import lyapunov_rate_estimate
 
@@ -171,7 +172,7 @@ def test_criterion_6_simulation_physics(thousand_instances):
             ok = False
         if max(merge_momentum_defects(inst, res.events), default=0.0) > 1e-12:
             ok = False
-        if max(abs(p.values[-1]) for p in res.optimal_paths) > 1e-12:
+        if max(abs(p.values[-1]) for p in optimal_paths(res)) > 1e-12:
             ok = False
         m = np.asarray(inst.m, dtype=float)
         t = inst.t

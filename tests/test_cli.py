@@ -18,6 +18,7 @@ import shelyap
 from shelyap.cli import SUITES, _format_row, dumps_json, format_float, main
 from shelyap.errors import NonFiniteResult
 from shelyap.quadrature import heat_kernel
+from test_cluster_equivalence import optimal_paths
 
 PAIR = ["--t", "1", "--x", "0,0.5", "--m", "1,1"]
 
@@ -827,7 +828,7 @@ def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, comma
         s = s.split(", ")
         want = "index,s,zeta,xi\n" + "".join(
             f"{i},{sv},{zv},{xv}\n"
-            for i, (z, x) in enumerate(zip(res.inertia_paths, res.optimal_paths), 1)
+            for i, (z, x) in enumerate(zip(res.inertia_paths, optimal_paths(res)), 1)
             for sv, zv, xv in zip(s, _reference_row(z.values).split(", "),
                                   _reference_row(x.values).split(", ")))
     elif command[0] == "clusters":
@@ -839,7 +840,7 @@ def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, comma
         want = "".join([
             head[:-2], f',\n  "breakpoints": [{s}]',
             *(f',\n  "{name}": [' + ", ".join(f"[{_reference_row(p.values)}]" for p in paths) + "]"
-              for name, paths in (("zeta", res.inertia_paths), ("xi", res.optimal_paths))),
+              for name, paths in (("zeta", res.inertia_paths), ("xi", optimal_paths(res)))),
             "\n}\n"])
     else:
         # dumps_json with its float rows printed by the reference

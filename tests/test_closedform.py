@@ -18,7 +18,7 @@ from shelyap import (
 )
 from shelyap.cli import ANCHOR_TOL, RECURSION_TOL, TRIPLE_TOL, _check_physics
 from shelyap.clusters import _simulate
-from test_cluster_equivalence import near_contact
+from test_cluster_equivalence import near_contact, optimal_paths
 from test_golden import CASCADE, ROUTE1_TIES
 
 
@@ -65,7 +65,7 @@ def one_level_recursion(inst):
     """
     res = simulate_inertia(inst)
     assert res.q_hat == 1 and inst.n >= 2
-    fm = first_optimal_merge(res, inst)
+    fm = first_optimal_merge(inst)
     s0 = fm.s0
     m = np.asarray(inst.m, dtype=float)
     x = np.asarray(inst.x)
@@ -315,7 +315,7 @@ def test_three_routes_agree_far_beyond_generator(n, t):
     assert rep.structure_ok
     assert _check_physics(inst)
     res = simulate_inertia(inst)
-    assert max(abs(p.values[-1]) for p in res.optimal_paths) <= ANCHOR_TOL
+    assert max(abs(p.values[-1]) for p in optimal_paths(res)) <= ANCHOR_TOL
     chk = verify_recursion_identity(inst)
     assert chk.abs_diff <= RECURSION_TOL * (1.0 + abs(chk.rhs))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shelyap import initial_speeds, simulate_inertia, validate_instance
+from shelyap import PiecewiseLinearPath, initial_speeds, simulate_inertia, validate_instance
 from shelyap.clusters import _simulate, event_tolerance
 
 
@@ -135,6 +135,14 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def optimal_paths(res):
+    """Each index's drift-removed path xi_i = zeta_i - d_B s, d_B its block's drift."""
+    s = np.asarray(res.inertia_paths[0].breakpoints)
+    drift = np.repeat(res.drifts, [len(b) for b in res.partition]).tolist()
+    return tuple(PiecewiseLinearPath(p.breakpoints, p.values - d * s)
+                 for p, d in zip(res.inertia_paths, drift))
+
+
 def random_shape(rng, n):
     """The benchmark's shape: x sorted in [-n, n], m in 1..5, t in [0.2, 2]."""
     m = rng.integers(1, 6, size=n).tolist()
@@ -183,7 +191,7 @@ def test_array_core_matches_object_reference():
             assert merged == rmerged, inst
             assert _bits([s, pos, v]) == _bits([rs, rpos, rv]), inst
         for paths, rows in ((res.inertia_paths, ref["zeta"]),
-                            (res.optimal_paths, ref["xi"])):
+                            (optimal_paths(res), ref["xi"])):
             assert len(paths) == inst.n
             for p, row in zip(paths, rows):
                 assert p.breakpoints == ref["grid"], inst

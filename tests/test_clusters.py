@@ -1,9 +1,11 @@
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from shelyap import (
+    FirstMerge,
     NoMerge,
     first_optimal_merge,
     initial_speeds,
@@ -12,12 +14,37 @@ from shelyap import (
     simulate_inertia,
     validate_instance,
 )
-from shelyap.clusters import _simulate
-from test_cluster_equivalence import integer_lattice
+from shelyap.clusters import _Paths, _simulate
+from test_cluster_equivalence import _bits, integer_lattice, optimal_paths
+from test_golden import CASCADE
 
 MOMENTUM_TOL = 1e-12
 ANCHOR_TOL = 1e-12
 COM_TOL = 1e-10
+
+
+def dense_first_merge(res, inst):
+    """first_optimal_merge read off the dense expansion: s0's last grid column
+    of every index's two paths, with locations of equal zeta grouped."""
+    if not res.events:
+        raise NoMerge("no merge event in [0, t]")
+    s0 = res.events[0].time
+    # the last column at s0, after its merges; a grid opens (0, 0) if s0 = 0
+    k = bisect_right(res.inertia_paths[0].breakpoints, s0) - 1
+    zeta0 = [float(p.values[k]) for p in res.inertia_paths]
+    xi0 = [float(p.values[k]) for p in optimal_paths(res)]
+    x_prime: list[float] = []
+    m_prime: list[int] = []
+    for i in range(inst.n):
+        if i > 0 and zeta0[i] == zeta0[i - 1]:
+            m_prime[-1] += inst.m[i]
+        else:
+            x_prime.append(xi0[i])
+            m_prime.append(inst.m[i])
+    if len(x_prime) >= inst.n:
+        raise NoMerge("first event collapsed nothing")
+    return FirstMerge(s0=s0, x_prime=tuple(x_prime), m_prime=tuple(m_prime),
+                      xi_at_s0=tuple(xi0))
 
 
 def block_com_speed(m, block):
@@ -85,7 +112,7 @@ def test_pair_never_merges():
     assert res.terminal_positions == (0.5, 1.5)
     assert res.drifts == (0.5, 1.5)
     with pytest.raises(NoMerge):
-        first_optimal_merge(res, inst)
+        first_optimal_merge(inst)
 
 
 def test_triple_simultaneous_collision():
@@ -139,14 +166,14 @@ def test_sequential_merges_collapse_everything():
 
 def test_first_optimal_merge_examples():
     inst = validate_instance(2.0, [0.0, 1.0, 2.0], [1, 1, 1])
-    fm = first_optimal_merge(simulate_inertia(inst), inst)
+    fm = first_optimal_merge(inst)
     assert fm.s0 == 1.0
     assert fm.x_prime == (0.5,)
     assert fm.m_prime == (3,)
     assert fm.xi_at_s0 == (0.5, 0.5, 0.5)
 
     inst = validate_instance(1.0, [0.0, 0.5], [1, 1])
-    fm = first_optimal_merge(simulate_inertia(inst), inst)
+    fm = first_optimal_merge(inst)
     assert fm.s0 == 0.5
     assert fm.x_prime == (0.125,)
     assert fm.m_prime == (2,)
@@ -156,7 +183,7 @@ def test_first_merge_at_time_zero_reads_the_state_after_it():
     # a contact at s = 0 merges at once; the grid opens (0, 0, ...), and the
     # first column holds the locations before the merge
     inst = validate_instance(1.0, [0.0, 5e-324, 1.0], [5, 5, 1])
-    fm = first_optimal_merge(simulate_inertia(inst), inst)
+    fm = first_optimal_merge(inst)
     assert fm.s0 == 0.0
     assert fm.m_prime == (10, 1)
 
@@ -165,7 +192,7 @@ def test_first_merge_collapses_only_first_event_clusters():
     # {4,5} merge later than {1,2}: only the earliest batch collapses
     inst = validate_instance(1.0, [0.0, 0.2, 3.0, 3.4], [1, 1, 1, 1])
     res = simulate_inertia(inst)
-    fm = first_optimal_merge(res, inst)
+    fm = first_optimal_merge(inst)
     assert fm.s0 == res.events[0].time
     assert len(fm.x_prime) == 3
     assert fm.m_prime == (2, 1, 1)
@@ -191,7 +218,7 @@ def test_physics_invariants_random():
         # every merge group carries its members' momentum
         assert max(merge_momentum_defects(inst, res.events), default=0.0) <= MOMENTUM_TOL
         # drift-removed paths return to zero
-        assert max(abs(p.values[-1]) for p in res.optimal_paths) <= ANCHOR_TOL
+        assert max(abs(p.values[-1]) for p in optimal_paths(res)) <= ANCHOR_TOL
         # terminal order is strict
         term = res.terminal_positions
         assert all(a < b for a, b in zip(term, term[1:]))
@@ -225,7 +252,7 @@ def test_paths_share_breakpoint_grid():
         assert grid[0] == 0.0
         assert grid[-1] == inst.t
         assert all(a < b for a, b in zip(grid, grid[1:]))
-        for p in res.inertia_paths + res.optimal_paths:
+        for p in res.inertia_paths + optimal_paths(res):
             assert p.breakpoints == grid
         for e in res.events:
             assert e.time in grid
@@ -247,21 +274,90 @@ def block_loop_margins(inst, partition):
     return np.asarray(out)
 
 
-def test_simulate_inertia_peak_is_its_two_path_families():
-    # n = 1500, t = 2 in the benchmark's shape: zeta and xi hold 36 MB. The
-    # tracemalloc peak was 52.7 MB while xi = zeta - drift * s made a third
-    # (n, K) array, and is 36.1 MB with the subtraction in place
-    rng = np.random.default_rng(0)
-    n = 1500
-    inst = validate_instance(2.0, np.sort(rng.uniform(-n, n, n)).tolist(),
-                             rng.integers(1, 6, n).tolist())
+def _peak(call, *args):
     tracemalloc.start()
     try:
-        simulate_inertia(inst)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 44 * 2**20
+
+
+def _bench_1500():
+    rng = np.random.default_rng(0)
+    n = 1500
+    return validate_instance(2.0, np.sort(rng.uniform(-n, n, n)).tolist(),
+                             rng.integers(1, 6, n).tolist())
+
+
+def test_simulate_inertia_peak_is_its_one_path_family():
+    # n = 1500, t = 2 in the benchmark's shape: zeta holds 18 MB. The
+    # tracemalloc peak was 52.7 MB while xi = zeta - drift * s made a third
+    # (n, K) array, 38.4 MiB with zeta and xi both filled, and 20.7 MiB with
+    # zeta alone
+    assert _peak(simulate_inertia, _bench_1500()) < 26 * 2**20
+
+
+def test_first_optimal_merge_peak_is_the_forest():
+    # the same instance: reading s0's column from the forest holds no (n, K)
+    # array. The peak was 38.3 MiB while it read both dense families, and is
+    # 1.0 MiB from the forest
+    assert _peak(first_optimal_merge, _bench_1500()) < 4 * 2**20
+
+
+def first_merge_corpus():
+    """3000 generator draws, 300 benchmark-shape instances, 300 chains with
+    gaps at, 1e-12 either side of, half of and twice their merge thresholds,
+    and the named edge cases."""
+    rng = np.random.default_rng(20261020)
+    corpus = [random_instance(rng) for _ in range(3000)]
+    for k in range(300):
+        n = int(rng.integers(2, 300))
+        corpus.append(validate_instance((0.05, 0.3, 2.0)[k % 3],
+                                        np.sort(rng.uniform(-n, n, size=n)),
+                                        rng.integers(1, 6, size=n).tolist()))
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        t = float(rng.uniform(0.1, 3.0))
+        m = rng.integers(1, 6, size=n)
+        threshold = (m[:-1] + m[1:]) * t / 2
+        gaps = threshold * rng.choice([0.5, 1.0, 1.0, 1.0, 2.0], size=n - 1)
+        gaps += rng.choice([-1e-12, 0.0, 1e-12], size=n - 1)
+        corpus.append(validate_instance(t, np.cumsum([0.0, *gaps]), m.tolist()))
+    named = [
+        (1.0, [0.0, 5e-324, 1.0], [5, 5, 1]),  # a contact at s = 0
+        (1.0, [0.0, 1e-14, 2.51e-12], [1, 1, 1]),  # an empty span
+        (1.0, [0.0, 1.0, 10.0], [1, 1, 1]),  # a merge at t
+        (float(CASCADE[1]), [float(v) for v in CASCADE[3].split(",")],
+         [int(v) for v in CASCADE[5].split(",")]),
+    ]
+    corpus += [validate_instance(*case) for case in named]
+    return corpus
+
+
+def test_first_optimal_merge_matches_dense_reference():
+    # the forest's column at s0 against the dense expansion, bit for bit
+    outcomes = {"merge": 0, "no merge": 0}
+    corpus = first_merge_corpus()
+    for inst in corpus:
+        try:
+            want = dense_first_merge(simulate_inertia(inst), inst)
+        except NoMerge:
+            with pytest.raises(NoMerge):
+                first_optimal_merge(inst)
+            outcomes["no merge"] += 1
+            continue
+        got = first_optimal_merge(inst)
+        assert _bits([got.s0]) == _bits([want.s0]), inst
+        assert _bits(got.x_prime) == _bits(want.x_prime), inst
+        assert _bits(got.xi_at_s0) == _bits(want.xi_at_s0), inst
+        assert got.m_prime == want.m_prime, inst
+        assert all(type(v) is int for v in got.m_prime)
+        assert all(type(v) is float for v in (got.s0, *got.x_prime, *got.xi_at_s0))
+        outcomes["merge"] += 1
+    print(f"first merge on {len(corpus)} instances: {outcomes}")
+    assert len(corpus) > 3600
+    assert outcomes["no merge"] > 300 and outcomes["merge"] > 2500
 
 
 def test_separation_margins_match_block_loop():

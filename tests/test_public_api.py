@@ -42,7 +42,7 @@ FIELDS = {
     "StructureReport": ("tight", "same_block", "near_threshold",
                         "near_terminal_merge"),
     "ClusterResult": ("partition", "cluster_masses", "terminal_positions",
-                      "drifts", "events", "inertia_paths", "optimal_paths"),
+                      "drifts", "events", "inertia_paths"),
     "MergeEvent": ("time", "merged", "position", "speed"),
     "ContourConfig": ("offsets", "truncation", "points", "rule"),
     "MomentInstance": ("t", "x", "m"),

@@ -11,8 +11,12 @@ src/ (src/ itself is never edited) and judged by one run of
 
 with a 60 s timeout, since a mutated event loop can spin forever. A mutant
 is killed when that run exits non-zero, times out, or does not end in the
-line VERIFY PASS. The runner prints each survivor, then killed/total per
-target. It uses only the standard library.
+line VERIFY PASS. A suite kills it when its line `name: p/q pass` reads
+p < q; a run that times out, or ends without VERIFY PASS and with no failing
+suite (a traceback, say), counts as a timeout or a crash. The runner prints
+each survivor, then for each target killed/total, the timeouts and crashes,
+and each suite's kills and sole kills: those of its mutants that no other
+suite, timeout or crash killed. It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +38,7 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
            ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+SUITE_LINE = re.compile(r"(\w+): (\d+)/(\d+) pass")
 
 
 def find_function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
@@ -74,15 +80,37 @@ def mutate(node: ast.AST, index: int | None) -> str:
     return f"{SYMBOLS[old]} -> {SYMBOLS[SWAPS[old]]}"
 
 
-def killed(workdir: Path) -> bool:
+def verify(workdir: Path) -> subprocess.CompletedProcess | None:
+    """One verify run of the tree at workdir; None if it times out."""
     env = dict(os.environ, PYTHONPATH=str(workdir), PYTHONDONTWRITEBYTECODE="1")
     try:
-        proc = subprocess.run(COMMAND, cwd=workdir, env=env, capture_output=True,
+        return subprocess.run(COMMAND, cwd=workdir, env=env, capture_output=True,
                               text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return True
+        return None
+
+
+def killers(proc: subprocess.CompletedProcess | None) -> set[str]:
+    """What kills a verify run: its failing suites, else "timeout" or "crash";
+    empty if it passes."""
+    if proc is None:
+        return {"timeout"}
     lines = proc.stdout.splitlines()
-    return proc.returncode != 0 or not lines or lines[-1] != "VERIFY PASS"
+    failed = {m[1] for m in map(SUITE_LINE.match, lines) if m and int(m[2]) < int(m[3])}
+    if failed or (proc.returncode == 0 and lines and lines[-1] == "VERIFY PASS"):
+        return failed
+    return {"crash"}
+
+
+def report(target: str, count: int, kills: list[set[str]], suites: list[str]) -> None:
+    """killed/total, timeouts and crashes, then each suite's kills and sole kills."""
+    dead = sum(map(bool, kills))
+    tally = {k: sum(k in ks for ks in kills) for k in ("timeout", "crash")}
+    print(f"{target}: {dead}/{count} killed; {tally['timeout']} timeouts, "
+          f"{tally['crash']} crashes", flush=True)
+    for suite in suites:
+        print(f"  {suite}: {sum(suite in ks for ks in kills)} kills, "
+              f"{sum(ks == {suite} for ks in kills)} sole", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,25 +121,26 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "src"
         shutil.copytree(args.src, work, ignore=shutil.ignore_patterns("__pycache__"))
-        if killed(work):
+        base = verify(work)
+        if killers(base):
             raise SystemExit("verify fails on the unmutated tree")
+        suites = [m[1] for m in map(SUITE_LINE.match, base.stdout.splitlines()) if m]
         for target in args.targets:
             module, qualname = target.split(":")
             path = work / "shelyap" / f"{module}.py"
             original = path.read_text()
             count = len(sites(find_function(ast.parse(original), qualname)))
-            dead = 0
+            kills = []
             for k in range(count):
                 tree = ast.parse(original)
                 node, index = sites(find_function(tree, qualname))[k]
                 what = mutate(node, index)
                 path.write_text(ast.unparse(tree))
-                if killed(work):
-                    dead += 1
-                else:
+                kills.append(killers(verify(work)))
+                if not kills[-1]:
                     print(f"survived {target} line {node.lineno}: {what}", flush=True)
             path.write_text(original)
-            print(f"{target}: {dead}/{count} killed", flush=True)
+            report(target, count, kills, suites)
     return 0
 
 
