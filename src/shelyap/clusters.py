@@ -44,11 +44,14 @@ the top. Each event costs O(log n).
 Ties: the earliest live candidate c sets the batch time s = min(c, t), and
 the loop ends once c > t + event_tolerance(t), so a merge at s = t counts.
 Every candidate <= s + event_tolerance(t) merges in one pass, as runs of
-adjacent pairs, left to right, with group sums as Python sums left to right.
-The pairs that this forms cascade at the same s as the next pass, with their
-own merge groups, while their candidates fall in the window. A contact at
-s = 0 thus merges at the first batch, and a multi-way collision resolves into
-one or more merge groups at one timestamp.
+adjacent pairs, left to right. Each group sums its nodes' masses, momenta
+and mass-weighted positions left to right from 0.0. That is what sum() did
+up to Python 3.11; the compensated float sum() of 3.12 would make the bits
+of a group of three or more depend on the Python version. The pairs that a
+pass forms cascade at the same s as the next pass, with their own merge
+groups, while their candidates fall in the window. A contact at s = 0 thus
+merges at the first batch, and a multi-way collision resolves into one or
+more merge groups at one timestamp.
 """
 
 from __future__ import annotations
@@ -265,78 +268,76 @@ def _simulate(inst: MomentInstance) -> _Run:
     birth, column, parent = [0.0] * (2 * n - 1), [0] * (2 * n - 1), [-1] * (2 * n - 1)
     prv = [*range(-1, n - 1), *free, n - 1]
     nxt = [*range(1, n), -1, *free, 0]
-    # the locations' candidates in one pass: at s0 = 0, push's gap is
+    # the locations' candidates in one pass: at s = 0 a pair's gap is
     # x_{a+1} - x_a and its candidate 0.0 + gap / closing is gap / closing
     x = inst.x
     heap = [((x[a + 1] - x[a]) / closing, a, a + 1)
             for a, closing in enumerate(map(sub, speed[: n - 1], speed[1:n])) if closing > 0.0]
     heapq.heapify(heap)
-
-    def push(a: int) -> None:
-        """Queue the pair (a, nxt[a]) once, at the time it would collide."""
-        b = nxt[a]
-        closing = speed[a] - speed[b]
-        if closing > 0.0:
-            s0 = max(birth[a], birth[b])
-            gap = (position[b] + speed[b] * (s0 - birth[b])
-                   - (position[a] + speed[a] * (s0 - birth[a])))
-            heapq.heappush(heap, (s0 + gap / closing, a, b))
-
-    def pop_due(limit: float) -> list[int]:
-        """Left nodes of the live pairs whose candidate is <= limit, in index order."""
-        due = []
-        while heap and heap[0][0] <= limit:
-            _, a, b = heapq.heappop(heap)
-            if parent[a] < 0 and nxt[a] == b:
-                due.append(a)
-        if len(due) > 1:
-            due.sort(key=lo.__getitem__)
-        return due
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     k, col = n, 0  # the next free node slot, the last grid column
     while heap:
         c, a, b = heap[0]
         if parent[a] >= 0 or nxt[a] != b:
-            heapq.heappop(heap)  # a stale entry: a merge has changed the pair
+            heappop(heap)  # a stale entry: a merge has changed the pair
             continue
         if not c <= t + tol:
             break
         # the earliest live candidate sets the batch time and its grid column
         s, col = min(c, t), col + 1
-        while due := pop_due(s + tol):
-            # one cascade pass: merge every run of adjacent due pairs; group
-            # sums stay Python sums, left to right
-            runs: list[list[int]] = []
-            for a in due:
-                if runs and nxt[runs[-1][-1]] == a:
-                    runs[-1].append(a)
-                else:
-                    runs.append([a])
-            for run in runs:
-                group = [*run, nxt[run[-1]]]
-                ms = [mass[g] for g in group]
-                xs = [position[g] + speed[g] * (s - birth[g]) for g in group]
-                total = sum(ms)
-                com = sum(mg * xg for mg, xg in zip(ms, xs)) / total
-                p = sum(mom[g] for g in group)
-                v = p / total
-                first, last = group[0], group[-1]
-                left, right = prv[first], nxt[last]
-                lo[k], hi[k], mass[k], mom[k], speed[k] = lo[first], hi[last], total, p, v
-                birth[k], column[k], position[k], prv[k], nxt[k] = s, col, com, left, right
-                nxt[left] = prv[right] = k
-                for g in group:
+        limit = s + tol
+        while True:
+            # one cascade pass: the left nodes of the live pairs due by limit,
+            # in index order; the batch ends with a pass that finds none
+            due = []
+            while heap and heap[0][0] <= limit:
+                _, a, b = heappop(heap)
+                if parent[a] < 0 and nxt[a] == b:
+                    due.append(a)
+            if not due:
+                break
+            due.sort(key=lo.__getitem__)
+            # each run of adjacent due pairs merges as one group: walk it from
+            # its first node to the right node of its last pair, summing left
+            # to right from 0.0 as sum() does up to Python 3.11
+            k0, j, end = k, 0, len(due) - 1
+            while j <= end:
+                first = g = due[j]
+                while j < end and due[j + 1] == nxt[g]:
+                    j += 1
+                    g = due[j]
+                last, g = nxt[g], first
+                total = num = p = 0.0
+                while True:
+                    total += mass[g]
+                    num += mass[g] * (position[g] + speed[g] * (s - birth[g]))
+                    p += mom[g]
                     parent[g] = k
+                    if g == last:
+                        break
+                    g = nxt[g]
+                left, right = prv[first], nxt[last]
+                lo[k], hi[k], mass[k], mom[k], speed[k] = lo[first], hi[last], total, p, p / total
+                birth[k], column[k], position[k], prv[k], nxt[k] = s, col, num / total, left, right
+                nxt[left] = prv[right] = k
                 k += 1
+                j += 1
             # each merged cluster forms new pairs with its neighbours; two of
             # them may be neighbours, so a pass of several pushes each pair once
-            if len(runs) == 1:
-                lefts = (prv[k - 1], k - 1)
+            if k - k0 == 1:
+                lefts = (left, k - 1)
             else:
-                lefts = {g for j in range(k - len(runs), k) for g in (prv[j], j)}
+                lefts = sorted({g for j in range(k0, k) for g in (prv[j], j)})
+            # queue each pair (a, nxt[a]) that closes in at the time it would
+            # collide; one of its nodes is born at s, the later birth, so the
+            # gap is measured there
             for a in lefts:
-                if a >= 0 and nxt[a] >= 0:
-                    push(a)
+                b = nxt[a]
+                if a >= 0 and b >= 0 and (closing := speed[a] - speed[b]) > 0.0:
+                    gap = (position[b] + speed[b] * (s - birth[b])
+                           - (position[a] + speed[a] * (s - birth[a])))
+                    heappush(heap, (s + gap / closing, a, b))
     partition, a = [], nxt[-1]
     while a >= 0:
         partition.append(tuple(range(lo[a], hi[a] + 1)))

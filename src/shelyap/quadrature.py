@@ -187,9 +187,12 @@ def upper_bound_value(
         for b in range(a + 1, nu):
             g = offsets[a] - offsets[b]
             log_val += math.log(abs(g / (g - 1.0)))
-    log_val += sum(
-        0.5 * T * t * a * a + T * u * a for a, u in zip(offsets, flatten(inst))
-    )
+    # left to right from 0.0, as the package adds everywhere; from Python 3.12
+    # on, sum() of floats compensates
+    exponent = 0.0
+    for a, u in zip(offsets, flatten(inst)):
+        exponent += 0.5 * T * t * a * a + T * u * a
+    log_val += exponent
     if not log_val <= _LOG_FLOAT_MAX:
         raise NonFiniteResult(f"bound exp({log_val}) is beyond the float range")
     return math.exp(log_val)

@@ -75,9 +75,14 @@ def _merge_contacts(clusters, s, tol, events):
         for run in reversed(runs):
             j0, j1 = run[0], run[-1] + 1
             group = clusters[j0 : j1 + 1]
-            mass = sum(c.mass for c in group)
-            momentum = sum(c.momentum for c in group)
-            com = sum(c.mass * c.at(s) for c in group) / mass
+            # left to right from 0.0, as the package adds: from Python 3.12
+            # on, float sum() compensates and would change groups of three
+            mass = momentum = moment = 0.0
+            for c in group:
+                mass += c.mass
+                momentum += c.momentum
+                moment += c.mass * c.at(s)
+            com = moment / mass
             pass_events.append((s, tuple((c.lo, c.hi) for c in group), com,
                                 momentum / mass))
             clusters[j0 : j1 + 1] = [_Cluster(group[0].lo, group[-1].hi,

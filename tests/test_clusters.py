@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from bisect import bisect_right
 
@@ -14,7 +15,7 @@ from shelyap import (
     simulate_inertia,
     validate_instance,
 )
-from shelyap.clusters import _Paths, _simulate
+from shelyap.clusters import _Paths, _simulate, event_tolerance
 from test_cluster_equivalence import _bits, integer_lattice, optimal_paths
 from test_golden import CASCADE
 
@@ -134,6 +135,40 @@ def test_merge_exactly_at_t_is_included():
     assert res.events[0].time == 1.0
     # breakpoint grid must not duplicate t
     assert res.inertia_paths[0].breakpoints == (0.0, 1.0)
+
+
+def test_candidate_at_the_window_edge_joins_the_batch():
+    # (1, 2) opens a batch at s = 0.5; (3, 4) collides at 0.5 + tol, the
+    # closed end of its window, so both merge in column 1. One float later,
+    # (3, 4) opens its own batch in column 2.
+    edge = 0.5 + event_tolerance(1.0)
+    beyond = math.nextafter(edge, 1.0)
+    for last, birth, column in ((edge, [0.5, 0.5], [1, 1]), (beyond, [0.5, beyond], [1, 2])):
+        run = _simulate(validate_instance(1.0, [-10.0, -9.5, 0.0, last], [1, 1, 1, 1]))
+        assert run.partition == ((1, 2), (3, 4))
+        assert run.birth[4:] == birth
+        assert run.column[4:] == column
+
+
+def test_candidate_at_t_plus_tol_merges_at_t():
+    # a pair colliding at t + tol, the closed end of the last window, merges
+    # at s = t; one float later it does not merge
+    tol = event_tolerance(1.0)
+    run = _simulate(validate_instance(1.0, [0.0, 1.0 + tol], [1, 1]))
+    assert run.partition == ((1, 2),)
+    assert run.parent == [2, 2, -1]
+    assert run.birth[2] == 1.0
+    run = _simulate(validate_instance(1.0, [0.0, math.nextafter(1.0 + tol, 2.0)], [1, 1]))
+    assert run.partition == ((1,), (2,))
+    assert run.parent == [-1, -1]
+
+
+def test_pair_whose_float_speeds_tie_is_not_queued():
+    # at multiplicities of 2^60 both middle leaves' speeds round to 0.0: the
+    # pair never closes in, and queuing it would divide by zero
+    run = _simulate(validate_instance(1.0, [0.0, 1.0, 2.0, 3.0], [2**60, 1, 1, 2**60]))
+    assert run.speed[1] == run.speed[2] == 0.0
+    assert run.partition == ((1, 2, 3, 4),)
 
 
 def test_two_block_showcase():
