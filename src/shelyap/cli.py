@@ -94,11 +94,17 @@ def _check_finite(values: np.ndarray) -> None:
 #   word 0     sign, "0.000" (the leading zeros of fixed notation below 1),
 #              the first digit and a point slot
 #   words 1-4  the other 16 digits, each followed by a point slot
-#   word 5     the exponent "e+XX" of scientific notation, else NUL
+#   word 5     the exponent "e+XX" of scientific notation, else NUL; at most
+#              five bytes ("e-324"), so the last three are free and hold the
+#              separator that follows the value (", " in a JSON row, "," or
+#              "\n" in CSV), which thus costs no word
 #
 # and a keep mask, chosen by the notation and the number of digits left once
 # trailing zeros go, NULs every byte that "%.17g" does not print. Rows of
-# such words sit beside separator words, and translate() drops the NULs.
+# such words sit beside any longer separator words, and translate() drops
+# the NULs, a chunk of rows at a time. A JSON document reaches the writer as
+# its list of pieces (_pieces), each array's chunk texts among them unjoined,
+# all built and checked before the first byte is written.
 
 _CHUNK = 8192  # values per kernel pass; bounds the kernel's scratch memory
 _K0 = -294  # 10^k is tabled for k in [_K0, 342], the range of 16 - X
@@ -248,36 +254,99 @@ def _printf_words(x: float) -> np.ndarray:
     return np.frombuffer((b"%.17g" % x).ljust(48, b"\0"), np.uint64)
 
 
+def _tail_word(sep: bytes) -> np.uint64:
+    """A word with sep (at most 3 bytes) in its last bytes. An exponent word
+    uses at most five ("e-324"), so ORed into one, sep follows the value."""
+    return np.uint64(int.from_bytes(sep, "little") << 64 - 8 * len(sep))
+
+
 def _text(n: int, columns) -> Iterator[str]:
     """n rows of text, at most _CHUNK at a time; columns(a, b) gives rows a..b.
 
     A column is a float array, printed %.17g (callers check it is finite), a
     (rows, width) uint64 array of NUL-padded text words, or a bytes constant
-    repeated on every row.
+    repeated on every row. A constant of at most 3 bytes that follows a float
+    column takes no word of its own: it sits in the free last bytes of each
+    value's exponent word.
     """
     buf = None
     for a in range(0, n, _CHUNK):
         b = min(n, a + _CHUNK)
-        cols = [_words([c], -(-len(c) // 8)) if isinstance(c, bytes) else c
-                for c in columns(a, b)]
+        cols, tails = [], []
+        for c in columns(a, b):
+            if isinstance(c, bytes):
+                if len(c) <= 3 and cols and cols[-1].dtype.kind == "f" and tails[-1] is None:
+                    tails[-1] = _tail_word(c)
+                    continue
+                c = _words([c], -(-len(c) // 8))
+            cols.append(c)
+            tails.append(None)
         widths = [6 if c.dtype.kind == "f" else c.shape[1] for c in cols]
         if buf is None:
             buf = np.empty((min(n, _CHUNK), sum(widths)), np.uint64)
         rows = buf[: b - a]
         j = 0
-        for c, w in zip(cols, widths):
+        for c, w, tail in zip(cols, widths, tails):
             if c.dtype.kind == "f":
                 _float_words(np.asarray(c, np.float64), rows[:, j : j + w])
+                if tail is not None:
+                    rows[:, j + 5] |= tail
             else:
                 rows[:, j : j + w] = c
             j += w
         yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _row_pieces(values: np.ndarray) -> list[str]:
+    """The chunk texts of a 1-D float array's entries, format_float each,
+    joined by ", "; NonFiniteResult names the first non-finite one."""
+    _check_finite(values)
+    texts = list(_text(len(values), lambda a, b: (values[a:b], b", ")))
+    if texts:
+        texts[-1] = texts[-1][:-2]
+    return texts
+
+
 def _format_row(values: np.ndarray) -> str:
     """format_float of every entry of a 1-D float array, joined by ", "."""
-    _check_finite(values)
-    return "".join(_text(len(values), lambda a, b: (values[a:b], b", ")))[:-2]
+    return "".join(_row_pieces(values))
+
+
+def _pieces(obj, indent: int = 0) -> Iterator[str]:
+    """The text of dumps_json(obj, indent), piece by piece: a float array's
+    pieces are its chunk texts, so no piece holds a copy of another."""
+    sp = "  " * indent
+    if isinstance(obj, np.ndarray):
+        yield "["
+        yield from _row_pieces(obj)
+        yield "]"
+    elif isinstance(obj, dict) and obj or isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        keyed = isinstance(obj, dict)
+        opening, closing = "{}" if keyed else "[]"
+        for key, v in obj.items() if keyed else enumerate(obj):
+            head = f"{opening}\n{sp}  {json.dumps(key)}: " if keyed else f"{opening}\n{sp}  "
+            if isinstance(v, (np.ndarray, dict, list)):
+                value = _pieces(v, indent + 1)
+                yield head + next(value)  # a short first piece joins its key
+                yield from value
+            else:
+                yield head + _one_piece(v, indent + 1)
+            opening = ","
+        yield f"\n{sp}{closing}"
+    else:
+        yield _one_piece(obj, indent)
+
+
+def _one_piece(obj, indent: int) -> str:
+    """The text of a value that _pieces prints whole: no float array, and no
+    dict or list of dicts that may hold one."""
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, tuple) and obj and isinstance(obj[0], MergeEvent):
+        return _format_events(obj, indent)
+    if isinstance(obj, (list, tuple)) and _has_float(obj):
+        return f"[{', '.join([''.join(_pieces(v)) for v in obj])}]"
+    return json.dumps(obj)
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -287,26 +356,11 @@ def dumps_json(obj, indent: int = 0) -> str:
     on its own line at the next indent, and every other value prints on one
     line. A merge log prints as the list of its events' {time, merged,
     position} dicts, through _format_events. A float prints through
-    format_float, a 1-D float array through _format_row, any other list
-    holding a float as [a, b], and the rest by one json.dumps call.
+    format_float, a 1-D float array through _row_pieces, any other list
+    holding a float as [a, b], and the rest by one json.dumps call. The
+    commands hand _emit the pieces themselves (_pieces), not their join.
     """
-    sp = "  " * indent
-    if isinstance(obj, dict) and obj:
-        body = f",\n{sp}  ".join([f"{json.dumps(k)}: {dumps_json(v, indent + 1)}"
-                                  for k, v in obj.items()])
-        return f"{{\n{sp}  {body}\n{sp}}}"
-    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
-        body = f",\n{sp}  ".join([dumps_json(v, indent + 1) for v in obj])
-        return f"[\n{sp}  {body}\n{sp}]"
-    if isinstance(obj, tuple) and obj and isinstance(obj[0], MergeEvent):
-        return _format_events(obj, indent)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, np.ndarray):
-        return f"[{_format_row(obj)}]"
-    if isinstance(obj, (list, tuple)) and _has_float(obj):
-        return f"[{', '.join([dumps_json(v) for v in obj])}]"
-    return json.dumps(obj)
+    return "".join(_pieces(obj, indent))
 
 
 def _has_float(items: list | tuple) -> bool:
@@ -419,7 +473,7 @@ def cmd_gamma(args) -> int:
         "b": rep.minimizer_b,
         "structure_ok": rep.structure_ok,
     }
-    _emit([dumps_json(doc), "\n"], args.output)
+    _emit([*_pieces(doc), "\n"], args.output)
     ok = (
         rep.max_pairwise_dev <= args.tolerance * (1.0 + abs(rep.gamma3))
         and rep.structure_ok
@@ -468,7 +522,7 @@ def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
     separator in a row; a row's text is then its spans' texts.
     """
     yield "[["
-    for r0, r1, nodes, where, *families in paths.chunks():
+    for r0, r1, nodes, where, *families in paths.chunks(xi=family == 1):
         values = families[family]
         tail = np.zeros(len(values), np.intp)
         tail[np.cumsum(paths.size[nodes]) - 1] = np.where(paths.parent[nodes] < 0, 1, 2)
@@ -479,7 +533,7 @@ def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
         yield text if r1 < paths.n else text[:-4] + "]]"
 
 
-_COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)  # a word's last byte
+_COMMA, _NEWLINE = _tail_word(b","), _tail_word(b"\n")
 
 
 def _csv_lines(paths: _Paths) -> Iterator[str]:
@@ -519,7 +573,7 @@ def cmd_clusters(args) -> int:
         _check_paths(paths, interleave=True)
         _emit(itertools.chain(["index,s,zeta,xi\n"], _csv_lines(paths)), args.output)
         return 0
-    head = dumps_json({
+    head = list(_pieces({
         "partition": run.partition,
         "q_hat": len(run.partition),
         "cluster_masses": tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in run.partition),
@@ -527,9 +581,10 @@ def cmd_clusters(args) -> int:
         "drifts": paths.drift,
         "events": run.events,
         "breakpoints": paths.grid,
-    })
+    }))
+    head.pop()  # the closing "\n}"; zeta and xi follow
     _check_paths(paths, interleave=False)
-    _emit(itertools.chain([head[:-2], ',\n  "zeta": '], _json_rows(paths, 0),
+    _emit(itertools.chain(head, [',\n  "zeta": '], _json_rows(paths, 0),
                           [',\n  "xi": '], _json_rows(paths, 1), ["\n}\n"]), args.output)
     return 0
 
@@ -707,7 +762,7 @@ def cmd_moments(args) -> int:
         "points": cfg.points,
         "truncation": cfg.truncation,
     }
-    _emit([dumps_json(doc), "\n"], args.output)
+    _emit([*_pieces(doc), "\n"], args.output)
     return 0
 
 
@@ -757,7 +812,7 @@ def cmd_sweep(args) -> int:
             {"parameter": v, "gamma": g, "q_hat": q, "s0": s0}
             for v, g, q, s0 in rows
         ]
-        _emit([dumps_json(doc), "\n"], args.output)
+        _emit([*_pieces(doc), "\n"], args.output)
         return 0
     lines = ["parameter,gamma,q_hat,s0\n"]
     for v, g, q, s0 in rows:

@@ -4,12 +4,14 @@ Each location x_i carries mass m_i and starts with speed
 
     phi_i = (m_{i+1} + ... + m_n)/2 - (m_1 + ... + m_{i-1})/2,
 
-so total momentum sum(m_i phi_i) is exactly zero. Clusters move ballistically;
-when adjacent clusters meet they merge, conserving mass and momentum (the
-merged speed is the mass-weighted average). A merge happening exactly at s = t
-is included. The surviving clusters at time t define the optimal partition
-B_1, ..., B_qhat into contiguous index blocks, each with terminal position
-zeta_B(t) and drift v_j = zeta_B(t)/t.
+so total momentum sum(m_i phi_i) is exactly zero. initial_speeds gives these
+speeds exactly in floating point while nu = m_1 + ... + m_n <= 2^53, and
+rounds them past that. Clusters move ballistically; when adjacent clusters
+meet they merge, conserving mass and momentum (the merged speed is the
+mass-weighted average). A merge happening exactly at s = t is included. The
+surviving clusters at time t define the optimal partition B_1, ..., B_qhat
+into contiguous index blocks, each with terminal position zeta_B(t) and drift
+v_j = zeta_B(t)/t.
 
 The run's only record is its merge forest, and the event loop writes only
 the forest: the locations are its leaves and each merge group a node (see
@@ -74,7 +76,12 @@ def event_tolerance(t: float) -> float:
 
 
 def initial_speeds(m: Sequence[int]) -> np.ndarray:
-    """Momentum-balancing initial speeds, exact in binary floating point."""
+    """Momentum-balancing initial speeds, exact in binary floating point while
+    nu = sum(m) <= 2^53, where every cumulative mass is an exact integer.
+
+    Past that they round: m = 2^60, 1, 1, 2^60 gives 0.0 for both middle
+    leaves, whose exact speeds are 0.5 and -0.5.
+    """
     m = np.asarray(m, dtype=float)
     after = m.sum() - np.cumsum(m)
     before = np.cumsum(m) - m
@@ -164,7 +171,7 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
     run = _simulate(inst)
     paths = _Paths(run, inst.t)
     zeta = np.empty((inst.n, len(paths.grid)))
-    for r0, r1, nodes, where, z, _ in paths.chunks():
+    for r0, r1, nodes, where, z, _ in paths.chunks(xi=False):
         zeta[r0:r1] = z[paths.cells(nodes, where)].reshape(r1 - r0, -1)
     grid = tuple(paths.grid.tolist())
     # rows are shared views, so keep them immutable like the frozen result
@@ -225,11 +232,12 @@ class _Paths:
         zeta[born] = z[born]
         return zeta
 
-    def chunks(self):
+    def chunks(self, xi: bool = True):
         """Rows r0..r1 - 1 a chunk at a time, with the nodes whose spans make
         them up, in node order; where, the positions in nodes of each row's
-        spans, row by row in column order; and zeta and xi of the nodes'
-        spans laid end to end. A span is evaluated once in each chunk that it meets."""
+        spans, row by row in column order; and zeta and xi (None unless asked
+        for) of the nodes' spans laid end to end. A span is evaluated once in
+        each chunk that it meets."""
         rows = max(self.ROWS, self.VALUES // len(self.grid))
         for r0 in range(0, self.n, rows):
             r1 = min(self.n, r0 + rows)
@@ -244,7 +252,8 @@ class _Paths:
             col = np.repeat(self.start[nodes] - (np.cumsum(size) - size), size)
             col += np.arange(len(node))
             zeta = self._zeta(node, col)
-            yield r0, r1, nodes, where, zeta, zeta - self.node_drift[node] * self.grid[col]
+            yield r0, r1, nodes, where, zeta, (
+                zeta - self.node_drift[node] * self.grid[col] if xi else None)
 
     def cells(self, nodes: np.ndarray, where: np.ndarray) -> np.ndarray:
         """For each cell of a chunk's rows, row-major, its value's position in

@@ -144,7 +144,8 @@ def solve_gamma1(inst: MomentInstance) -> VariationalSolution:
     """Minimize route 1 exactly via the pooled non-increasing fit."""
     u = flatten(inst)
     shift = np.arange(1, len(u) + 1, dtype=float)
-    c = isotonic_nonincreasing(shift - u / inst.t, np.full(len(u), inst.t))
+    z = u / inst.t
+    c = isotonic_nonincreasing(np.subtract(shift, z, out=z), np.full(len(u), inst.t))
     a = c - shift
     return VariationalSolution(a, float(np.sum(0.5 * inst.t * a * a + u * a)))
 

@@ -18,6 +18,7 @@ import shelyap
 from shelyap.cli import SUITES, _format_row, dumps_json, format_float, main
 from shelyap.errors import NonFiniteResult
 from shelyap.quadrature import heat_kernel
+from shelyap.solvers import VariationalSolution
 from test_cluster_equivalence import optimal_paths
 
 PAIR = ["--t", "1", "--x", "0,0.5", "--m", "1,1"]
@@ -843,8 +844,8 @@ def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, comma
               for name, paths in (("zeta", res.inertia_paths), ("xi", optimal_paths(res)))),
             "\n}\n"])
     else:
-        # dumps_json with its float rows printed by the reference
-        monkeypatch.setattr("shelyap.cli._format_row", _reference_row)
+        # the document with its float rows printed by the reference
+        monkeypatch.setattr("shelyap.cli._row_pieces", lambda values: [_reference_row(values)])
         want = run(capsys, [*command, *args])[1]
     assert out == want
 
@@ -924,6 +925,30 @@ def test_format_row_names_first_non_finite(bad):
         _format_row(row)
     with pytest.raises(NonFiniteResult):
         _format_row(np.array([bad]))
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_gamma_names_non_finite_in_last_chunk_before_writing(monkeypatch, capsys, tmp_path,
+                                                             to_file):
+    # a has nu = 9000 values, which the kernel prints in two passes; the
+    # first non-finite value sits in the second pass, after 8192 values that
+    # print, and the document is built and checked before any byte goes out
+    solve = shelyap.closedform.solve_gamma1
+
+    def spoiled(inst):
+        sol = solve(inst)
+        values = sol.values.copy()
+        values[8200], values[8500] = -math.inf, math.nan
+        return VariationalSolution(values, sol.objective)
+
+    monkeypatch.setattr("shelyap.closedform.solve_gamma1", spoiled)
+    dest = tmp_path / "out.json"
+    argv = ["gamma", "--t", "1", "--x", "0,1", "--m", "5000,4000"]
+    code, out, err = run(capsys, [*argv, *(["--output", str(dest)] if to_file else [])])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "NonFiniteResult",
+                               "message": "computed value -inf is not finite"}
+    assert not dest.exists()
 
 
 def test_clusters_csv_names_first_non_finite_in_line_order(capsys):
