@@ -264,10 +264,10 @@ def _text(n: int, columns) -> Iterator[str]:
     """n rows of text, at most _CHUNK at a time; columns(a, b) gives rows a..b.
 
     A column is a float array, printed %.17g (callers check it is finite), a
-    (rows, width) uint64 array of NUL-padded text words, or a bytes constant
-    repeated on every row. A constant of at most 3 bytes that follows a float
-    column takes no word of its own: it sits in the free last bytes of each
-    value's exponent word.
+    (rows, width) uint64 array of NUL-padded text words, or a bytes separator
+    of at most 3 bytes repeated on every row. A separator follows a float
+    column and takes no word of its own: it sits in the free last bytes of
+    each value's exponent word.
     """
     buf = None
     for a in range(0, n, _CHUNK):
@@ -275,10 +275,8 @@ def _text(n: int, columns) -> Iterator[str]:
         cols, tails = [], []
         for c in columns(a, b):
             if isinstance(c, bytes):
-                if len(c) <= 3 and cols and cols[-1].dtype.kind == "f" and tails[-1] is None:
-                    tails[-1] = _tail_word(c)
-                    continue
-                c = _words([c], -(-len(c) // 8))
+                tails[-1] = _tail_word(c)
+                continue
             cols.append(c)
             tails.append(None)
         widths = [6 if c.dtype.kind == "f" else c.shape[1] for c in cols]
