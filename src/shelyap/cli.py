@@ -305,60 +305,47 @@ def _row_pieces(values: np.ndarray) -> list[str]:
     return texts
 
 
-def _format_row(values: np.ndarray) -> str:
-    """format_float of every entry of a 1-D float array, joined by ", "."""
-    return "".join(_row_pieces(values))
-
-
 def _pieces(obj, indent: int = 0) -> Iterator[str]:
-    """The text of dumps_json(obj, indent), piece by piece: a float array's
-    pieces are its chunk texts, so no piece holds a copy of another."""
-    sp = "  " * indent
-    if isinstance(obj, np.ndarray):
+    """The text of dumps_json(obj) at the given indent, piece by piece: a
+    float array's pieces are its chunk texts, so no piece holds a copy of
+    another."""
+    if isinstance(obj, float):
+        yield format_float(obj)
+    elif isinstance(obj, np.ndarray):
         yield "["
         yield from _row_pieces(obj)
         yield "]"
     elif isinstance(obj, dict) and obj or isinstance(obj, list) and obj and isinstance(obj[0], dict):
         keyed = isinstance(obj, dict)
         opening, closing = "{}" if keyed else "[]"
+        sp = "  " * indent
         for key, v in obj.items() if keyed else enumerate(obj):
             head = f"{opening}\n{sp}  {json.dumps(key)}: " if keyed else f"{opening}\n{sp}  "
-            if isinstance(v, (np.ndarray, dict, list)):
-                value = _pieces(v, indent + 1)
-                yield head + next(value)  # a short first piece joins its key
-                yield from value
-            else:
-                yield head + _one_piece(v, indent + 1)
+            value = _pieces(v, indent + 1)
+            yield head + next(value)  # a short first piece joins its key
+            yield from value
             opening = ","
         yield f"\n{sp}{closing}"
+    elif isinstance(obj, tuple) and obj and isinstance(obj[0], MergeEvent):
+        yield _format_events(obj, indent)
+    elif isinstance(obj, (list, tuple)) and _has_float(obj):
+        yield f"[{', '.join([''.join(_pieces(v)) for v in obj])}]"
     else:
-        yield _one_piece(obj, indent)
+        yield json.dumps(obj)
 
 
-def _one_piece(obj, indent: int) -> str:
-    """The text of a value that _pieces prints whole: no float array, and no
-    dict or list of dicts that may hold one."""
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, tuple) and obj and isinstance(obj[0], MergeEvent):
-        return _format_events(obj, indent)
-    if isinstance(obj, (list, tuple)) and _has_float(obj):
-        return f"[{', '.join([''.join(_pieces(v)) for v in obj])}]"
-    return json.dumps(obj)
-
-
-def dumps_json(obj, indent: int = 0) -> str:
+def dumps_json(obj) -> str:
     """Deterministic JSON with %.17g floats (json module can't control that).
 
     One layout rule: a dict, or a list whose items are dicts, puts each entry
     on its own line at the next indent, and every other value prints on one
     line. A merge log prints as the list of its events' {time, merged,
-    position} dicts, through _format_events. A float prints through
-    format_float, a 1-D float array through _row_pieces, any other list
-    holding a float as [a, b], and the rest by one json.dumps call. The
-    commands hand _emit the pieces themselves (_pieces), not their join.
+    position} dicts. A float prints through format_float, a 1-D float array
+    through the bulk kernel, any other list holding a float as [a, b], and
+    the rest by one json.dumps call. The commands hand _emit the pieces
+    themselves (_pieces), not their join.
     """
-    return "".join(_pieces(obj, indent))
+    return "".join(_pieces(obj))
 
 
 def _has_float(items: list | tuple) -> bool:
@@ -379,7 +366,8 @@ def _format_events(events: Sequence[MergeEvent], indent: int) -> str:
     with %d.
     """
     sp = "  " * (indent + 1)
-    floats = _format_row(np.array([(e.time, e.position) for e in events]).ravel()).split(", ")
+    values = np.array([(e.time, e.position) for e in events]).ravel()
+    floats = "".join(_row_pieces(values)).split(", ")
     merged = ["[" + ", ".join(["[%d, %d]" % iv for iv in e.merged]) + "]" for e in events]
     body = f",\n{sp}".join([
         f'{{\n{sp}  "time": {s},\n{sp}  "merged": {ivs},\n{sp}  "position": {z}\n{sp}}}'
@@ -421,6 +409,14 @@ def _parse_floats(text: str, error: type[ShelyapError]) -> list[float]:
     return [_parse_float(s, error) for s in text.split(",")]
 
 
+def _parse_multiplicity(text: str) -> int | float:
+    """An integer literal exactly, as --input's JSON reads one, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return _parse_float(text, NonPositiveMultiplicity)
+
+
 def _load_instance(args) -> MomentInstance:
     inline = args.t is not None or args.x is not None or args.m is not None
     if args.input and inline:
@@ -441,7 +437,7 @@ def _load_instance(args) -> MomentInstance:
     return validate_instance(
         _parse_float(args.t, NonPositiveTime),
         _parse_floats(args.x, UnsortedLocations),
-        _parse_floats(args.m, NonPositiveMultiplicity),
+        [_parse_multiplicity(s) for s in args.m.split(",")],
     )
 
 
@@ -481,11 +477,13 @@ def cmd_gamma(args) -> int:
 
 # --- clusters ----------------------------------------------------------------
 
-def _float_word_rows(values: np.ndarray) -> np.ndarray:
-    """The six text words of each (finite) value, by the bulk kernel."""
+def _float_word_rows(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """The six text words of each (finite) value, by the bulk kernel, with
+    sep in the free end of its exponent word."""
     out = np.empty((len(values), 6), np.uint64)
     for a in range(0, len(values), _CHUNK):
         _float_words(values[a : a + _CHUNK], out[a : a + _CHUNK])
+    out[:, 5] |= _tail_word(sep)
     return out
 
 
@@ -531,9 +529,6 @@ def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
         yield text if r1 < paths.n else text[:-4] + "]]"
 
 
-_COMMA, _NEWLINE = _tail_word(b","), _tail_word(b"\n")
-
-
 def _csv_lines(paths: _Paths) -> Iterator[str]:
     """The CSV lines index,s,zeta,xi, a chunk of rows at a time.
 
@@ -546,12 +541,9 @@ def _csv_lines(paths: _Paths) -> Iterator[str]:
     """
     n, k = paths.n, len(paths.grid)
     index = _words([b"%d," % i for i in range(1, n + 1)], len(str(n)) // 8 + 1)
-    s = _float_word_rows(paths.grid)
-    s[:, 5] |= _COMMA
+    s = _float_word_rows(paths.grid, b",")
     for r0, r1, nodes, where, zeta, xi in paths.chunks():
-        values = np.hstack((_float_word_rows(zeta), _float_word_rows(xi)))
-        values[:, 5] |= _COMMA
-        values[:, 11] |= _NEWLINE
+        values = np.hstack((_float_word_rows(zeta, b","), _float_word_rows(xi, b"\n")))
         cells = paths.cells(nodes, where)
 
         def columns(a, b):
@@ -625,7 +617,7 @@ def _check_physics(inst: MomentInstance) -> bool:
     run = _simulate(inst)
     paths = _Paths(run, inst.t)
     mass, birth, position, speed = paths.mass, paths.birth, paths.position, paths.speed
-    parent, root, n, t = paths.parent[:-1], paths.root, inst.n, inst.t
+    parent, root, n, t = paths.parent, paths.root, inst.n, inst.t
     kid = np.flatnonzero(parent >= 0)
     up = parent[kid]
     # each merge group carries its members' momentum and is born where they
@@ -717,9 +709,11 @@ def cmd_verify(args) -> int:
     ]
     if not names:
         raise ShelyapError(f"no suite named; pick from {', '.join(SUITES)}")
-    for s in names:
+    for i, s in enumerate(names):
         if s not in SUITES:
             raise ShelyapError(f"unknown suite {s!r}; pick from {', '.join(SUITES)}")
+        if s in names[:i]:
+            raise ShelyapError(f"suite {s!r} is named more than once")
     lines = []
     all_ok = True
     for name in names:
@@ -891,7 +885,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # carries only the error object
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ShelyapError, OSError, json.JSONDecodeError, ValueError, OverflowError) as e:
+    except (ShelyapError, OSError, ValueError, OverflowError) as e:
         return _fail(type(e).__name__, str(e))
     except MemoryError as e:
         # a grid too large to allocate; numpy raises a private subclass, so

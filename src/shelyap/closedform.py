@@ -87,7 +87,7 @@ def verify_recursion_identity(inst: MomentInstance) -> RecursionCheck:
     """
     run = _simulate(inst)
     paths = _Paths(run, inst.t)
-    mass, speed, birth, parent = paths.mass, paths.speed, paths.birth, paths.parent[:-1]
+    mass, speed, birth, parent = paths.mass, paths.speed, paths.birth, paths.parent
     death = np.where(parent < 0, inst.t, birth[parent])
     action = (mass**3 - mass) / 24.0 - mass * (speed - paths.node_drift) ** 2 / 2.0
     lhs = float(np.sum(action * (death - birth)))

@@ -213,10 +213,8 @@ class _Paths:
         g = np.empty(column[-1] + 1)
         g[column] = self.birth
         self.grid = np.append(g, t) if g[-1] < t else g
-        self.start = column
-        # one slot past the nodes, -1 with an empty span, ends each climb
-        self.parent = np.append(parent, -1)
-        self.size = np.append(np.where(parent < 0, len(self.grid), column[parent]) - column, 0)
+        self.start, self.parent = column, parent
+        self.size = np.where(parent < 0, len(self.grid), column[parent]) - column
         self.n = run.partition[-1][-1]
         # a block's terminal position is the last value of its root's span
         root = np.flatnonzero(parent < 0)
@@ -239,14 +237,16 @@ class _Paths:
         for) of the nodes' spans laid end to end. A span is evaluated once in
         each chunk that it meets."""
         rows = max(self.ROWS, self.VALUES // len(self.grid))
+        # one slot past the nodes, -1 with an empty span, ends each climb
+        parent, spans = np.append(self.parent, -1), np.append(self.size > 0, False)
         for r0 in range(0, self.n, rows):
             r1 = min(self.n, r0 + rows)
             level = np.arange(r0, r1)
             table = [level]
-            while (level := self.parent[level]).max() >= 0:
+            while (level := parent[level]).max() >= 0:
                 table.append(level)
             table = np.stack(table, axis=1)
-            nodes, where = np.unique(table[self.size[table] > 0], return_inverse=True)
+            nodes, where = np.unique(table[spans[table]], return_inverse=True)
             size = self.size[nodes]
             node = np.repeat(nodes, size)
             col = np.repeat(self.start[nodes] - (np.cumsum(size) - size), size)
@@ -369,7 +369,7 @@ def first_optimal_merge(inst: MomentInstance) -> FirstMerge:
         raise NoMerge("no merge event in [0, t]")
     paths = _Paths(run, inst.t)
     c0 = run.column[inst.n]
-    node = np.flatnonzero((paths.start <= c0) & (c0 < paths.start + paths.size[:-1]))
+    node = np.flatnonzero((paths.start <= c0) & (c0 < paths.start + paths.size))
     node = node[np.argsort(paths.lo[node])]
     lo = paths.lo[node]
     x_prime = paths._zeta(node, np.full(len(node), c0)) - paths.node_drift[node] * paths.grid[c0]

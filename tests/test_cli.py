@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import shelyap
-from shelyap.cli import SUITES, _format_row, dumps_json, format_float, main
+from shelyap.cli import SUITES, _row_pieces, dumps_json, format_float, main
 from shelyap.errors import NonFiniteResult
 from shelyap.quadrature import heat_kernel
 from shelyap.solvers import VariationalSolution
@@ -168,6 +168,18 @@ def test_gamma_reads_instance_file(tmp_path, capsys):
     assert json.loads(out)["gamma3"] == pytest.approx(-0.0625)
 
 
+@pytest.mark.parametrize("m", ["9007199254740993,1", "2.0,1e3"])
+def test_inline_multiplicities_print_as_from_a_file(tmp_path, capsys, m):
+    # 2^53 + 1 is no double: read as a float it rounds to 2^53, and the
+    # block's mass prints as 2^53, not as 2^53 + 2
+    path = tmp_path / "inst.json"
+    path.write_text(f'{{"t": 1, "x": [0, 1], "m": [{m}]}}')
+    inline = run(capsys, ["clusters", "--t", "1", "--x", "0,1", "--m", m])
+    assert inline == run(capsys, ["clusters", "--input", str(path)])
+    assert (inline[0], inline[2]) == (0, "")
+    assert json.loads(inline[1])["cluster_masses"] == [sum(json.loads(f"[{m}]"))]
+
+
 def test_gamma_rejects_file_plus_inline(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"t": 1.0, "x": [0.0], "m": [1]}))
@@ -300,8 +312,9 @@ def test_verify_leaves_boundary_skips_out_of_the_total(capsys, monkeypatch,
 
 
 def test_verify_unknown_suite_exits_one(capsys):
-    # a list naming no suite would check nothing and pass
-    for suites in ("nope", ","):
+    # a list naming no suite would check nothing and pass, and one naming a
+    # suite twice would print its line twice
+    for suites in ("nope", ",", "triple,triple,physics"):
         code, out, err = run(capsys, ["verify", "--suites", suites])
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "ShelyapError"
@@ -588,6 +601,8 @@ def test_file_instance_of_wrong_shape_exits_one(tmp_path, capsys, doc):
     (["gamma", "--t", "1", "--x", "0, ,1", "--m", "1,1"], "UnsortedLocations"),
     (["moments", "--t", "1", "--x", "0", "--m", "2", "--T", "2", "--offsets",
       "1,,-1"], "InvalidContour"),
+    (["gamma", "--t", "1", "--x", "0,1", "--m", "1.5,1"], "NonPositiveMultiplicity"),
+    (["gamma", "--t", "1", "--x", "0,1", "--m", "1,nan"], "NonPositiveMultiplicity"),
 ])
 def test_malformed_inline_number_exits_one(capsys, argv, error):
     code, out, err = run(capsys, argv)
@@ -761,20 +776,20 @@ def test_format_row_matches_format_float(monkeypatch):
     # lengths 0 to 4096, then around and past the kernel's 8192-value pass
     rows = np.split(corpus, np.cumsum([0, 1, 2, 7, 500, 4096, 8191, 8192, 8193, 3 * 8192 + 5]))
     for row in rows:
-        assert _format_row(row) == ", ".join(format_float(v) for v in row.tolist())
-        assert _format_row(row) == _reference_row(row)
+        assert "".join(_row_pieces(row)) == ", ".join(format_float(v) for v in row.tolist())
+        assert "".join(_row_pieces(row)) == _reference_row(row)
     # the array branch of dumps_json goes through the same helper
     assert dumps_json(rows[3]) == "[" + ", ".join(map(format_float, rows[3].tolist())) + "]"
 
     # exact decimal ties reach "%.17g" itself, and little else does
     calls = _count_printf(monkeypatch)
     ties = _decimal_ties(np.random.default_rng(6), 2000)
-    assert _format_row(ties) == _reference_row(ties)
+    assert "".join(_row_pieces(ties)) == _reference_row(ties)
     assert len(calls) == len(ties)
     calls.clear()
     bits = np.random.default_rng(7).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
     bits = bits[np.isfinite(bits)]
-    assert _format_row(bits) == _reference_row(bits)
+    assert "".join(_row_pieces(bits)) == _reference_row(bits)
     assert len(calls) < 0.001 * len(bits)
     for x in calls:  # each one an exact tie: 18 significant digits, the last a 5
         digits = format(Decimal(float(x)), "f").replace("-", "").replace(".", "").strip("0")
@@ -789,8 +804,8 @@ def test_format_row_matches_format_float(monkeypatch):
     big = sys.float_info.max
     special = np.concatenate([special, np.nextafter(special, big), np.nextafter(special, -big)])
     special = np.concatenate([special, -special])
-    assert _format_row(special) == _reference_row(special)
-    assert _format_row(np.array([-0.0, 0.0])) == "-0, 0"
+    assert "".join(_row_pieces(special)) == _reference_row(special)
+    assert "".join(_row_pieces(np.array([-0.0, 0.0]))) == "-0, 0"
 
 
 def _bench_shape(tmp_path, n, t=2.0, seed=0):
@@ -833,7 +848,7 @@ def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, comma
             for sv, zv, xv in zip(s, _reference_row(z.values).split(", "),
                                   _reference_row(x.values).split(", ")))
     elif command[0] == "clusters":
-        monkeypatch.setattr("shelyap.cli._format_row", _reference_row)
+        monkeypatch.setattr("shelyap.cli._row_pieces", lambda values: [_reference_row(values)])
         head = dumps_json({"partition": res.partition, "q_hat": res.q_hat,
                            "cluster_masses": res.cluster_masses,
                            "terminal_positions": res.terminal_positions, "drifts": res.drifts,
@@ -922,9 +937,9 @@ def test_clusters_json_names_first_non_finite_xi(capsys):
 def test_format_row_names_first_non_finite(bad):
     row = np.array([0.5, -2.0, bad, 1.0, math.nan, -math.inf])
     with pytest.raises(NonFiniteResult, match=f"computed value {bad} is not finite"):
-        _format_row(row)
+        "".join(_row_pieces(row))
     with pytest.raises(NonFiniteResult):
-        _format_row(np.array([bad]))
+        "".join(_row_pieces(np.array([bad])))
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])

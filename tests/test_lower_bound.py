@@ -82,7 +82,7 @@ def sticky_tree(inst):
     """The sticky forest in the drift-removed frame: position - d_B birth."""
     paths = _Paths(_simulate(inst), inst.t)
     position = paths.position - paths.node_drift * paths.birth
-    return paths.mass, paths.birth, position, paths.parent[:-1]
+    return paths.mass, paths.birth, position, paths.parent
 
 
 def settle(birth, position, parent, n):
