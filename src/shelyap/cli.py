@@ -409,11 +409,20 @@ def _parse_floats(text: str, error: type[ShelyapError]) -> list[float]:
     return [_parse_float(s, error) for s in text.split(",")]
 
 
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # the strings int() reads
+
+
 def _parse_multiplicity(text: str) -> int | float:
-    """An integer literal exactly, as --input's JSON reads one, else a float."""
+    """An integer literal exactly, as --input's JSON reads one, else a float.
+
+    An integer literal past Python's digit limit raises int()'s ValueError,
+    as json.load does, rather than reading as the float inf.
+    """
     try:
         return int(text)
     except ValueError:
+        if _INT_LITERAL.fullmatch(text):
+            raise
         return _parse_float(text, NonPositiveMultiplicity)
 
 

@@ -9,10 +9,16 @@ consecutive gaps > 1 so no pole of 1/(z_A - z_B - 1) touches the surface):
                             * exp( sum_j T t z_j^2 / 2 + T u_j z_j )  dy
 
 evaluated on a tensor Gauss-Legendre grid truncated at |y_j| <= Y, with a
-uniform trapezoid rule available as an independent cross-check. The result is
-real up to quadrature noise; the imaginary residual is a diagnostic. The value
-is invariant under a common shift of all offsets, and is dominated by the
-integrand's absolute bound
+uniform trapezoid rule available as an independent cross-check. The grid sum
+is contracted one axis at a time: the Gaussian factor is a product of one
+factor per axis, and each pole factor joins two axes. So with p points per
+axis it takes nu * p exponentials, not p^nu, and each pole factor is one
+p x p matrix. At nu = 3 the first axis is summed one node at a time, so
+memory is O(p^(nu-1)).
+
+The result is real up to quadrature noise; the imaginary residual is a
+diagnostic. The value is invariant under a common shift of all offsets, and
+is dominated by the integrand's absolute bound
 
     (2 pi T t)^(-nu/2) * prod_{A<B} |(a_A - a_B)/(a_A - a_B - 1)|
                        * exp( sum_j T t a_j^2 / 2 + T u_j a_j ).
@@ -149,6 +155,12 @@ def _grid(cfg: ContourConfig) -> tuple[np.ndarray, np.ndarray]:
     return y, w
 
 
+def _pole(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """The pole factor (z_a - z_b)/(z_a - z_b - 1) on two axes, as a matrix."""
+    diff = za[:, None] - zb
+    return diff / (diff - 1.0)
+
+
 def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -> complex:
     """Tensor-grid value of the contour integral, imaginary residual included."""
     _check_scale(T, inst.t)
@@ -160,17 +172,23 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
         raise LengthMismatch(f"{len(cfg.offsets)} offsets for nu={nu}")
     y, w = _grid(cfg)
     t = inst.t
-    axes = np.ix_(*[a + 1j * y for a in cfg.offsets])
-    val = np.exp(sum(
-        0.5 * T * t * z * z + T * uj * z for z, uj in zip(axes, u)
-    ))
-    for a in range(nu):
-        for b in range(a + 1, nu):
-            diff = axes[a] - axes[b]
-            val = val * (diff / (diff - 1.0))
-    for wj in np.ix_(*[w] * nu):
-        val = val * wj
-    return complex(val.sum() / (2.0 * math.pi) ** nu)
+    z = [a + 1j * y for a in cfg.offsets]
+    f = [w * np.exp(0.5 * T * t * zj * zj + T * uj * zj) for zj, uj in zip(z, u)]
+    if nu == 1:
+        total = f[0].sum()
+    else:
+        # rows[j] sums the axes after the first at the first axis's node j
+        near = _pole(z[0], z[1]) * f[1]
+        if nu == 2:
+            rows = near.sum(axis=1)
+        else:
+            # one node of the first axis at a time: no array exceeds points^2
+            far = _pole(z[0], z[2]) * f[2]
+            pair = _pole(z[1], z[2])
+            rows = np.array([(near[j] * (pair * far[j]).sum(axis=1)).sum()
+                             for j in range(len(y))])
+        total = (f[0] * rows).sum()
+    return complex(total / (2.0 * math.pi) ** nu)
 
 
 def upper_bound_value(

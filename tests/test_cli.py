@@ -180,6 +180,20 @@ def test_inline_multiplicities_print_as_from_a_file(tmp_path, capsys, m):
     assert json.loads(inline[1])["cluster_masses"] == [sum(json.loads(f"[{m}]"))]
 
 
+def test_multiplicity_past_the_int_digit_limit_fails_alike_inline_and_from_a_file(
+        tmp_path, capsys):
+    # 5000 digits pass Python's 4300-digit limit for int(); read as a float
+    # the literal would be inf and fail under another name
+    m = "1" * 5000 + ",1"
+    path = tmp_path / "inst.json"
+    path.write_text(f'{{"t": 1, "x": [0, 1], "m": [{m}]}}')
+    inline = run(capsys, ["gamma", "--t", "1", "--x", "0,1", "--m", m])
+    from_file = run(capsys, ["gamma", "--input", str(path)])
+    assert inline[:2] == from_file[:2] == (1, "")
+    assert json.loads(inline[2]) == json.loads(from_file[2])
+    assert json.loads(inline[2])["error"] == "ValueError"
+
+
 def test_gamma_rejects_file_plus_inline(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"t": 1.0, "x": [0.0], "m": [1]}))
