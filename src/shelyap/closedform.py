@@ -49,15 +49,15 @@ def gamma3(inst: MomentInstance, res: ClusterResult) -> float:
     m = np.asarray(inst.m, dtype=float)
     t = inst.t
     sizes = np.fromiter(map(len, res.partition), dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     big_m = np.add.reduceat(m, starts)
     com = np.add.reduceat(m * x, starts)
-    left = np.cumsum(m) - m  # integer-valued, so every C_k below is exact
-    c = left - np.repeat(left[starts], sizes)
-    dx = x - np.repeat(x[starts], sizes)
-    pair = np.add.reduceat(m * dx * (2.0 * c + m - np.repeat(big_m, sizes)), starts) / 2.0
+    left = m.cumsum() - m  # integer-valued, so every C_k below is exact
+    c = left - left[starts].repeat(sizes)
+    dx = x - x[starts].repeat(sizes)
+    pair = np.add.reduceat(m * dx * (2.0 * c + m - big_m.repeat(sizes)), starts) / 2.0
     kinetic = com * com / (2.0 * t * big_m)
-    return float(np.sum((big_m**3 - big_m) * t / 24.0 - pair - kinetic))
+    return float(((big_m**3 - big_m) * t / 24.0 - pair - kinetic).sum())
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def verify_recursion_identity(inst: MomentInstance) -> RecursionCheck:
     mass, speed, birth, parent = paths.mass, paths.speed, paths.birth, paths.parent
     death = np.where(parent < 0, inst.t, birth[parent])
     action = (mass**3 - mass) / 24.0 - mass * (speed - paths.node_drift) ** 2 / 2.0
-    lhs = float(np.sum(action * (death - birth)))
+    lhs = float((action * (death - birth)).sum())
     return RecursionCheck(lhs=lhs, rhs=gamma3(inst, run))
 
 

@@ -58,6 +58,7 @@ more merge groups at one timestamp.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from operator import sub
@@ -83,9 +84,8 @@ def initial_speeds(m: Sequence[int]) -> np.ndarray:
     leaves, whose exact speeds are 0.5 and -0.5.
     """
     m = np.asarray(m, dtype=float)
-    after = m.sum() - np.cumsum(m)
-    before = np.cumsum(m) - m
-    return 0.5 * (after - before)
+    cum = m.cumsum()
+    return 0.5 * ((m.sum() - cum) - (cum - m))
 
 
 @dataclass(frozen=True)
@@ -214,16 +214,20 @@ class _Paths:
         g[column] = self.birth
         self.grid = np.append(g, t) if g[-1] < t else g
         self.start, self.parent = column, parent
-        self.size = np.where(parent < 0, len(self.grid), column[parent]) - column
         self.n = run.partition[-1][-1]
         # a block's terminal position is the last value of its root's span
-        root = np.flatnonzero(parent < 0)
-        self.root = root = root[np.argsort(self.lo[root])]
-        self.terminal = self._zeta(root, np.full(len(root), len(self.grid) - 1))
+        root = (parent < 0).nonzero()[0]
+        self.root = root = root[self.lo[root].argsort()]
+        self.terminal = self._zeta(root, len(self.grid) - 1)
         self.drift = self.terminal / t
-        self.node_drift = np.repeat(self.drift, hi[root] - self.lo[root] + 1)[self.lo - 1]
+        self.node_drift = self.drift.repeat(hi[root] - self.lo[root] + 1)[self.lo - 1]
 
-    def _zeta(self, node: np.ndarray, col: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def size(self) -> np.ndarray:
+        """Each node's span length, in grid columns; only the path readers ask."""
+        return np.where(self.parent < 0, len(self.grid), self.start[self.parent]) - self.start
+
+    def _zeta(self, node: np.ndarray, col: np.ndarray | int) -> np.ndarray:
         z = self.position[node]
         zeta = z + self.speed[node] * (self.grid[col] - self.birth[node])
         born = col == self.start[node]
@@ -372,7 +376,7 @@ def first_optimal_merge(inst: MomentInstance) -> FirstMerge:
     node = np.flatnonzero((paths.start <= c0) & (c0 < paths.start + paths.size))
     node = node[np.argsort(paths.lo[node])]
     lo = paths.lo[node]
-    x_prime = paths._zeta(node, np.full(len(node), c0)) - paths.node_drift[node] * paths.grid[c0]
+    x_prime = paths._zeta(node, c0) - paths.node_drift[node] * paths.grid[c0]
     # exact integer masses: float sums round once nu passes 2^53
     m_prime = np.add.reduceat(np.asarray(inst.m, dtype=np.int64), lo - 1)
     return FirstMerge(
@@ -392,7 +396,7 @@ def separation_margins(inst: MomentInstance, partition: Sequence[Sequence[int]])
     x = np.asarray(inst.x)
     m = np.asarray(inst.m, dtype=float)
     sizes = np.fromiter(map(len, partition), dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     masses = np.add.reduceat(m, starts)
     coms = np.add.reduceat(m * x, starts) / masses
-    return np.diff(coms) - (masses[:-1] + masses[1:]) * inst.t / 2.0
+    return (coms[1:] - coms[:-1]) - (masses[:-1] + masses[1:]) * inst.t / 2.0

@@ -129,7 +129,7 @@ def flatten(inst: MomentInstance) -> np.ndarray:
             f"total multiplicity {inst.nu} exceeds the {_MAX_FLAT_NU} coordinates flatten takes"
         )
     try:
-        u = np.repeat(np.asarray(inst.x, dtype=float), inst.m)
+        u = np.asarray(inst.x, dtype=float).repeat(inst.m)
     except MemoryError:
         raise NonPositiveMultiplicity(
             f"total multiplicity {inst.nu} is too large to flatten in memory"
@@ -147,4 +147,4 @@ def gamma2_objective(inst: MomentInstance, b: Sequence[float]) -> float:
     m = np.asarray(inst.m, dtype=float)
     kinetic = 0.5 * m * t * (b + x / t) ** 2
     shift = (m**3 - m) * t / 24.0 - m * x * x / (2.0 * t)
-    return float(np.sum(kinetic + shift))
+    return float((kinetic + shift).sum())

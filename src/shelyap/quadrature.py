@@ -12,9 +12,11 @@ evaluated on a tensor Gauss-Legendre grid truncated at |y_j| <= Y, with a
 uniform trapezoid rule available as an independent cross-check. The grid sum
 is contracted one axis at a time: the Gaussian factor is a product of one
 factor per axis, and each pole factor joins two axes. So with p points per
-axis it takes nu * p exponentials, not p^nu, and each pole factor is one
-p x p matrix. At nu = 3 the first axis is summed one node at a time, so
-memory is O(p^(nu-1)).
+axis it takes nu * p exponentials, not p^nu. At nu = 2 the pole factor is
+formed a block of first-axis nodes at a time, about _BLOCK values (64 KiB),
+and each node's row is summed as it would be in the whole p x p matrix, so
+the bits are the same. At nu = 3 each pole factor is one p x p matrix and the
+first axis is summed one node at a time, so memory is O(p^(nu-1)).
 
 The result is real up to quadrature noise; the imaginary residual is a
 diagnostic. The value is invariant under a common shift of all offsets, and
@@ -51,6 +53,7 @@ from .instance import MomentInstance, flatten
 MAX_NU = 3
 DEFAULT_SIGMAS = 8.0
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+_BLOCK = 4096  # complex values per nu = 2 pole block; bounds its scratch memory
 
 
 def heat_kernel(time: float, space: float) -> float:
@@ -178,11 +181,16 @@ def contour_moment_complex(T: float, inst: MomentInstance, cfg: ContourConfig) -
         total = f[0].sum()
     else:
         # rows[j] sums the axes after the first at the first axis's node j
-        near = _pole(z[0], z[1]) * f[1]
         if nu == 2:
-            rows = near.sum(axis=1)
+            # a block of first-axis nodes at a time; each row is summed
+            # alone, as in the whole p x p matrix
+            rows = np.empty(len(y), complex)
+            step = max(1, _BLOCK // len(y))
+            for j in range(0, len(y), step):
+                rows[j : j + step] = (_pole(z[0][j : j + step], z[1]) * f[1]).sum(axis=1)
         else:
             # one node of the first axis at a time: no array exceeds points^2
+            near = _pole(z[0], z[1]) * f[1]
             far = _pole(z[0], z[2]) * f[2]
             pair = _pole(z[1], z[2])
             rows = np.array([(near[j] * (pair * far[j]).sum(axis=1)).sum()

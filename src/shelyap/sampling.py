@@ -23,8 +23,8 @@ def random_instance(rng: np.random.Generator) -> MomentInstance:
     n = int(rng.integers(1, 7))
     m = [int(v) for v in rng.integers(1, 6, size=n)]
     while True:
-        x = np.sort(rng.uniform(-3.0, 3.0, size=n))
-        if n == 1 or np.min(np.diff(x)) >= MIN_GAP:
+        x = sorted(rng.uniform(-3.0, 3.0, size=n).tolist())
+        if all(b - a >= MIN_GAP for a, b in zip(x, x[1:])):
             break
     return validate_instance(t, x, m)
 

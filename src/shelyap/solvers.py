@@ -106,13 +106,13 @@ def isotonic_nonincreasing(z: Sequence[float], w: Sequence[float]) -> np.ndarray
         raise LengthMismatch("targets and weights differ in length")
     if np.isnan(z).any():
         raise InvalidFitInput("targets must not be NaN")
-    bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
+    bad = (~((w > 0.0) & (w < np.inf))).nonzero()[0]
     if len(bad):
         raise InvalidFitInput(f"weight {w[bad[0]]} at position {bad[0]} must be finite and > 0")
     wz = w * z
     # each maximal strictly increasing run enters as one block; blocks pool
     # leftward while the left neighbour's mean is smaller
-    runs = np.flatnonzero(np.concatenate(([len(z) > 0], z[1:] <= z[:-1])))
+    runs = np.concatenate(([len(z) > 0], z[1:] <= z[:-1])).nonzero()[0]
     starts: list[int] = []
     wsum: list[float] = []
     wzsum: list[float] = []
@@ -147,14 +147,14 @@ def solve_gamma1(inst: MomentInstance) -> VariationalSolution:
     z = u / inst.t
     c = isotonic_nonincreasing(np.subtract(shift, z, out=z), np.full(len(u), inst.t))
     a = c - shift
-    return VariationalSolution(a, float(np.sum(0.5 * inst.t * a * a + u * a)))
+    return VariationalSolution(a, float((0.5 * inst.t * a * a + u * a).sum()))
 
 
 def solve_gamma2(inst: MomentInstance) -> VariationalSolution:
     """Minimize route 2 exactly via the pooled non-increasing fit."""
     m = np.asarray(inst.m, dtype=float)
     margins = (m[:-1] + m[1:]) / 2.0
-    shift = np.concatenate([[0.0], np.cumsum(margins)])
+    shift = np.concatenate([[0.0], margins.cumsum()])
     c = isotonic_nonincreasing(shift - np.asarray(inst.x) / inst.t, m * inst.t)
     b = c - shift
     return VariationalSolution(b, gamma2_objective(inst, b))
@@ -272,7 +272,7 @@ class StructureReport:
     @property
     def ok(self) -> bool:
         agree = self.tight == self.same_block
-        return bool(np.all(agree | self.near_threshold))
+        return bool((agree | self.near_threshold).all())
 
 
 def check_minimizer_structure(
@@ -295,10 +295,10 @@ def check_minimizer_structure(
     x, m, t = np.asarray(inst.x), np.asarray(inst.m), inst.t
     # terminal block of each location; blocks are consecutive runs in order
     sizes = [len(block) for block in res.partition]
-    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    block_of = np.arange(len(sizes)).repeat(sizes)
     # gap cross[j] runs from location j + 1 to j + 2; every other gap lies
     # inside one location, so in one block and clear of any location pair
-    cross = np.cumsum(m)[:-1] - 1
+    cross = m.cumsum()[:-1] - 1
     same = np.ones(len(dev), dtype=bool)
     same[cross] = block_of[:-1] == block_of[1:]
     near = np.zeros(len(dev), dtype=bool)

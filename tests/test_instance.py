@@ -15,6 +15,7 @@ from shelyap import (
     sample_matching,
     validate_instance,
 )
+from shelyap.sampling import MIN_GAP
 
 
 def gamma1_objective(inst, a):
@@ -166,3 +167,42 @@ def test_sample_matching_stops_at_the_draw_that_completes_the_count(monkeypatch)
     assert sample_matching(np.random.default_rng(0), lambda i: True, 0) == []
     with pytest.raises(ShelyapError, match="only 20/21 matching instances in 20 draws"):
         sample_matching(np.random.default_rng(0), lambda i: True, 21)
+
+
+def array_random_instance(rng):
+    """The sampler with its gap test on arrays, as it was first written."""
+    t = float(rng.uniform(0.1, 5.0))
+    n = int(rng.integers(1, 7))
+    m = [int(v) for v in rng.integers(1, 6, size=n)]
+    while True:
+        x = np.sort(rng.uniform(-3.0, 3.0, size=n))
+        if n == 1 or np.min(np.diff(x)) >= 1e-3:
+            break
+    return validate_instance(t, x, m)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_instance_matches_the_array_sampler(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2000):
+        assert random_instance(rng) == array_random_instance(ref)
+    assert rng.random() == ref.random()
+
+
+class GivenDraws:
+    """A generator that draws t = 1, n = 2, m = (1, 1) and the given location pairs."""
+
+    def __init__(self, *pairs):
+        self.pairs = list(pairs)
+
+    def uniform(self, low, high, size=None):
+        return 1.0 if size is None else np.array(self.pairs.pop(0))
+
+    def integers(self, low, high, size=None):
+        return 2 if size is None else np.ones(size, dtype=int)
+
+
+def test_random_instance_keeps_a_gap_of_exactly_min_gap():
+    assert random_instance(GivenDraws([MIN_GAP, 0.0])).x == (0.0, MIN_GAP)
+    narrow = GivenDraws([0.0, np.nextafter(MIN_GAP, 0.0)], [1.0, 0.0])
+    assert random_instance(narrow).x == (0.0, 1.0)
