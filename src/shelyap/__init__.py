@@ -5,10 +5,7 @@ cross-checked numerically.
 
 from .clusters import (
     ClusterResult,
-    FirstMerge,
     MergeEvent,
-    PiecewiseLinearPath,
-    first_optimal_merge,
     initial_speeds,
     separation_margins,
     simulate_inertia,
@@ -21,11 +18,9 @@ from .closedform import (
     verify_recursion_identity,
 )
 from .errors import (
-    DimensionTooLarge,
     InvalidContour,
     InvalidFitInput,
     LengthMismatch,
-    NoMerge,
     NonFiniteResult,
     NonPositiveMoment,
     NonPositiveMultiplicity,
@@ -47,15 +42,12 @@ from .quadrature import (
     heat_kernel,
     upper_bound_value,
 )
-from .sampling import random_instance, sample_matching
+from .sampling import random_instance
 from .solvers import (
     StructureReport,
     VariationalSolution,
-    bruteforce_chain_qp,
     check_minimizer_structure,
     isotonic_nonincreasing,
-    oracle_gamma1,
-    oracle_gamma2,
     solve_gamma1,
     solve_gamma2,
 )

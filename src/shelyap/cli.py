@@ -96,15 +96,18 @@ def _check_finite(values: np.ndarray) -> None:
 #   words 1-4  the other 16 digits, each followed by a point slot
 #   word 5     the exponent "e+XX" of scientific notation, else NUL; at most
 #              five bytes ("e-324"), so the last three are free and hold the
-#              separator that follows the value (", " in a JSON row, "," or
-#              "\n" in CSV), which thus costs no word
+#              separator that follows the value (", " in a JSON row, ", |" or
+#              "|" at the end of a clusters path span, "," or "\n" in CSV),
+#              which thus costs no word
 #
 # and a keep mask, chosen by the notation and the number of digits left once
 # trailing zeros go, NULs every byte that "%.17g" does not print. Rows of
-# such words sit beside any longer separator words, and translate() drops
-# the NULs, a chunk of rows at a time. A JSON document reaches the writer as
-# its list of pieces (_pieces), each array's chunk texts among them unjoined,
-# all built and checked before the first byte is written.
+# such words sit beside any other text words (a CSV line's index and s),
+# and translate() drops the NULs, a chunk of rows at a time. A JSON document
+# reaches the writer as its list of pieces (_pieces), each array's chunk
+# texts among them unjoined, all built and checked before the first byte is
+# written. Of clusters' paths, only what _proved_finite cannot settle is
+# evaluated before then (_check_paths).
 
 _CHUNK = 8192  # values per kernel pass; bounds the kernel's scratch memory
 _K0 = -294  # 10^k is tabled for k in [_K0, 342], the range of 16 - X
@@ -137,8 +140,9 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     return h, hh, h - hh, np.array(L), np.array(B, np.int32)
 
 
-def _words(texts: Sequence[bytes], width: int = 1) -> np.ndarray:
-    """Each text NUL-padded into width uint64 words."""
+def _words(texts: Sequence[bytes]) -> np.ndarray:
+    """Each text NUL-padded into as many uint64 words as the longest needs."""
+    width = -(-max(map(len, texts)) // 8)
     return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width)
 
 
@@ -264,21 +268,21 @@ def _text(n: int, columns) -> Iterator[str]:
     """n rows of text, at most _CHUNK at a time; columns(a, b) gives rows a..b.
 
     A column is a float array, printed %.17g (callers check it is finite), a
-    (rows, width) uint64 array of NUL-padded text words, or a bytes separator
-    of at most 3 bytes repeated on every row. A separator follows a float
-    column and takes no word of its own: it sits in the free last bytes of
-    each value's exponent word.
+    (rows, width) uint64 array of NUL-padded text words, or the separator
+    that follows the float column before it: one _tail_word for every row,
+    or one per row. A separator takes no word of its own: it sits in the
+    free last bytes of each value's exponent word.
     """
     buf = None
     for a in range(0, n, _CHUNK):
         b = min(n, a + _CHUNK)
         cols, tails = [], []
         for c in columns(a, b):
-            if isinstance(c, bytes):
-                tails[-1] = _tail_word(c)
-                continue
-            cols.append(c)
-            tails.append(None)
+            if c.dtype == np.uint64 and c.ndim < 2:
+                tails[-1] = c
+            else:
+                cols.append(c)
+                tails.append(None)
         widths = [6 if c.dtype.kind == "f" else c.shape[1] for c in cols]
         if buf is None:
             buf = np.empty((min(n, _CHUNK), sum(widths)), np.uint64)
@@ -299,7 +303,8 @@ def _row_pieces(values: np.ndarray) -> list[str]:
     """The chunk texts of a 1-D float array's entries, format_float each,
     joined by ", "; NonFiniteResult names the first non-finite one."""
     _check_finite(values)
-    texts = list(_text(len(values), lambda a, b: (values[a:b], b", ")))
+    sep = _tail_word(b", ")
+    texts = list(_text(len(values), lambda a, b: (values[a:b], sep)))
     if texts:
         texts[-1] = texts[-1][:-2]
     return texts
@@ -486,21 +491,43 @@ def cmd_gamma(args) -> int:
 
 # --- clusters ----------------------------------------------------------------
 
-def _float_word_rows(values: np.ndarray, sep: bytes) -> np.ndarray:
-    """The six text words of each (finite) value, by the bulk kernel, with
-    sep in the free end of its exponent word."""
-    out = np.empty((len(values), 6), np.uint64)
-    for a in range(0, len(values), _CHUNK):
-        _float_words(values[a : a + _CHUNK], out[a : a + _CHUNK])
-    out[:, 5] |= _tail_word(sep)
-    return out
+_HALF_MAX = 2.0**1022  # two values this large differ by at most 2^1023, a finite double
+
+
+def _proved_finite(paths: _Paths) -> bool:
+    """Whether every zeta and xi value of the paths is finite, proved from
+    each span's two ends and the drifts, without evaluating the paths.
+
+    A span's zeta = fl(p + fl(v fl(g - b))), with b the grid time of its
+    first column, is monotone in g, since each rounding is. On a
+    non-decreasing grid its first value, p itself, and its last bound it,
+    and a NaN inside (v times an inf g - b) would reach its last. xi =
+    fl(zeta - fl(d g)) is then finite where |zeta| and |fl(d g)| are at most
+    2^1022, and |fl(d g)| <= fl(max|d| max|g|). A NaN fails every
+    comparison here, so any NaN or inf that the spans could hold fails it.
+    """
+    grid, size = paths.grid, paths.size
+    if not (grid[1:] >= grid[:-1]).all():
+        return False
+    node = size.nonzero()[0]
+    last = paths._zeta(node, paths.start[node] + size[node] - 1)
+    return bool(np.abs(paths.position[node]).max() <= _HALF_MAX
+                and np.abs(last).max() <= _HALF_MAX
+                and np.abs(paths.node_drift).max() * np.abs(grid).max() <= _HALF_MAX)
 
 
 def _check_paths(paths: _Paths, interleave: bool) -> None:
     """Raise NonFiniteResult naming the first non-finite path value in print
     order, before any is printed: every row of zeta, then every row of xi,
-    or with interleave row by row, each column's zeta then its xi. A chunk is
-    clean when its xi is finite, for a non-finite zeta makes its xi so."""
+    or with interleave row by row, each column's zeta then its xi.
+
+    _proved_finite settles it from the forest, in O(nodes). Only when that
+    proof fails does this scan evaluate the paths, a chunk of rows at a
+    time; a chunk is clean when its xi is finite, for a non-finite zeta
+    makes its xi so.
+    """
+    if _proved_finite(paths):
+        return
     first_xi = None
     for _, _, nodes, where, zeta, xi in paths.chunks():
         if np.isfinite(xi).all():
@@ -515,25 +542,26 @@ def _check_paths(paths: _Paths, interleave: bool) -> None:
         _check_finite(first_xi)
 
 
-# a span value's separator in a JSON row: inside its span, after a root's
-# span, after another's; "|" marks where the spans' text is split
-_JSON_TAILS = _words([b", ", b"], [|", b", |"])
-
-
 def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
     """The JSON list of zeta's rows (family 0) or xi's (1), a chunk of rows at a time.
 
-    Each span prints once in a chunk, by the bulk kernel, ending in its
-    separator in a row; a row's text is then its spans' texts.
+    Each span prints once in a chunk, by the bulk kernel. Its values end in
+    ", ", and its last value in "|" after a root's span, where the row ends,
+    or in ", |" after another's, every separator in the value's exponent
+    word; "|" marks where the text is split into spans. A root's span then
+    gets the "], [" that closes its row, and a row's text is its spans'
+    texts.
     """
     yield "[["
+    inside, after_root, after_span = (_tail_word(sep) for sep in (b", ", b"|", b", |"))
     for r0, r1, nodes, where, *families in paths.chunks(xi=family == 1):
         values = families[family]
-        tail = np.zeros(len(values), np.intp)
-        tail[np.cumsum(paths.size[nodes]) - 1] = np.where(paths.parent[nodes] < 0, 1, 2)
-        text = "".join(_text(len(values), lambda a, b: (
-            values[a:b], _JSON_TAILS.take(tail[a:b], axis=0))))
+        root = paths.parent[nodes] < 0
+        tail = np.full(len(values), inside)
+        tail[np.cumsum(paths.size[nodes]) - 1] = np.where(root, after_root, after_span)
+        text = "".join(_text(len(values), lambda a, b: (values[a:b], tail[a:b])))
         texts = np.array(text.split("|")[:-1], dtype=object)
+        texts[root] += "], ["
         text = "".join(texts[where].tolist())
         yield text if r1 < paths.n else text[:-4] + "]]"
 
@@ -541,18 +569,26 @@ def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
 def _csv_lines(paths: _Paths) -> Iterator[str]:
     """The CSV lines index,s,zeta,xi, a chunk of rows at a time.
 
-    Each span value prints once in a chunk, by the bulk kernel, as words,
-    and each line gathers the words of its index, s and value; a value's
-    exponent word keeps its last byte for the separator that follows it.
-    Joining span texts per row, as the JSON rows do, was faster, but its
+    Each span value prints once in a chunk, by the bulk kernel, into its
+    six zeta words and six xi words, and each line gathers the words of its
+    index, s and values. The index and s words are "%d," and "%.17g,"
+    texts, as wide as the longest needs (s takes 3 words while no grid time
+    is negative); a value's exponent word ends in the separator that follows
+    it. Joining span texts per row, as the JSON rows do, was faster, but its
     many mid-sized strings raised the peak RSS of a run over instances of
     n = 100..400 by up to 14 MB, through the heap's layout.
     """
     n, k = paths.n, len(paths.grid)
-    index = _words([b"%d," % i for i in range(1, n + 1)], len(str(n)) // 8 + 1)
-    s = _float_word_rows(paths.grid, b",")
+    index = _words([b"%d," % i for i in range(1, n + 1)])
+    s = _words([b"%.17g," % g for g in paths.grid.tolist()])
+    comma, newline = _tail_word(b","), _tail_word(b"\n")
     for r0, r1, nodes, where, zeta, xi in paths.chunks():
-        values = np.hstack((_float_word_rows(zeta, b","), _float_word_rows(xi, b"\n")))
+        values = np.empty((len(zeta), 12), np.uint64)
+        for a in range(0, len(zeta), _CHUNK):
+            _float_words(zeta[a : a + _CHUNK], values[a : a + _CHUNK, :6])
+            _float_words(xi[a : a + _CHUNK], values[a : a + _CHUNK, 6:])
+        values[:, 5] |= comma
+        values[:, 11] |= newline
         cells = paths.cells(nodes, where)
 
         def columns(a, b):

@@ -29,8 +29,9 @@ Each index has two paths on the breakpoints {0, merge times, t}:
 
 Indices that share a forest node share their paths from its birth on, so
 _Paths evaluates them by node, one span per node, a chunk of rows at a time;
-`clusters` checks and prints each chunk's spans, and simulate_inertia, the
-library's dense expansion, fills one read-only (n, K) family, zeta, from them.
+`clusters` prints each chunk's spans (having proved them finite from each
+span's ends), and simulate_inertia, the library's dense expansion, fills one
+read-only (n, K) family, zeta, from them.
 The recursion and physics checks and first_optimal_merge read the forest
 through _Paths; gamma, sweep and the structure check read it bare, all in
 O(n + events) memory.

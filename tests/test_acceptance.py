@@ -18,10 +18,7 @@ from shelyap import (
     gamma3,
     gamma_report,
     heat_kernel,
-    oracle_gamma1,
-    oracle_gamma2,
     random_instance,
-    sample_matching,
     separation_margins,
     simulate_inertia,
     solve_gamma1,
@@ -29,6 +26,8 @@ from shelyap import (
     upper_bound_value,
     validate_instance,
 )
+from shelyap.sampling import sample_matching
+from shelyap.solvers import oracle_gamma1, oracle_gamma2
 from test_closedform import one_level_recursion, one_point_gamma, two_point_gamma
 from test_cluster_equivalence import optimal_paths
 from test_clusters import block_com_speed, merge_momentum_defects

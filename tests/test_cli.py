@@ -831,52 +831,85 @@ def _bench_shape(tmp_path, n, t=2.0, seed=0):
     return ["--input", str(path)]
 
 
-@pytest.mark.parametrize("command", [["gamma"], ["clusters"], ["clusters", "--format", "csv"]])
-@pytest.mark.parametrize("instance", ["high_nu", "bench", "cascade", "contact_at_0", "merge_at_t",
-                                      "empty_span"])
-def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, command, instance):
-    args = {
-        "high_nu": ["--t", "0.5", "--x=-1,0.3,2", "--m", "40000,35000,25000"],  # nu = 10^5
-        "bench": _bench_shape(tmp_path, 400),
-        "cascade": ["--t", "1", "--x=-2,-1.5,-1,0,1e-300,3", "--m", "1,2,3,1,2,5"],
-        # every location merges at s = 0: the gaps over the closing speeds underflow
-        "contact_at_0": ["--t", "1", "--x", "0,5e-324,1e-323", "--m", "3,3,3"],
-        # (1, 2) merges at s = t, so that root's span is the last column alone
-        "merge_at_t": ["--t", "1", "--x", "0,1,10", "--m", "1,1,1"],
-        # (1, 2) merges at s = 0, and only then does (1..2, 3) close within the
-        # tolerance: node (1, 2) merges again in its birth column, an empty span
-        "empty_span": ["--t", "1", "--x", "0,1e-14,2.51e-12", "--m", "1,1,1"],
-    }[instance]
-    code, out, err = run(capsys, [*command, *args])
-    assert (code, err) == (0, "")
-    if command[0] == "clusters":
-        # the paths as simulate_inertia expands them, every row printed by the reference
-        res = shelyap.simulate_inertia(shelyap.cli._load_instance(
-            shelyap.cli.build_parser().parse_args(["clusters", *args])))
-        s = _reference_row(np.asarray(res.inertia_paths[0].breakpoints))
-    if command[-1] == "csv":
-        s = s.split(", ")
-        want = "index,s,zeta,xi\n" + "".join(
+def _clusters_reference(monkeypatch, args, csv):
+    """What clusters prints for the instance args: the paths as
+    simulate_inertia expands them, every row printed by the reference."""
+    res = shelyap.simulate_inertia(shelyap.cli._load_instance(
+        shelyap.cli.build_parser().parse_args(["clusters", *args])))
+    s = _reference_row(np.asarray(res.inertia_paths[0].breakpoints))
+    if csv:
+        return "index,s,zeta,xi\n" + "".join(
             f"{i},{sv},{zv},{xv}\n"
             for i, (z, x) in enumerate(zip(res.inertia_paths, optimal_paths(res)), 1)
-            for sv, zv, xv in zip(s, _reference_row(z.values).split(", "),
+            for sv, zv, xv in zip(s.split(", "), _reference_row(z.values).split(", "),
                                   _reference_row(x.values).split(", ")))
-    elif command[0] == "clusters":
-        monkeypatch.setattr("shelyap.cli._row_pieces", lambda values: [_reference_row(values)])
+    with monkeypatch.context() as m:
+        m.setattr("shelyap.cli._row_pieces", lambda values: [_reference_row(values)])
         head = dumps_json({"partition": res.partition, "q_hat": res.q_hat,
                            "cluster_masses": res.cluster_masses,
                            "terminal_positions": res.terminal_positions, "drifts": res.drifts,
                            "events": res.events})
-        want = "".join([
-            head[:-2], f',\n  "breakpoints": [{s}]',
-            *(f',\n  "{name}": [' + ", ".join(f"[{_reference_row(p.values)}]" for p in paths) + "]"
-              for name, paths in (("zeta", res.inertia_paths), ("xi", optimal_paths(res)))),
-            "\n}\n"])
+    return "".join([
+        head[:-2], f',\n  "breakpoints": [{s}]',
+        *(f',\n  "{name}": [' + ", ".join(f"[{_reference_row(p.values)}]" for p in paths) + "]"
+          for name, paths in (("zeta", res.inertia_paths), ("xi", optimal_paths(res)))),
+        "\n}\n"])
+
+
+_INSTANCES = {
+    "high_nu": ["--t", "0.5", "--x=-1,0.3,2", "--m", "40000,35000,25000"],  # nu = 10^5
+    "cascade": ["--t", "1", "--x=-2,-1.5,-1,0,1e-300,3", "--m", "1,2,3,1,2,5"],
+    # every location merges at s = 0: the gaps over the closing speeds underflow
+    "contact_at_0": ["--t", "1", "--x", "0,5e-324,1e-323", "--m", "3,3,3"],
+    # (1, 2) merges at s = t, so that root's span is the last column alone
+    "merge_at_t": ["--t", "1", "--x", "0,1,10", "--m", "1,1,1"],
+    # (1, 2) merges at s = 0, and only then does (1..2, 3) close within the
+    # tolerance: node (1, 2) merges again in its birth column, an empty span
+    "empty_span": ["--t", "1", "--x", "0,1e-14,2.51e-12", "--m", "1,1,1"],
+    # "%.17g," of t fills three words: 24 bytes, no NUL
+    "grid_24_bytes": ["--t", "1.2345678901234567e-100", "--x", "0,1", "--m", "1,1"],
+    # x_2 is an exact decimal tie at 17 digits, which "%.17g" itself prints
+    "decimal_tie": ["--t", "1", "--x", "0,1000000000000000.25", "--m", "1,1"],
+}
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["clusters"], ["clusters", "--format", "csv"]])
+@pytest.mark.parametrize("instance", ["high_nu", "bench", "cascade", "contact_at_0", "merge_at_t",
+                                      "empty_span"])
+def test_commands_match_reference_formatter(monkeypatch, capsys, tmp_path, command, instance):
+    args = _bench_shape(tmp_path, 400) if instance == "bench" else _INSTANCES[instance]
+    code, out, err = run(capsys, [*command, *args])
+    assert (code, err) == (0, "")
+    if command[0] == "clusters":
+        want = _clusters_reference(monkeypatch, args, csv=command[-1] == "csv")
     else:
         # the document with its float rows printed by the reference
         monkeypatch.setattr("shelyap.cli._row_pieces", lambda values: [_reference_row(values)])
         want = run(capsys, [*command, *args])[1]
-    assert out == want
+    # by lines, so that a failure reports the first wrong line: pytest's diff
+    # of two long unequal texts takes minutes
+    assert out.splitlines() == want.splitlines() and out == want
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8192])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("instance", ["bench", "cascade", "contact_at_0", "merge_at_t",
+                                      "empty_span", "grid_24_bytes", "decimal_tie"])
+def test_clusters_chunk_edges_match_reference_formatter(monkeypatch, capsys, tmp_path, chunk,
+                                                        fmt, instance):
+    # one row a chunk, so every row's end, a root span's, is a chunk's end,
+    # and kernel passes of 1 or 3 values, so that span ends and separators
+    # fall on pass edges too
+    args = _bench_shape(tmp_path, 40) if instance == "bench" else _INSTANCES[instance]
+    want = _clusters_reference(monkeypatch, args, csv=fmt == "csv")
+    monkeypatch.setattr(shelyap.clusters._Paths, "ROWS", 1)
+    monkeypatch.setattr(shelyap.clusters._Paths, "VALUES", 1)
+    monkeypatch.setattr("shelyap.cli._CHUNK", chunk)
+    code, out, err = run(capsys, ["clusters", *args, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == want.splitlines() and out == want
+    if instance == "grid_24_bytes" and fmt == "csv":
+        assert out.splitlines()[2].startswith("1,1.2345678901234567e-100,")
 
 
 def test_clusters_csv_memory_stays_below_the_row_by_row_writer(tmp_path):

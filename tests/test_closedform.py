@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from shelyap import (
-    first_optimal_merge,
     gamma3,
     gamma_report,
     random_instance,
@@ -17,7 +16,7 @@ from shelyap import (
     verify_recursion_identity,
 )
 from shelyap.cli import ANCHOR_TOL, RECURSION_TOL, TRIPLE_TOL, _check_physics
-from shelyap.clusters import _simulate
+from shelyap.clusters import _simulate, first_optimal_merge
 from test_cluster_equivalence import near_contact, optimal_paths
 from test_golden import CASCADE, ROUTE1_TIES
 

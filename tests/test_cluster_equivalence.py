@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shelyap import PiecewiseLinearPath, initial_speeds, simulate_inertia, validate_instance
-from shelyap.clusters import _simulate, event_tolerance
+from shelyap import initial_speeds, simulate_inertia, validate_instance
+from shelyap.clusters import PiecewiseLinearPath, _simulate, event_tolerance
 
 
 @dataclass

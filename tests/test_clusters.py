@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from shelyap import (
-    FirstMerge,
-    NoMerge,
-    first_optimal_merge,
     initial_speeds,
     random_instance,
     separation_margins,
     simulate_inertia,
     validate_instance,
 )
-from shelyap.clusters import _Paths, _simulate, event_tolerance
+from shelyap.clusters import FirstMerge, _Paths, _simulate, event_tolerance, first_optimal_merge
+from shelyap.errors import NoMerge
 from test_cluster_equivalence import _bits, integer_lattice, optimal_paths
 from test_golden import CASCADE
 

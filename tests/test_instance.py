@@ -12,10 +12,9 @@ from shelyap import (
     flatten,
     gamma2_objective,
     random_instance,
-    sample_matching,
     validate_instance,
 )
-from shelyap.sampling import MIN_GAP
+from shelyap.sampling import MIN_GAP, sample_matching
 
 
 def gamma1_objective(inst, a):

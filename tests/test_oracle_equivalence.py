@@ -24,15 +24,13 @@ import tracemalloc
 import numpy as np
 
 from shelyap import (
-    bruteforce_chain_qp,
     flatten,
-    oracle_gamma1,
-    oracle_gamma2,
     validate_instance,
 )
 from shelyap.cli import ORACLE_COORD_TOL, ORACLE_OBJ_TOL
 from shelyap.sampling import random_instance
-from shelyap.solvers import VariationalSolution, isotonic_nonincreasing
+from shelyap.solvers import (VariationalSolution, bruteforce_chain_qp, isotonic_nonincreasing,
+                             oracle_gamma1, oracle_gamma2)
 
 
 def reference_chain_qp(weights, linear, margins, constant=0.0):

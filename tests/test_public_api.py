@@ -19,18 +19,14 @@ import shelyap
 import shelyap.cli
 
 PUBLIC = (
-    "ClusterResult", "ContourConfig", "DimensionTooLarge", "FirstMerge",
-    "GammaReport", "InvalidContour", "InvalidFitInput",
-    "LengthMismatch", "MergeEvent", "MomentInstance", "NoMerge",
+    "ClusterResult", "ContourConfig", "GammaReport", "InvalidContour",
+    "InvalidFitInput", "LengthMismatch", "MergeEvent", "MomentInstance",
     "NonFiniteResult", "NonPositiveMoment", "NonPositiveMultiplicity",
-    "NonPositiveTime", "NuTooLarge", "PiecewiseLinearPath", "RecursionCheck",
-    "ShelyapError", "StructureReport", "UnsortedLocations",
-    "VariationalSolution", "bruteforce_chain_qp", "check_minimizer_structure",
-    "contour_moment_complex", "default_contour_config",
-    "first_optimal_merge", "flatten", "gamma2_objective",
-    "gamma3", "gamma_report", "heat_kernel", "initial_speeds",
-    "isotonic_nonincreasing", "oracle_gamma1", "oracle_gamma2",
-    "random_instance", "sample_matching", "separation_margins",
+    "NonPositiveTime", "NuTooLarge", "RecursionCheck", "ShelyapError",
+    "StructureReport", "UnsortedLocations", "VariationalSolution",
+    "check_minimizer_structure", "contour_moment_complex", "default_contour_config",
+    "flatten", "gamma2_objective", "gamma3", "gamma_report", "heat_kernel",
+    "initial_speeds", "isotonic_nonincreasing", "random_instance", "separation_margins",
     "simulate_inertia", "solve_gamma1", "solve_gamma2", "upper_bound_value",
     "validate_instance", "verify_recursion_identity",
 )
@@ -57,7 +53,7 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(shelyap, n), types.ModuleType)
     )
     assert names == sorted(PUBLIC)
-    assert len(names) == 45
+    assert len(names) == 36
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -18,11 +18,11 @@ from shelyap import (
     default_contour_config,
     flatten,
     heat_kernel,
-    sample_matching,
     solve_gamma1,
     upper_bound_value,
     validate_instance,
 )
+from shelyap.sampling import sample_matching
 from shelyap.cli import main
 from shelyap.quadrature import _grid
 from test_solvers import route1_sum_bound

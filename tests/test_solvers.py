@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from shelyap import (
-    DimensionTooLarge,
     InvalidFitInput,
     LengthMismatch,
-    bruteforce_chain_qp,
     check_minimizer_structure,
     flatten,
     gamma2_objective,
     isotonic_nonincreasing,
-    oracle_gamma1,
-    oracle_gamma2,
     random_instance,
     simulate_inertia,
     solve_gamma1,
     solve_gamma2,
     validate_instance,
 )
+from shelyap.errors import DimensionTooLarge
+from shelyap.solvers import bruteforce_chain_qp, oracle_gamma1, oracle_gamma2
 from test_cluster_equivalence import random_shape
 from test_instance import gamma1_objective
 from test_structure_equivalence import reference_active
