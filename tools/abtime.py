@@ -1,16 +1,17 @@
 """A/B timing of two checkouts' command line, in one process.
 
-    python tools/abtime.py BEFORE AFTER --workload clusters-large --seed 0 --rounds 7
+    python tools/abtime.py BEFORE AFTER --workload clusters-large
 
 BEFORE and AFTER are checkout roots, each with src/shelyap. The op pool is
-the benchmark workload's own, built by perfbench/workloads.make_ops (read
-only, into a temporary directory). Each checkout's package is loaded under
-its own name, and every op runs on both sides in every round, the side
-that goes first alternating from op to op and from round to round, so that
-a slow phase of the machine falls on both alike. The tool asserts that both
-sides give the same exit code and stdout on every op. It prints each side's
-per-op-minimum ms/op (the mean over the pool of each op's fastest run), the
-ops/s ratio AFTER/BEFORE, and on how many ops AFTER's minimum was lower.
+the benchmark workload's own at seed SEED, built by
+perfbench/workloads.make_ops (read only, into a temporary directory). Each
+checkout's package is loaded under its own name, and every op runs on both
+sides in each of ROUNDS rounds, the side that goes first alternating from op
+to op and from round to round, so that a slow phase of the machine falls on
+both alike. The tool asserts that both sides give the same exit code and
+stdout on every op. It prints each side's per-op-minimum ms/op (the mean
+over the pool of each op's fastest run), the ops/s ratio AFTER/BEFORE, and
+on how many ops AFTER's minimum was lower.
 It uses only the standard library and NumPy.
 """
 
@@ -27,6 +28,8 @@ import time
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+SEED = 0
+ROUNDS = 7
 
 
 def load_module(name: str, path: Path, package_dir: Path | None = None):
@@ -61,16 +64,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
     parser.add_argument("--workload", default="clusters-large")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args(argv)
     workloads = load_module("_abtime_workloads", WORKLOADS)
     sides = [load_cli(args.before.resolve(), "_abtime_before"),
              load_cli(args.after.resolve(), "_abtime_after")]
     with tempfile.TemporaryDirectory() as tmp:
-        ops = workloads.make_ops(args.workload, args.seed, Path(tmp))
+        ops = workloads.make_ops(args.workload, SEED, Path(tmp))
         best = [[float("inf")] * len(ops) for _ in sides]
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for i, op in enumerate(ops):
                 order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
                 results = {}
@@ -82,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
                     raise SystemExit(f"outputs differ on op {i}: {' '.join(op.argv)}")
     ms = [1e3 * sum(b) / len(ops) for b in best]
     faster = sum(a < b for b, a in zip(*best))
-    print(f"{args.workload} seed {args.seed}: {len(ops)} ops x {args.rounds} rounds, "
+    print(f"{args.workload} seed {SEED}: {len(ops)} ops x {ROUNDS} rounds, "
           f"stdout identical on every op")
     print(f"before {ms[0]:.3f} ms/op ({1e3 / ms[0]:.2f} ops/s), "
           f"after {ms[1]:.3f} ms/op ({1e3 / ms[1]:.2f} ops/s)")
