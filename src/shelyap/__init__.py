@@ -6,8 +6,6 @@ cross-checked numerically.
 from .clusters import (
     ClusterResult,
     MergeEvent,
-    initial_speeds,
-    separation_margins,
     simulate_inertia,
 )
 from .closedform import (

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # perfbench/test_harness.py checks that the tracer wraps simulate_inertia here too
-from .clusters import (MergeEvent, _Paths, _simulate, event_tolerance, initial_speeds,  # noqa: F401
+from .clusters import (_Paths, _simulate, event_tolerance, initial_speeds,  # noqa: F401
                        separation_margins, simulate_inertia)
 from .closedform import gamma3, gamma_report, verify_recursion_identity
 from .errors import (
@@ -101,13 +101,14 @@ def _check_finite(values: np.ndarray) -> None:
 #              which thus costs no word
 #
 # and a keep mask, chosen by the notation and the number of digits left once
-# trailing zeros go, NULs every byte that "%.17g" does not print. Rows of
-# such words sit beside any other text words (a CSV line's index and s),
-# and translate() drops the NULs, a chunk of rows at a time. A JSON document
-# reaches the writer as its list of pieces (_pieces), each array's chunk
-# texts among them unjoined, all built and checked before the first byte is
-# written. Of clusters' paths, only what _proved_finite cannot settle is
-# evaluated before then (_check_paths).
+# trailing zeros go, NULs every byte that "%.17g" does not print; translate()
+# drops the NULs. _float_text prints a float array so, _CHUNK values a text;
+# _csv_lines sets each CSV line's index and s words beside its values' words
+# and prints _CHUNK lines a text. A JSON document reaches the writer as its
+# list of pieces (_pieces), each array's chunk texts among them unjoined, all
+# built and checked before the first byte is written. Of clusters' paths,
+# only what _proved_finite cannot settle is evaluated before then
+# (_check_paths).
 
 _CHUNK = 8192  # values per kernel pass; bounds the kernel's scratch memory
 _K0 = -294  # 10^k is tabled for k in [_K0, 342], the range of 16 - X
@@ -264,47 +265,25 @@ def _tail_word(sep: bytes) -> np.uint64:
     return np.uint64(int.from_bytes(sep, "little") << 64 - 8 * len(sep))
 
 
-def _text(n: int, columns) -> Iterator[str]:
-    """n rows of text, at most _CHUNK at a time; columns(a, b) gives rows a..b.
-
-    A column is a float array, printed %.17g (callers check it is finite), a
-    (rows, width) uint64 array of NUL-padded text words, or the separator
-    that follows the float column before it: one _tail_word for every row,
-    or one per row. A separator takes no word of its own: it sits in the
-    free last bytes of each value's exponent word.
-    """
-    buf = None
-    for a in range(0, n, _CHUNK):
-        b = min(n, a + _CHUNK)
-        cols, tails = [], []
-        for c in columns(a, b):
-            if c.dtype == np.uint64 and c.ndim < 2:
-                tails[-1] = c
-            else:
-                cols.append(c)
-                tails.append(None)
-        widths = [6 if c.dtype.kind == "f" else c.shape[1] for c in cols]
-        if buf is None:
-            buf = np.empty((min(n, _CHUNK), sum(widths)), np.uint64)
-        rows = buf[: b - a]
-        j = 0
-        for c, w, tail in zip(cols, widths, tails):
-            if c.dtype.kind == "f":
-                _float_words(np.asarray(c, np.float64), rows[:, j : j + w])
-                if tail is not None:
-                    rows[:, j + 5] |= tail
-            else:
-                rows[:, j : j + w] = c
-            j += w
-        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+def _float_text(values: np.ndarray, tail) -> Iterator[str]:
+    """"%.17g" of each value (callers check they are finite) followed by its
+    tail, one _tail_word for every value or one per value, as texts of at
+    most _CHUNK values each."""
+    values = np.asarray(values, np.float64)
+    tail = np.broadcast_to(tail, values.shape)
+    buf = np.empty((min(len(values), _CHUNK), 6), np.uint64)
+    for a in range(0, len(values), _CHUNK):
+        words = buf[: len(values) - a]
+        _float_words(values[a : a + _CHUNK], words)
+        words[:, 5] |= tail[a : a + _CHUNK]
+        yield words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _row_pieces(values: np.ndarray) -> list[str]:
     """The chunk texts of a 1-D float array's entries, format_float each,
     joined by ", "; NonFiniteResult names the first non-finite one."""
     _check_finite(values)
-    sep = _tail_word(b", ")
-    texts = list(_text(len(values), lambda a, b: (values[a:b], sep)))
+    texts = list(_float_text(values, _tail_word(b", ")))
     if texts:
         texts[-1] = texts[-1][:-2]
     return texts
@@ -331,7 +310,7 @@ def _pieces(obj, indent: int = 0) -> Iterator[str]:
             yield from value
             opening = ","
         yield f"\n{sp}{closing}"
-    elif isinstance(obj, tuple) and obj and isinstance(obj[0], MergeEvent):
+    elif isinstance(obj, _Paths):
         yield _format_events(obj, indent)
     elif isinstance(obj, (list, tuple)) and _has_float(obj):
         yield f"[{', '.join([''.join(_pieces(v)) for v in obj])}]"
@@ -344,11 +323,12 @@ def dumps_json(obj) -> str:
 
     One layout rule: a dict, or a list whose items are dicts, puts each entry
     on its own line at the next indent, and every other value prints on one
-    line. A merge log prints as the list of its events' {time, merged,
-    position} dicts. A float prints through format_float, a 1-D float array
-    through the bulk kernel, any other list holding a float as [a, b], and
-    the rest by one json.dumps call. The commands hand _emit the pieces
-    themselves (_pieces), not their join.
+    line. A forest (_Paths) prints its merge log, the list of its events'
+    {time, merged, position} dicts, read off the forest columns. A float
+    prints through format_float, a 1-D float array through the bulk kernel,
+    any other list holding a float as [a, b], and the rest by one json.dumps
+    call. The commands hand _emit the pieces themselves (_pieces), not their
+    join.
     """
     return "".join(_pieces(obj))
 
@@ -362,18 +342,22 @@ def _has_float(items: list | tuple) -> bool:
     return False
 
 
-def _format_events(events: Sequence[MergeEvent], indent: int) -> str:
-    """A merge log as dumps_json lays out the list of its {time, merged, position}
-    dicts, byte for byte, in one pass over the events.
+def _format_events(paths: _Paths, indent: int) -> str:
+    """A forest's merge log as dumps_json lays out the list of its events'
+    {time, merged, position} dicts, byte for byte, read off the forest
+    columns: "[]" when nothing merges.
 
     Times and positions print through the bulk kernel, in document order so
     that the first non-finite value is the one named; merged prints its ints
     with %d.
     """
+    n = paths.n
+    if len(paths.lo) == n:
+        return "[]"
     sp = "  " * (indent + 1)
-    values = np.array([(e.time, e.position) for e in events]).ravel()
+    values = np.column_stack((paths.birth[n:], paths.position[n:])).ravel()
     floats = "".join(_row_pieces(values)).split(", ")
-    merged = ["[" + ", ".join(["[%d, %d]" % iv for iv in e.merged]) + "]" for e in events]
+    merged = ["[" + ", ".join(["[%d, %d]" % iv for iv in ivs]) + "]" for ivs in paths.merged()]
     body = f",\n{sp}".join([
         f'{{\n{sp}  "time": {s},\n{sp}  "merged": {ivs},\n{sp}  "position": {z}\n{sp}}}'
         for s, ivs, z in zip(floats[::2], merged, floats[1::2])])
@@ -559,7 +543,7 @@ def _json_rows(paths: _Paths, family: int) -> Iterator[str]:
         root = paths.parent[nodes] < 0
         tail = np.full(len(values), inside)
         tail[np.cumsum(paths.size[nodes]) - 1] = np.where(root, after_root, after_span)
-        text = "".join(_text(len(values), lambda a, b: (values[a:b], tail[a:b])))
+        text = "".join(_float_text(values, tail))
         texts = np.array(text.split("|")[:-1], dtype=object)
         texts[root] += "], ["
         text = "".join(texts[where].tolist())
@@ -571,12 +555,13 @@ def _csv_lines(paths: _Paths) -> Iterator[str]:
 
     Each span value prints once in a chunk, by the bulk kernel, into its
     six zeta words and six xi words, and each line gathers the words of its
-    index, s and values. The index and s words are "%d," and "%.17g,"
-    texts, as wide as the longest needs (s takes 3 words while no grid time
-    is negative); a value's exponent word ends in the separator that follows
-    it. Joining span texts per row, as the JSON rows do, was faster, but its
-    many mid-sized strings raised the peak RSS of a run over instances of
-    n = 100..400 by up to 14 MB, through the heap's layout.
+    index, s and values, _CHUNK lines at a time. The index and s words are
+    "%d," and "%.17g," texts, as wide as the longest needs (s takes 3 words
+    while no grid time is negative); a value's exponent word ends in the
+    separator that follows it. Joining span texts per row, as the JSON rows
+    do, was faster, but its many mid-sized strings raised the peak RSS of a
+    run over instances of n = 100..400 by up to 14 MB, through the heap's
+    layout.
     """
     n, k = paths.n, len(paths.grid)
     index = _words([b"%d," % i for i in range(1, n + 1)])
@@ -590,12 +575,17 @@ def _csv_lines(paths: _Paths) -> Iterator[str]:
         values[:, 5] |= comma
         values[:, 11] |= newline
         cells = paths.cells(nodes, where)
-
-        def columns(a, b):
-            i, j = np.divmod(np.arange(a, b), k)
-            return index.take(i + r0, axis=0), s.take(j, axis=0), values.take(cells[a:b], axis=0)
-
-        yield from _text((r1 - r0) * k, columns)
+        # one buffer per chunk of rows, freed with it: a fresh array per pass,
+        # or one buffer for the whole run, moved the clusters benchmark's peak
+        # RSS up by 4-10 MB through the heap's layout
+        buf = np.empty((min(len(cells), _CHUNK), index.shape[1] + s.shape[1] + 12), np.uint64)
+        for a in range(0, len(cells), _CHUNK):
+            i, j = np.divmod(np.arange(a, min(len(cells), a + _CHUNK)), k)
+            words = np.concatenate((index.take(i + r0, axis=0), s.take(j, axis=0),
+                                    values.take(cells[a : a + _CHUNK], axis=0)),
+                                   axis=1, out=buf[: len(i)])
+            yield words.tobytes().translate(None, b"\0").decode("ascii")
+        del buf, words
 
 
 def cmd_clusters(args) -> int:
@@ -614,7 +604,7 @@ def cmd_clusters(args) -> int:
         "cluster_masses": tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in run.partition),
         "terminal_positions": paths.terminal,
         "drifts": paths.drift,
-        "events": run.events,
+        "events": paths,
         "breakpoints": paths.grid,
     }))
     head.pop()  # the closing "\n}"; zeta and xi follow

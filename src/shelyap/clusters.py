@@ -17,9 +17,10 @@ The run's only record is its merge forest, and the event loop writes only
 the forest: the locations are its leaves and each merge group a node (see
 _Run), which sits at birth position + speed * (s - birth) until it merges
 again. Every value is the loop's own, a leaf's speed (m_i phi_i)/m_i
-included. The merge log (one MergeEvent per node after the leaves: its
-birth, position and speed, with its children) is read off the forest on
-demand; of the commands, only `clusters` asks for it.
+included. The merge log is the nodes after the leaves: each one's birth,
+position and speed, with its children (_Paths.merged). simulate_inertia
+builds one MergeEvent per node from it; `clusters` prints it straight from
+the forest columns and builds none.
 
 Each index has two paths on the breakpoints {0, merge times, t}:
 
@@ -137,18 +138,6 @@ class _Run(NamedTuple):
     speed: list[float]
     parent: list[int]
 
-    @property
-    def events(self) -> tuple[MergeEvent, ...]:
-        """The merge log, read off the forest: node k >= n gives the event at
-        birth[k], position[k] and speed[k] merging its children, in index order."""
-        n = self.partition[-1][-1]  # the locations are nodes 0..n-1
-        merged: list[list[tuple[int, int]]] = [[] for _ in range(len(self.lo) - n)]
-        for j in sorted(range(len(self.lo)), key=self.lo.__getitem__):
-            if self.parent[j] >= 0:
-                merged[self.parent[j] - n].append((self.lo[j], self.hi[j]))
-        return tuple(MergeEvent(self.birth[k], tuple(c), self.position[k], self.speed[k])
-                     for k, c in enumerate(merged, n))
-
 
 @dataclass(frozen=True)
 class FirstMerge:
@@ -182,7 +171,8 @@ def simulate_inertia(inst: MomentInstance) -> ClusterResult:
         cluster_masses=tuple(float(sum(inst.m[b[0] - 1 : b[-1]])) for b in run.partition),
         terminal_positions=tuple(paths.terminal.tolist()),
         drifts=tuple(paths.drift.tolist()),
-        events=run.events,
+        events=tuple(map(MergeEvent, paths.birth[inst.n :].tolist(), paths.merged(),
+                         paths.position[inst.n :].tolist(), paths.speed[inst.n :].tolist())),
         inertia_paths=tuple(PiecewiseLinearPath(grid, row) for row in zeta),
     )
 
@@ -208,7 +198,7 @@ class _Paths:
     VALUES = 1 << 16  # the most path values in a chunk of more rows
 
     def __init__(self, run: _Run, t: float):
-        self.lo, hi, column, parent = np.array((run.lo, run.hi, run.column, run.parent))
+        self.lo, self.hi, column, parent = np.array((run.lo, run.hi, run.column, run.parent))
         self.position, self.speed, self.birth, self.mass = np.array(
             (run.position, run.speed, run.birth, run.mass))
         g = np.empty(column[-1] + 1)
@@ -221,12 +211,20 @@ class _Paths:
         self.root = root = root[self.lo[root].argsort()]
         self.terminal = self._zeta(root, len(self.grid) - 1)
         self.drift = self.terminal / t
-        self.node_drift = self.drift.repeat(hi[root] - self.lo[root] + 1)[self.lo - 1]
+        self.node_drift = self.drift.repeat(self.hi[root] - self.lo[root] + 1)[self.lo - 1]
 
     @functools.cached_property
     def size(self) -> np.ndarray:
         """Each node's span length, in grid columns; only the path readers ask."""
         return np.where(self.parent < 0, len(self.grid), self.start[self.parent]) - self.start
+
+    def merged(self) -> list[tuple[tuple[int, int], ...]]:
+        """The merge log's children: for each node after the leaves, in node
+        order, its children's (lo, hi) intervals, in index order."""
+        child = np.lexsort((self.lo, self.parent))[len(self.root) :]  # roots sort first
+        pairs = list(zip(self.lo[child].tolist(), self.hi[child].tolist()))
+        ends = np.bincount(self.parent[child])[self.n :].cumsum().tolist()
+        return [tuple(pairs[a:b]) for a, b in zip([0, *ends], ends)]
 
     def _zeta(self, node: np.ndarray, col: np.ndarray | int) -> np.ndarray:
         z = self.position[node]

@@ -19,13 +19,13 @@ from shelyap import (
     gamma_report,
     heat_kernel,
     random_instance,
-    separation_margins,
     simulate_inertia,
     solve_gamma1,
     solve_gamma2,
     upper_bound_value,
     validate_instance,
 )
+from shelyap.clusters import separation_margins
 from shelyap.sampling import sample_matching
 from shelyap.solvers import oracle_gamma1, oracle_gamma2
 from test_closedform import one_level_recursion, one_point_gamma, two_point_gamma

@@ -670,9 +670,10 @@ def test_shared_parser_leaks_no_state_between_calls(capsys, first, second):
     assert got[0] != got[1]
 
 
-def test_only_clusters_builds_the_merge_log(monkeypatch, capsys):
-    # gamma, sweep and every verify suite read the merge forest; only
-    # clusters asks for the MergeEvent log. The parser is built once
+def test_no_command_builds_a_merge_event(monkeypatch, capsys):
+    # gamma, sweep and every verify suite read the merge forest, and clusters
+    # prints its merge log from the forest columns; only the library's
+    # simulate_inertia builds MergeEvents. The parser is built once
     class Built(Exception):
         pass
 
@@ -682,15 +683,21 @@ def test_only_clusters_builds_the_merge_log(monkeypatch, capsys):
     monkeypatch.setattr("shelyap.clusters.MergeEvent", refuse)
     shelyap.cli.build_parser.cache_clear()
     cascade = ["--t", "1", "--x=-2,-1.5,-1,0,1e-300,3", "--m", "1,2,3,1,2,5"]
-    for argv in (["gamma", *cascade],
+    outputs = []
+    for argv in (["clusters", *cascade],
+                 ["clusters", *cascade, "--format", "csv"],
+                 ["gamma", *cascade],
                  ["sweep", *cascade, "--param", "t", "--grid", "0.5:2:4"],
                  ["sweep", *cascade, "--param", "x2", "--grid=-1.9:-1.2:3", "--format", "json"],
                  ["verify", "--seed", "0", "--count", "5"]):
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, ""), argv
+        outputs.append(out)
+    assert json.loads(outputs[0])["events"][-1]["merged"] == [[1, 5], [6, 6]]
+    assert outputs[1].startswith("index,s,zeta,xi\n")
     assert out.endswith("VERIFY PASS\n") and out.count("5/5") >= 4
     with pytest.raises(Built):
-        main(["clusters", *cascade])
+        shelyap.simulate_inertia(shelyap.validate_instance(1.0, [0.0, 1.0], [1, 1]))
     assert shelyap.cli.build_parser.cache_info().misses == 1
 
 
@@ -848,7 +855,8 @@ def _clusters_reference(monkeypatch, args, csv):
         head = dumps_json({"partition": res.partition, "q_hat": res.q_hat,
                            "cluster_masses": res.cluster_masses,
                            "terminal_positions": res.terminal_positions, "drifts": res.drifts,
-                           "events": res.events})
+                           "events": [{"time": e.time, "merged": e.merged,
+                                       "position": e.position} for e in res.events]})
     return "".join([
         head[:-2], f',\n  "breakpoints": [{s}]',
         *(f',\n  "{name}": [' + ", ".join(f"[{_reference_row(p.values)}]" for p in paths) + "]"

@@ -10,7 +10,8 @@ afterwards, so this checks the heap, the list and the stale-entry filter
 against a rescan. Every field must agree bit for bit, including each merge
 event's speed, merges of many clusters at once and several merge groups at one
 timestamp. The run record that gamma and the verify checks read must give the
-same partition and merge log as simulate_inertia on the same corpus.
+same partition as simulate_inertia on the same corpus, and its forest the same
+merge log, read off by a loop over the nodes in index order.
 """
 
 from collections import Counter
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shelyap import initial_speeds, simulate_inertia, validate_instance
-from shelyap.clusters import PiecewiseLinearPath, _simulate, event_tolerance
+from shelyap import simulate_inertia, validate_instance
+from shelyap.clusters import (MergeEvent, PiecewiseLinearPath, _simulate, event_tolerance,
+                              initial_speeds)
 
 
 @dataclass
@@ -216,6 +218,25 @@ def test_array_core_matches_object_reference():
     assert large >= 30
 
 
+def forest_events(run):
+    """The merge log read off a run's forest by a loop over its nodes sorted by
+    lo: node k >= n gives the event at birth[k], position[k] and speed[k]
+    merging its children, in index order."""
+    n = run.partition[-1][-1]  # the locations are nodes 0..n-1
+    merged = [[] for _ in range(len(run.lo) - n)]
+    for j in sorted(range(len(run.lo)), key=run.lo.__getitem__):
+        if run.parent[j] >= 0:
+            merged[run.parent[j] - n].append((run.lo[j], run.hi[j]))
+    return tuple(MergeEvent(run.birth[k], tuple(c), run.position[k], run.speed[k])
+                 for k, c in enumerate(merged, n))
+
+
+def _types(events):
+    """Each event's field types, its intervals' ends included."""
+    return [(type(e.time), type(e.position), type(e.speed), type(e.merged),
+             [(type(iv), *map(type, iv)) for iv in e.merged]) for e in events]
+
+
 def test_partition_only_run_matches_full_run():
     rng = np.random.default_rng(20261019)
     large = near = 0
@@ -226,19 +247,23 @@ def test_partition_only_run_matches_full_run():
         full = simulate_inertia(inst)
         part = _simulate(inst)
         assert part.partition == full.partition, inst
-        assert len(part.events) == len(full.events), inst
-        for e, f in zip(part.events, full.events):
+        # _Paths.merged, through simulate_inertia, against the loop over the
+        # nodes: bit for bit and type for type
+        events = forest_events(part)
+        assert len(events) == len(full.events), inst
+        for e, f in zip(events, full.events):
             assert e.merged == f.merged, inst
             assert (_bits([e.time, e.position, e.speed])
                     == _bits([f.time, f.position, f.speed])), inst
+        assert _types(events) == _types(full.events), inst
         # the grid is 0, each merge time once, then t; each merge time's
         # column holds its last merge group's birth position on that group's
         # rows, bit for bit
-        times = sorted({e.time for e in part.events})
+        times = sorted({e.time for e in events})
         grid = full.inertia_paths[0].breakpoints
         assert grid == (0.0, *times, *([inst.t] if not times or times[-1] < inst.t else [])), inst
         expect = {}
-        for e in part.events:
+        for e in events:
             for i in range(e.merged[0][0], e.merged[-1][1] + 1):
                 expect[i, times.index(e.time) + 1] = e.position
         for (i, k), z in expect.items():

@@ -5,14 +5,9 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from shelyap import (
-    initial_speeds,
-    random_instance,
-    separation_margins,
-    simulate_inertia,
-    validate_instance,
-)
-from shelyap.clusters import FirstMerge, _Paths, _simulate, event_tolerance, first_optimal_merge
+from shelyap import random_instance, simulate_inertia, validate_instance
+from shelyap.clusters import (FirstMerge, _Paths, _simulate, event_tolerance, first_optimal_merge,
+                              initial_speeds, separation_margins)
 from shelyap.errors import NoMerge
 from test_cluster_equivalence import _bits, integer_lattice, optimal_paths
 from test_golden import CASCADE

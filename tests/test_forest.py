@@ -17,8 +17,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from shelyap import initial_speeds, simulate_inertia, validate_instance
-from shelyap.clusters import _simulate
+from shelyap import simulate_inertia, validate_instance
+from shelyap.clusters import _simulate, initial_speeds
 from test_cluster_equivalence import (equal_line, integer_lattice, near_contact, random_shape,
                                       reference_simulate)
 

@@ -29,8 +29,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shelyap import random_instance, validate_instance
-from shelyap.clusters import _simulate
+from shelyap import random_instance, simulate_inertia, validate_instance
 from test_closedform import _benchmark_shape
 from test_cluster_equivalence import equal_line, integer_lattice
 from test_gamma3_equivalence import instance_of
@@ -92,10 +91,10 @@ def sticky_errors(inst):
     """Worst error of the float run's nodes: time / (1 + t), position and speed
     relative to 1 + |exact value|. The partitions must agree."""
     partition, nodes = exact_sticky(inst)
-    run = _simulate(inst)
-    assert run.partition == partition, inst
+    res = simulate_inertia(inst)
+    assert res.partition == partition, inst
     got = {(e.merged[0][0], e.merged[-1][1]): (e.time, e.position, e.speed)
-           for e in run.events}
+           for e in res.events}
     # the tie window may fuse exact cascade passes at one time into one
     # group, so the float forest keeps a subset of the exact nodes
     assert got.keys() <= nodes.keys(), inst
@@ -113,7 +112,7 @@ def test_generator_draws_match_exact_run():
     for _ in range(600):
         inst = random_instance(rng)
         assert sticky_errors(inst)[0] <= TIME_BOUND
-        merged += len(_simulate(inst).events) > 0
+        merged += len(simulate_inertia(inst).events) > 0
     assert merged > 300
 
 
@@ -141,7 +140,7 @@ def test_contact_at_t_counts(t, x, m):
     partition, nodes = exact_sticky(inst)
     assert max(s for s, _, _ in nodes.values()) == Fraction(t)
     assert sticky_errors(inst)[0] <= TIME_BOUND
-    assert _simulate(inst).events[-1].time == t
+    assert simulate_inertia(inst).events[-1].time == t
 
 
 def test_triple_collisions_on_lattices_match_exact_run():
@@ -150,5 +149,5 @@ def test_triple_collisions_on_lattices_match_exact_run():
     for k in range(300):
         inst = (equal_line, integer_lattice)[k % 2](rng, int(rng.integers(3, 30)))
         assert sticky_errors(inst)[0] <= TIME_BOUND
-        triples += sum(len(e.merged) > 2 for e in _simulate(inst).events)
+        triples += sum(len(e.merged) > 2 for e in simulate_inertia(inst).events)
     assert triples > 100

@@ -8,10 +8,10 @@ perfbench/workloads.make_ops (read only, into a temporary directory). Each
 checkout's package is loaded under its own name, and every op runs on both
 sides in each of ROUNDS rounds, the side that goes first alternating from op
 to op and from round to round, so that a slow phase of the machine falls on
-both alike. The tool asserts that both sides give the same exit code and
-stdout on every op. It prints each side's per-op-minimum ms/op (the mean
-over the pool of each op's fastest run), the ops/s ratio AFTER/BEFORE, and
-on how many ops AFTER's minimum was lower.
+both alike. The tool asserts that both sides give the same exit code,
+stdout and stderr (so error objects too) on every op. It prints each side's
+per-op-minimum ms/op (the mean over the pool of each op's fastest run), the
+ops/s ratio AFTER/BEFORE, and on how many ops AFTER's minimum was lower.
 It uses only the standard library and NumPy.
 """
 
@@ -49,14 +49,14 @@ def load_cli(root: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run(cli, argv: tuple[str, ...]) -> tuple[float, int, str]:
-    """(seconds, exit code, stdout) of one cli.main call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run(cli, argv: tuple[str, ...]) -> tuple[float, int, str, str]:
+    """(seconds, exit code, stdout, stderr) of one cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.perf_counter()
         code = cli.main(list(argv))
         seconds = time.perf_counter() - start
-    return seconds, code, out.getvalue()
+    return seconds, code, out.getvalue(), err.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,15 +76,15 @@ def main(argv: list[str] | None = None) -> int:
                 order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
                 results = {}
                 for side in order:
-                    seconds, code, out = run(sides[side], op.argv)
+                    seconds, code, out, err = run(sides[side], op.argv)
                     best[side][i] = min(best[side][i], seconds)
-                    results[side] = (code, out)
+                    results[side] = (code, out, err)
                 if results[0] != results[1]:
                     raise SystemExit(f"outputs differ on op {i}: {' '.join(op.argv)}")
     ms = [1e3 * sum(b) / len(ops) for b in best]
     faster = sum(a < b for b, a in zip(*best))
     print(f"{args.workload} seed {SEED}: {len(ops)} ops x {ROUNDS} rounds, "
-          f"stdout identical on every op")
+          f"stdout and stderr identical on every op")
     print(f"before {ms[0]:.3f} ms/op ({1e3 / ms[0]:.2f} ops/s), "
           f"after {ms[1]:.3f} ms/op ({1e3 / ms[1]:.2f} ops/s)")
     print(f"ops/s after/before {ms[0] / ms[1]:.4f}; after faster on {faster}/{len(ops)} ops")
